@@ -26,8 +26,6 @@ from .experiments import (
     Dataset,
     ExperimentConfig,
     ExperimentReport,
-    config_from_file,
-    config_to_file,
     generate_dataset,
     load_dataset,
     projections_by_class,

@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a labeled measurement dataset")
-    gen.add_argument("--family", required=True, choices=experiments.DATASET_FAMILIES)
+    heads = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
+    gen.add_argument("--family", required=True, choices=heads)
     gen.add_argument("--overlap", default="high", choices=experiments.OVERLAP_LEVELS)
     gen.add_argument("--n", type=int, default=10000, help="number of samples")
     gen.add_argument("--shots", type=int, default=None, help="shots per observable (0 = exact; default per preset)")
@@ -50,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a discriminant model on a dataset file")
     fit.add_argument("--train", required=True, help="training dataset path")
-    fit.add_argument("--epsilon", type=float, default=None, help="scatter regularizer (default: relative 1e-6)")
+    fit.add_argument("--epsilon", type=float, default=None,
+                     help="scatter regularizer (default: 1e-6 x mean diag(S_W) if n >= 10 d, else 100 x mean diag)")
     fit.add_argument("--standardizer", default="zscore", choices=("zscore", "minmax", "none"))
     fit.add_argument("--model-out", required=True, help="output model path (JSON)")
 
@@ -61,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", default="csv", choices=("csv", "json"))
 
     ins = sub.add_parser("inspect", help="print spectra, PPT cuts and labels for one state")
-    ins.add_argument("--family", required=True, choices=states.FAMILY_NAMES)
+    ins.add_argument("--family", required=True, choices=states.FAMILIES)
     ins.add_argument("--p", type=float, default=None, help="Werner mixing parameter")
     ins.add_argument("--theta0", type=float, default=None)
     ins.add_argument("--theta1", type=float, default=None)
@@ -158,33 +160,24 @@ def _cmd_eval(args) -> int:
         else:
             keys = ["fld_threshold", "train_accuracy", "test_accuracy", "fisher_criterion"]
             text = ",".join(keys) + "\n" + ",".join(repr(float(payload[k])) for k in keys) + "\n"
-        experiments.atomic_write(args.report_out, text)
+        flda.atomic_write(args.report_out, text)
         print(f"wrote report to {args.report_out}")
     return EXIT_OK
 
 
 def _inspect_params(args) -> dict:
-    family = args.family
+    names = states.FAMILIES[args.family].params
+    if names:
+        if any(getattr(args, name) is None for name in names):
+            flags = [f"--{name}" for name in names]
+            listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
+            raise ValueError(f"{args.family} requires {listed}")
+        return {name: getattr(args, name) for name in names}
     rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
-    if family in ("werner2", "werner3", "werner4"):
-        if args.p is None:
-            raise ValueError(f"{family} requires --p")
-        return {"p": args.p}
-    if family == "concurrence":
-        if args.theta0 is None or args.theta1 is None:
-            raise ValueError("concurrence requires --theta0 and --theta1")
-        return {"theta0": args.theta0, "theta1": args.theta1}
-    if family == "pptes-acin":
-        if None in (args.a, args.b, args.c):
-            raise ValueError("pptes-acin requires --a, --b and --c")
-        return {"a": args.a, "b": args.b, "c": args.c}
-    if family == "ppt-alt":
-        return {}
-    if family == "biseparable":
-        _, params = experiments.sample_family_params(family, -1, "high", rng)
-        return params
-    # product-sep: draw one random product state of the requested size
-    return experiments.product_params(args.n_qubits, rng, 1)
+    if args.family == "product-sep":
+        return experiments.product_params(args.n_qubits, rng, 1)
+    _, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng)
+    return params
 
 
 def _cmd_inspect(args) -> int:

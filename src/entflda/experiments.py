@@ -9,8 +9,8 @@ explicitly not reproduction targets.
 
 Determinism contract: every sample's random stream is derived from
 (master_seed, sample index), so datasets and reports are bit-identical
-across reruns and across worker counts. Wall time is the one report field
-outside that contract.
+across reruns and whatever order rows are generated in. Wall time is the
+one report field outside that contract.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,17 +34,6 @@ CONCURRENCE_MIN = {"high": 0.1, "medium": 0.4, "low": 0.8}
 
 # Width of the mixing-parameter interval sampled on each side of the boundary.
 WERNER_INTERVAL_WIDTH = 0.4
-WERNER_P_MIN = {"werner2": -1 / 3, "werner3": 0.0, "werner4": 0.0}
-
-DATASET_FAMILIES = (
-    "werner2",
-    "werner3",
-    "werner4",
-    "concurrence",
-    "pptes-acin",
-    "ppt-alt",
-    "biseparable",
-)
 
 TABLE_FAMILIES = {
     1: "werner2",
@@ -80,16 +67,15 @@ class ExperimentConfig:
     observables: str = "full"  # "full" or "weightK" (words acting on <= K qubits)
 
     def __post_init__(self):
-        if self.family not in DATASET_FAMILIES:
-            raise ValueError(f"family {self.family!r} cannot head a dataset; expected one of {DATASET_FAMILIES}")
+        if states.family(self.family).fixed_label == labels.SEPARABLE:
+            raise ValueError(f"family {self.family!r} has no entangled class and cannot head a dataset")
         if self.overlap not in OVERLAP_LEVELS:
             raise ValueError(f"overlap {self.overlap!r} not one of {OVERLAP_LEVELS}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples={self.n_samples} is below the minimum of 20")
         if not (0.0 < self.split < 1.0):
             raise ValueError(f"split={self.split} must lie strictly inside (0, 1)")
-        n_ent = int(round(self.n_samples * self.balance))
-        if min(n_ent, self.n_samples - n_ent) < 10:
+        if min(self.n_entangled, self.n_samples - self.n_entangled) < 10:
             raise ValueError("balance leaves fewer than 10 samples in one class")
         if self.shots is not None and self.shots < 0:
             raise ValueError(f"shots must be nonnegative, got {self.shots}")
@@ -104,11 +90,15 @@ class ExperimentConfig:
         self.observable_set()  # validates the subset name
 
     @property
+    def n_entangled(self) -> int:
+        return int(round(self.n_samples * self.balance))
+
+    @property
     def effective_shots(self) -> int:
         return OVERLAP_SHOTS[self.overlap] if self.shots is None else self.shots
 
     def observable_set(self) -> ObservableSet:
-        n = states.family_qubits(self.family)
+        n = states.FAMILIES[self.family].n_qubits
         if self.observables == "full":
             return ObservableSet.full(n)
         match = re.fullmatch(r"weight(\d+)", self.observables)
@@ -124,7 +114,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple
-    sources: list = field(default_factory=list)  # per row: (family, params dict)
 
 
 @dataclass
@@ -142,21 +131,6 @@ class ExperimentReport:
         d = asdict(self)
         d.pop("wall_time_seconds")
         return d
-
-
-def config_to_file(config: ExperimentConfig, path: str) -> None:
-    """Write a config as JSON, field names matching the dataclass."""
-    atomic_write(path, json.dumps(asdict(config), indent=2) + "\n")
-
-
-def config_from_file(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(known)}")
-    return ExperimentConfig(**raw)
 
 
 def _sample_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -181,7 +155,7 @@ def product_params(n_qubits: int, rng: np.random.Generator, components: int) -> 
     return {"components": comps}
 
 
-def _werner_intervals(family: str, overlap: str, convention: str):
+def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
     """(entangled_lo, entangled_hi, separable_lo, separable_hi) for a preset.
 
     Both classes sample an interval of the same width next to the boundary,
@@ -191,8 +165,7 @@ def _werner_intervals(family: str, overlap: str, convention: str):
     to the lower limit; without those clips the 3- and 4-qubit families
     (boundary near 0) would get an empty or badly lopsided separable class.
     """
-    boundary = labels.sampler_boundary(family, convention)
-    p_min = WERNER_P_MIN[family]
+    boundary, p_min = spec.boundary[convention], spec.p_min
     margin = OVERLAP_MARGIN[overlap]
     sep_margin = min(margin, 0.5 * (boundary - p_min))
     width = min(WERNER_INTERVAL_WIDTH, (boundary - sep_margin) - p_min, 1.0 - (boundary + margin))
@@ -224,19 +197,17 @@ def sample_family_params(
     if label not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {label}")
 
-    if family in WERNER_P_MIN:
-        ent_lo, ent_hi, sep_lo, sep_hi = _werner_intervals(family, overlap, convention)
+    spec = states.family(family)
+    if spec.boundary is not None:
+        ent_lo, ent_hi, sep_lo, sep_hi = _werner_intervals(spec, family, overlap, convention)
         if label == labels.ENTANGLED:
             p = ent_hi - rng.random() * (ent_hi - ent_lo)  # (lo, hi]
         else:
             p = rng.uniform(sep_lo, sep_hi)  # [lo, hi)
         return family, {"p": float(p)}
 
-    n_qubits = states.family_qubits(family)
     if label == labels.SEPARABLE:
-        if family == "product-sep":
-            return family, product_params(n_qubits, rng, separable_components)
-        return "product-sep", product_params(n_qubits, rng, separable_components)
+        return "product-sep", product_params(spec.n_qubits, rng, separable_components)
 
     if family == "concurrence":
         c_min = CONCURRENCE_MIN[overlap]
@@ -269,51 +240,35 @@ def sample_family_params(
     raise ValueError(f"family {family!r} has no entangled class")
 
 
-def generate_dataset(config: ExperimentConfig, workers: int = 1) -> Dataset:
+def _row(config: ExperimentConfig, obs: ObservableSet, i: int) -> tuple:
+    """Features and label of row ``i``; they depend on (config, i) alone."""
+    requested = labels.ENTANGLED if i < config.n_entangled else labels.SEPARABLE
+    rng = _sample_rng(config.master_seed, i)
+    build_family, params = sample_family_params(
+        config.family,
+        requested,
+        config.overlap,
+        rng,
+        convention=config.label_convention,
+        separable_components=config.separable_mixture_components,
+    )
+    rho = states.from_family(build_family, params)
+    shots = config.effective_shots
+    values = exact_features(rho, obs) if shots == 0 else sampled_features(rho, obs, shots, rng)
+    return values, labels.assign_label(build_family, params, config.label_convention)
+
+
+def generate_dataset(config: ExperimentConfig) -> Dataset:
     """Build the labeled feature matrix for a configuration.
 
-    Row i's stream is seeded by (master_seed, i), so output is identical
-    for any ``workers`` count and any scheduling order.
+    Row i's stream is seeded by (master_seed, i), so the rows come out the
+    same whatever order they are generated in.
     """
     obs = config.observable_set()
-    obs.operators()  # build the stack once, outside the worker pool
-    n = config.n_samples
-    n_entangled = int(round(n * config.balance))
-    shots = config.effective_shots
-
-    def make_row(i: int):
-        requested = labels.ENTANGLED if i < n_entangled else labels.SEPARABLE
-        rng = _sample_rng(config.master_seed, i)
-        build_family, params = sample_family_params(
-            config.family,
-            requested,
-            config.overlap,
-            rng,
-            convention=config.label_convention,
-            separable_components=config.separable_mixture_components,
-        )
-        rho = states.from_family(build_family, params)
-        values = exact_features(rho, obs) if shots == 0 else sampled_features(rho, obs, shots, rng)
-        label = labels.assign_label(build_family, params, config.label_convention)
-        return values, label, (build_family, params)
-
-    if workers <= 1:
-        rows = [make_row(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(make_row, range(n)))
-
+    rows = [_row(config, obs, i) for i in range(config.n_samples)]
     features = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows], dtype=int)
-    sources = [r[2] for r in rows]
-    return Dataset(features=features, labels=y, feature_names=obs.strings, sources=sources)
-
-
-def atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    return Dataset(features=features, labels=y, feature_names=obs.strings)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -323,7 +278,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     writer.writerow(list(dataset.feature_names) + ["label"])
     for row, label in zip(dataset.features, dataset.labels):
         writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-    atomic_write(path, buf.getvalue())
+    flda.atomic_write(path, buf.getvalue())
 
 
 def load_dataset(path: str) -> Dataset:
@@ -338,9 +293,26 @@ def load_dataset(path: str) -> Dataset:
         rows = list(reader)
     if not rows:
         raise ValueError(f"dataset file {path} has no samples")
+    # rows[r] is line r + 2 of the file: the header is line 1.
+    ragged = [r for r, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        r = ragged[0]
+        raise ValueError(f"dataset file {path}, line {r + 2}: {len(rows[r])} columns, the header has {len(header)}")
     features = np.array([[float(v) for v in r[:-1]] for r in rows])
     y = np.array([int(r[-1]) for r in rows], dtype=int)
-    return Dataset(features=features, labels=y, feature_names=tuple(header[:-1]), sources=[])
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"dataset file {path}, line {r + 2}, column {c + 1} ({header[c]}): non-finite feature {rows[r][c]!r}"
+        )
+    bad = np.flatnonzero(np.abs(y) != 1)
+    if bad.size:
+        r = bad[0]
+        raise ValueError(
+            f"dataset file {path}, line {r + 2}, column {len(header)} (label): {rows[r][-1]!r} is not -1 or +1"
+        )
+    return Dataset(features=features, labels=y, feature_names=tuple(header[:-1]))
 
 
 def stratified_split(dataset: Dataset, split: float, master_seed: int):
@@ -357,10 +329,10 @@ def stratified_split(dataset: Dataset, split: float, master_seed: int):
     return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, split, fit and evaluate; emit the four table columns."""
     t0 = time.perf_counter()
-    dataset = generate_dataset(config, workers=workers)
+    dataset = generate_dataset(config)
     train_idx, test_idx = stratified_split(dataset, config.split, config.master_seed)
     model = flda.fit(
         dataset.features[train_idx],
@@ -408,7 +380,6 @@ def reproduce_tables(
     seed: int = 0,
     profile: str = "ci",
     fmt: str = "csv",
-    workers: int = 1,
 ) -> list:
     """Run every (table, overlap) cell and optionally write the report file.
 
@@ -433,7 +404,7 @@ def reproduce_tables(
                 n_samples=profile_samples(profile, family),
                 master_seed=row_seed,
             )
-            report = run_experiment(config, workers=workers)
+            report = run_experiment(config)
             rows.append(
                 {
                     "table": table,
@@ -448,7 +419,7 @@ def reproduce_tables(
             )
 
     if out_path is not None:
-        atomic_write(out_path, render_report(rows, fmt))
+        flda.atomic_write(out_path, render_report(rows, fmt))
     return rows
 
 

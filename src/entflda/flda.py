@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,9 +161,11 @@ def fit(
     """Fit the two-class discriminant.
 
     ``standardizer`` is a mode name fit here on the given (training) rows,
-    or an already-fit :class:`Standardizer`. ``epsilon`` defaults to 1e-6
-    times the mean diagonal of S_W; pass an explicit value when the
-    within-class scatter is degenerate (e.g. one sample per class).
+    or an already-fit :class:`Standardizer`. ``epsilon`` defaults to
+    :func:`default_epsilon`: 1e-6 times the mean diagonal of S_W with at
+    least ten samples per feature (n >= 10 d), 100 times it below that. Pass
+    an explicit value when the within-class scatter is degenerate (e.g. one
+    sample per class).
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -281,13 +284,26 @@ def model_from_document(doc: dict) -> FldaModel:
     )
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` through a uniquely named temp file
+    beside it, so concurrent writers never share one. The file gets the mode
+    open() would give it; the temp file is removed if any step fails."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_model(model: FldaModel, path: str) -> None:
     """Write the model document atomically (temp file + rename)."""
-    text = json.dumps(model_to_document(model), indent=2) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(model_to_document(model), indent=2) + "\n")
 
 
 def load_model(path: str) -> FldaModel:

@@ -17,18 +17,12 @@ import numpy as np
 
 from . import states
 from .qops import DensityOperator, hermitian_eigenvalues, partial_transpose, pauli_string_operator
-
-ENTANGLED = -1
-SEPARABLE = 1
+from .states import ENTANGLED, SEPARABLE
 
 LABEL_CONVENTIONS = ("paper", "ppt-oracle")
 
 # Eigenvalues above this are treated as nonnegative; absorbs eigensolver noise.
 PPT_TOL = -1e-9
-
-# Werner mixing-parameter boundaries (separable for p <= boundary).
-PAPER_WERNER_BOUNDARY = {"werner2": 1 / 3, "werner3": 1 / 5, "werner4": 1 / 7}
-ORACLE_WERNER_BOUNDARY = {"werner2": 1 / 3, "werner3": 1 / 5, "werner4": 1 / 9}
 
 
 @dataclass(frozen=True)
@@ -93,11 +87,6 @@ def concurrence_wootters(rho: DensityOperator) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def _werner_boundary(family: str, convention: str) -> float:
-    table = PAPER_WERNER_BOUNDARY if convention == "paper" else ORACLE_WERNER_BOUNDARY
-    return table[family]
-
-
 def assign_label(family: str, params: dict, convention: str = "paper") -> int:
     """Ground-truth class for a (family, parameters) pair.
 
@@ -110,31 +99,15 @@ def assign_label(family: str, params: dict, convention: str = "paper") -> int:
     """
     if convention not in LABEL_CONVENTIONS:
         raise ValueError(f"unknown label convention {convention!r}; expected one of {LABEL_CONVENTIONS}")
-    if family not in states.FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}; expected one of {states.FAMILY_NAMES}")
-
-    if family == "pptes-acin":
-        return ENTANGLED
-    if family == "product-sep":
-        return SEPARABLE
-
+    spec = states.family(family)
+    if spec.fixed_label is not None:
+        return spec.fixed_label
+    if spec.boundary is not None:
+        return ENTANGLED if params["p"] > spec.boundary[convention] else SEPARABLE
     if convention == "paper":
-        if family in PAPER_WERNER_BOUNDARY:
-            return ENTANGLED if params["p"] > PAPER_WERNER_BOUNDARY[family] else SEPARABLE
         if family == "concurrence":
             return ENTANGLED if concurrence_analytic(params["theta0"], params["theta1"]) > 0 else SEPARABLE
         return ENTANGLED  # ppt-alt, biseparable
-
-    if family in ORACLE_WERNER_BOUNDARY:
-        return ENTANGLED if params["p"] > ORACLE_WERNER_BOUNDARY[family] else SEPARABLE
     report = ppt_report(states.from_family(family, params))
     return SEPARABLE if report.is_ppt_all else ENTANGLED
 
-
-def sampler_boundary(family: str, convention: str) -> float:
-    """Werner boundary the dataset sampler centers its intervals on.
-
-    Matches the active labeling convention so requested and assigned
-    classes agree and the class balance stays exact.
-    """
-    return _werner_boundary(family, convention)

@@ -1,31 +1,25 @@
 """Constructors for every state family used in the experiments.
 
-Families are addressable by canonical name (``werner2``, ``werner3``,
-``werner4``, ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
-``product-sep``) through :func:`from_family`, which rebuilds a state from a
-plain parameter dict. Random sampling lives in the experiment harness; the
-constructors here are pure, except :func:`random_product_state` which takes
-an explicit generator stream.
+Each canonical family (``werner2``, ``werner3``, ``werner4``,
+``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
+``product-sep``) has one :class:`Family` record in :data:`FAMILIES`;
+:func:`from_family` rebuilds a state from a plain parameter dict. Random
+sampling lives in the experiment harness; the constructors here are pure,
+except :func:`random_product_state` which takes an explicit generator stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qops import DensityOperator, kron, pauli_string_operator
 
-FAMILY_NAMES = (
-    "werner2",
-    "werner3",
-    "werner4",
-    "concurrence",
-    "pptes-acin",
-    "ppt-alt",
-    "biseparable",
-    "product-sep",
-)
+# Class labels: -1 entangled, +1 separable.
+ENTANGLED = -1
+SEPARABLE = 1
 
 # Correlation signs (s1, s2, s3) of <XX>, <YY>, <ZZ> for the four Bell
 # states. Their product is always -1; no other pattern is realizable.
@@ -236,25 +230,66 @@ def random_product_state(n_qubits: int, rng: np.random.Generator, max_radius: fl
     return product_state([random_bloch_vector(rng, max_radius) for _ in range(n_qubits)])
 
 
-def family_qubits(family: str) -> int:
-    """Register size used by a canonical family in the experiment tables."""
-    sizes = {
-        "werner2": 2,
-        "werner3": 3,
-        "werner4": 4,
-        "concurrence": 2,
-        "pptes-acin": 3,
-        "ppt-alt": 3,
-        "biseparable": 3,
-        "product-sep": 2,
-    }
+def _biseparable(params: dict) -> DensityOperator:
+    parts = tuple(
+        (comp["weight"], (bloch_state(np.asarray(comp["a_bloch"])), werner2(comp["bc_p"])))
+        for comp in params["components"]
+    )
+    return separable_mixture(MixtureSpec(components=parts, partition=((0,), (1, 2))))
+
+
+def _product_mixture(params: dict) -> DensityOperator:
+    components = params["components"]
+    if len(components) == 1:
+        return product_state([np.asarray(b) for b in components[0]["blochs"]])
+    blocks = tuple((q,) for q in range(len(components[0]["blochs"])))
+    parts = tuple(
+        (comp["weight"], tuple(bloch_state(np.asarray(b)) for b in comp["blochs"])) for comp in components
+    )
+    return separable_mixture(MixtureSpec(components=parts, partition=blocks))
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one state family.
+
+    ``build`` maps a sampler's parameter dict to the state; ``params`` names
+    its scalar parameters. Werner families carry ``p_min``, the lower end of
+    the mixing range, and ``boundary``, the mixing parameter per label
+    convention above which the state is entangled. ``fixed_label`` is a
+    class that holds under every convention.
+    """
+
+    n_qubits: int
+    build: Callable[[dict], DensityOperator]
+    params: tuple = ()
+    p_min: float | None = None
+    boundary: dict | None = None
+    fixed_label: int | None = None
+
+
+FAMILIES = {
+    "werner2": Family(2, lambda q: werner2(q["p"]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
+    "werner3": Family(3, lambda q: werner_ghz(3, q["p"]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
+    "werner4": Family(4, lambda q: werner_ghz(4, q["p"]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
+    "concurrence": Family(2, lambda q: concurrence_state(q["theta0"], q["theta1"]), ("theta0", "theta1")),
+    # Bound entangled: PPT under every cut, so the transpose oracle cannot see it.
+    "pptes-acin": Family(3, lambda q: pptes_acin(q["a"], q["b"], q["c"]), ("a", "b", "c"), fixed_label=ENTANGLED),
+    "ppt-alt": Family(3, lambda q: ppt_alternative()),
+    "biseparable": Family(3, _biseparable),
+    "product-sep": Family(2, _product_mixture, fixed_label=SEPARABLE),
+}
+
+
+def family(name: str) -> Family:
+    """The registry record of a canonical family name."""
     try:
-        return sizes[family]
+        return FAMILIES[name]
     except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}") from None
+        raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}") from None
 
 
-def from_family(family: str, params: dict) -> DensityOperator:
+def from_family(name: str, params: dict) -> DensityOperator:
     """Rebuild a state from its canonical family name and parameter dict.
 
     The dict layout matches what the experiment samplers record: scalar
@@ -262,31 +297,4 @@ def from_family(family: str, params: dict) -> DensityOperator:
     component weights for the random ones, so reconstruction is exact and
     rng-free.
     """
-    if family == "werner2":
-        return werner2(params["p"])
-    if family in ("werner3", "werner4"):
-        return werner_ghz(3 if family == "werner3" else 4, params["p"])
-    if family == "concurrence":
-        return concurrence_state(params["theta0"], params["theta1"])
-    if family == "pptes-acin":
-        return pptes_acin(params["a"], params["b"], params["c"])
-    if family == "ppt-alt":
-        return ppt_alternative()
-    if family == "biseparable":
-        parts = []
-        for comp in params["components"]:
-            bc = werner2(comp["bc_p"])
-            parts.append((comp["weight"], (bloch_state(np.asarray(comp["a_bloch"])), bc)))
-        spec = MixtureSpec(components=tuple(parts), partition=((0,), (1, 2)))
-        return separable_mixture(spec)
-    if family == "product-sep":
-        components = params["components"]
-        if len(components) == 1:
-            return product_state([np.asarray(b) for b in components[0]["blochs"]])
-        blocks = tuple((q,) for q in range(len(components[0]["blochs"])))
-        parts = tuple(
-            (comp["weight"], tuple(bloch_state(np.asarray(b)) for b in comp["blochs"]))
-            for comp in components
-        )
-        return separable_mixture(MixtureSpec(components=parts, partition=blocks))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    return family(name).build(params)

@@ -14,7 +14,9 @@ from scipy.optimize import brentq
 
 from entflda import labels
 from entflda.experiments import (
+    Dataset,
     ExperimentConfig,
+    _row,
     generate_dataset,
     reproduce_tables,
     run_experiment,
@@ -24,7 +26,7 @@ from entflda.experiments import (
 from entflda.flda import compute_scatter, discriminant_direction_eig, fit
 from entflda.measure import ObservableSet, exact_features, reconstruct_density, sampled_features
 from entflda.qops import hermitian_eigenvalues, partial_transpose
-from entflda.states import FAMILY_NAMES, family_qubits, from_family, werner2, werner_ghz
+from entflda.states import FAMILIES, from_family, werner2, werner_ghz
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -160,8 +162,8 @@ def test_criterion_09_estimator_soundness():
     with criterion(9, "1e6-shot estimates within 4 standard errors for every family"):
         shots = 10**6
         rng = np.random.default_rng(909)
-        for family in FAMILY_NAMES:
-            obs = ObservableSet.full(family_qubits(family))
+        for family, spec in FAMILIES.items():
+            obs = ObservableSet.full(spec.n_qubits)
             for i in range(20):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 overlap = str(rng.choice(["high", "medium", "low"]))
@@ -176,7 +178,7 @@ def test_criterion_09_estimator_soundness():
 
 
 def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "byte-identical reruns, worker count has no effect"):
+    with criterion(10, "byte-identical reruns, row generation order has no effect"):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         reproduce_tables(range(1, 8), out_path=str(a), seed=20260810)
         reproduce_tables(range(1, 8), out_path=str(b), seed=20260810)
@@ -184,18 +186,24 @@ def test_criterion_10_determinism(tmp_path):
         assert len(a.read_text().splitlines()) == 18  # header + 17 rows
 
         cfg = ExperimentConfig(family="werner3", overlap="high", n_samples=60, master_seed=99)
-        p1, p2 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        save_dataset(generate_dataset(cfg, workers=1), str(p1))
-        save_dataset(generate_dataset(cfg, workers=4), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+        obs = cfg.observable_set()
+        p1, p2 = tmp_path / "in_order.csv", tmp_path / "permuted.csv"
+        save_dataset(generate_dataset(cfg), str(p1))
+        shuffled = np.random.default_rng(10).permutation(cfg.n_samples)
+        for order in (range(cfg.n_samples - 1, -1, -1), shuffled):
+            rows = {i: _row(cfg, obs, i) for i in order}
+            features = np.array([rows[i][0] for i in range(cfg.n_samples)])
+            y = np.array([rows[i][1] for i in range(cfg.n_samples)], dtype=int)
+            save_dataset(Dataset(features, y, obs.strings), str(p2))
+            assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_criterion_11_pauli_completeness():
     with criterion(11, "full feature vector reconstructs the state within 1e-10"):
         rng = np.random.default_rng(111)
-        three_qubit_or_less = [f for f in FAMILY_NAMES if family_qubits(f) <= 3]
+        three_qubit_or_less = [f for f, spec in FAMILIES.items() if spec.n_qubits <= 3]
         for family in three_qubit_or_less:
-            obs = ObservableSet.full(family_qubits(family))
+            obs = ObservableSet.full(FAMILIES[family].n_qubits)
             for _ in range(5):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 build_family, params = sample_family_params(family, label, "medium", rng)

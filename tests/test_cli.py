@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from entflda import labels
 from entflda.cli import _parse_table_ids, main
-from entflda.experiments import load_dataset
+from entflda.experiments import load_dataset, product_params, sample_family_params
 from entflda.flda import classify, load_model
+from entflda.states import FAMILIES, from_family
 
 
 def run_cli(*argv):
@@ -51,6 +53,22 @@ class TestGen:
                        "--out", "/nonexistent-dir/x.csv")
         capsys.readouterr()
         assert code == 2
+
+    def test_stale_temp_directory_does_not_block_write(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.tmp").mkdir()
+        assert run_cli("gen", "--family", "werner2", "--n", "20", "--shots", "2", "--seed", "1",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 21
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.mkdir()  # a file cannot be renamed over a directory
+        assert run_cli("gen", "--family", "werner2", "--n", "20", "--shots", "2", "--seed", "1",
+                       "--out", str(out)) == 2
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_prints_class_counts(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "werner2", "--n", "24", "--shots", "2", "--seed", "2",
@@ -132,6 +150,64 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert "feature names" in err
+
+
+class TestBadDataset:
+    """A malformed dataset exits 1, naming the file, line and column."""
+
+    @staticmethod
+    def corrupt(path, line, edit):
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        lines[line - 1] = ",".join(edit(cells))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.fixture()
+    def model_path(self, werner2_dataset, tmp_path):
+        path = tmp_path / "model.json"
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(path)) == 0
+        return path
+
+    def test_label_outside_classes(self, werner2_dataset, model_path, capsys):
+        self.corrupt(werner2_dataset, 5, lambda cells: cells[:-1] + ["7"])
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 1
+        err = capsys.readouterr().err
+        assert f"{werner2_dataset}, line 5, column 16 (label): '7' is not -1 or +1" in err
+
+    def test_non_finite_feature(self, werner2_dataset, tmp_path, capsys):
+        self.corrupt(werner2_dataset, 3, lambda cells: ["nan"] + cells[1:])
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert f"{werner2_dataset}, line 3, column 1 (IX): non-finite feature 'nan'" in err
+
+    def test_row_width_differs_from_header(self, werner2_dataset, model_path, capsys):
+        self.corrupt(werner2_dataset, 4, lambda cells: cells[1:])
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 1
+        err = capsys.readouterr().err
+        assert f"{werner2_dataset}, line 4: 15 columns, the header has 16" in err
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_registered_family(name, capsys):
+    """Each registry record builds its state, labels it under both
+    conventions and can be inspected from the command line."""
+    spec = FAMILIES[name]
+    rng = np.random.default_rng(0)
+    if spec.fixed_label == labels.SEPARABLE:
+        params = product_params(spec.n_qubits, rng, 1)
+    else:
+        build_family, params = sample_family_params(name, labels.ENTANGLED, "high", rng)
+        assert build_family == name
+    assert from_family(name, params).num_qubits == spec.n_qubits
+    for convention in labels.LABEL_CONVENTIONS:
+        label = labels.assign_label(name, params, convention)
+        assert label in (-1, 1)
+        assert spec.fixed_label in (None, label)
+    flags = [arg for key in spec.params for arg in (f"--{key}", repr(params[key]))]
+    assert run_cli("inspect", "--family", name, "--seed", "0", *flags) == 0
+    assert f"family: {name}\n" in capsys.readouterr().out
 
 
 class TestInspect:

@@ -1,0 +1,19 @@
+"""Smoke test: the narrative demos run to the end.
+
+The fourth demo re-runs two benchmark tables, which the table tests
+already cover, so it is left out to keep the suite fast.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("script", ["01_state_zoo.py", "02_shot_noise.py", "03_werner2_pipeline.py"])
+def test_demo_runs(script, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the pipeline demo may write a figure into the working directory
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from entflda import labels
+from entflda import experiments, labels
 from entflda.experiments import (
+    Dataset,
     ExperimentConfig,
-    config_from_file,
-    config_to_file,
+    _row,
     generate_dataset,
     load_dataset,
     profile_samples,
@@ -21,6 +21,18 @@ from entflda.experiments import (
 )
 from entflda.flda import fit
 from entflda.measure import fit_standardizer
+
+
+def dataset_in_order(config, order):
+    """The dataset of ``config`` with its rows generated in ``order``."""
+    obs = config.observable_set()
+    rows = {i: _row(config, obs, i) for i in order}
+    ordered = [rows[i] for i in range(config.n_samples)]
+    return Dataset(np.array([r[0] for r in ordered]), np.array([r[1] for r in ordered], dtype=int), obs.strings)
+
+
+def reversed_and_shuffled(n):
+    return [range(n - 1, -1, -1), np.random.default_rng(n).permutation(n)]
 
 
 class TestConfigValidation:
@@ -136,12 +148,13 @@ class TestGenerateDataset:
         save_dataset(generate_dataset(cfg), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_count_does_not_change_output(self):
+    def test_row_order_does_not_change_output(self):
         cfg = ExperimentConfig(family="concurrence", n_samples=60, master_seed=5, shots=32)
-        a = generate_dataset(cfg, workers=1)
-        b = generate_dataset(cfg, workers=3)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        reference = generate_dataset(cfg)
+        for order in reversed_and_shuffled(cfg.n_samples):
+            ds = dataset_in_order(cfg, order)
+            assert ds.features.tobytes() == reference.features.tobytes()
+            assert ds.labels.tobytes() == reference.labels.tobytes()
 
     def test_low_overlap_exact_zz_signature(self):
         # shots=0 with entangled p > 0.5833 forces the ZZ feature below -0.45
@@ -202,11 +215,13 @@ class TestRunExperiment:
         low = run_experiment(ExperimentConfig(family="werner2", overlap="low", n_samples=400, master_seed=2))
         assert low.fisher_criterion > high.fisher_criterion
 
-    def test_report_deterministic_modulo_wall_time(self):
+    def test_report_deterministic_modulo_wall_time(self, monkeypatch):
         cfg = ExperimentConfig(family="concurrence", overlap="medium", n_samples=80, master_seed=21)
         a = run_experiment(cfg)
-        b = run_experiment(cfg, workers=2)
-        assert a.deterministic_fields() == b.deterministic_fields()
+        for order in reversed_and_shuffled(cfg.n_samples):
+            monkeypatch.setattr(experiments, "generate_dataset", lambda c, order=order: dataset_in_order(c, order))
+            b = run_experiment(cfg)
+            assert a.deterministic_fields() == b.deterministic_fields()
 
     def test_accuracy_ordering_across_presets(self):
         means = {}
@@ -275,18 +290,6 @@ class TestReproduceTables:
         assert all(sum(ch != "I" for ch in name) <= 2 for name in ds.feature_names)
         with pytest.raises(ValueError, match="observable subset"):
             ExperimentConfig(family="werner2", observables="top10")
-
-    def test_config_file_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(family="werner3", overlap="medium", n_samples=50, master_seed=8, shots=7)
-        path = tmp_path / "config.json"
-        config_to_file(cfg, str(path))
-        assert config_from_file(str(path)) == cfg
-
-    def test_config_file_rejects_unknown_keys(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text('{"family": "werner2", "learning_rate": 0.1}')
-        with pytest.raises(ValueError, match="unknown config keys"):
-            config_from_file(str(path))
 
     def test_render_formats(self):
         rows = [
