@@ -28,7 +28,7 @@ for family, params in EXAMPLES:
     print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4)}")
     for cut, value in sorted(report.min_eigenvalues.items()):
         print(f"    min PT eigenvalue {cut}: {value:+.4f}")
-    labels = {conv: assign_label(family, params, conv) for conv in ("paper", "ppt-oracle")}
+    labels = {conv: assign_label(family, params, rho, conv) for conv in ("paper", "ppt-oracle")}
     print(f"    labels: paper={labels['paper']:+d}  ppt-oracle={labels['ppt-oracle']:+d}")
     if rho.num_qubits == 2:
         print(f"    concurrence: {concurrence_wootters(rho):.4f}")

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .qops import DensityOperator, expectation, hermitian_eigenvalues, kron, partial_transpose, pauli_matrix, pauli_string_operator
 from .states import (
     BellSigns,
-    MixtureSpec,
     concurrence_state,
     depolarize,
     from_family,
@@ -15,7 +14,6 @@ from .states import (
     pptes_acin,
     product_state,
     random_product_state,
-    separable_mixture,
     werner2,
     werner_ghz,
 )

@@ -30,8 +30,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A master seed: a non-negative integer (the type of every --seed flag)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return _seed(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--overlap", default="high", choices=experiments.OVERLAP_LEVELS)
     gen.add_argument("--n", type=int, default=10000, help="number of samples")
     gen.add_argument("--shots", type=int, default=None, help="shots per observable (0 = exact; default per preset)")
-    gen.add_argument("--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
+    gen.add_argument("--seed", type=_seed, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
     gen.add_argument("--label-convention", default="paper", choices=labels.LABEL_CONVENTIONS)
     gen.add_argument("--balance", type=float, default=0.5, help="fraction of entangled samples")
     gen.add_argument("--out", required=True, help="output dataset path (CSV)")
@@ -70,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--a", type=float, default=None)
     ins.add_argument("--b", type=float, default=None)
     ins.add_argument("--c", type=float, default=None)
-    ins.add_argument("--seed", type=int, default=None, help="seed for the random families")
+    ins.add_argument("--seed", type=_seed, default=None, help="seed for the random families")
     ins.add_argument("--n-qubits", type=int, default=2, help="register size for product-sep")
 
     rep = sub.add_parser("reproduce", help="re-run the benchmark tables and compare to reference values")
     rep.add_argument("--tables", default="1..7", help="comma list and/or ranges, e.g. 1,3 or 1..7")
     rep.add_argument("--out", required=True, help="output results path")
-    rep.add_argument("--seed", type=int, default=None)
+    rep.add_argument("--seed", type=_seed, default=None)
     rep.add_argument("--profile", default="ci", choices=("ci", "full"))
     rep.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -192,7 +203,7 @@ def _cmd_inspect(args) -> int:
         print(f"min PT eigenvalue {cut}: {value:.6f}")
     print(f"PPT under all cuts: {report.is_ppt_all}")
     for convention in labels.LABEL_CONVENTIONS:
-        print(f"label ({convention}): {labels.assign_label(args.family, params, convention):+d}")
+        print(f"label ({convention}): {labels.assign_label(args.family, params, rho, convention):+d}")
     if rho.num_qubits == 2:
         print(f"concurrence: {labels.concurrence_wootters(rho):.6f}")
     return EXIT_OK

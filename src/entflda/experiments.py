@@ -255,7 +255,7 @@ def _row(config: ExperimentConfig, obs: ObservableSet, i: int) -> tuple:
     rho = states.from_family(build_family, params)
     shots = config.effective_shots
     values = exact_features(rho, obs) if shots == 0 else sampled_features(rho, obs, shots, rng)
-    return values, labels.assign_label(build_family, params, config.label_convention)
+    return values, labels.assign_label(build_family, params, rho, config.label_convention)
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
@@ -281,6 +281,15 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     flda.atomic_write(path, buf.getvalue())
 
 
+def _label_value(text: str) -> int:
+    """The class a label cell names, or 0 when it names none."""
+    try:
+        value = int(text)
+    except ValueError:
+        return 0
+    return value if value in flda.CLASS_ORDER else 0
+
+
 def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -291,6 +300,10 @@ def load_dataset(path: str) -> Dataset:
         if len(header) < 2 or header[-1] != "label":
             raise ValueError(f"dataset file {path} lacks the feature+label header")
         rows = list(reader)
+    try:
+        ObservableSet(len(header[0]), header[:-1])
+    except ValueError as exc:
+        raise ValueError(f"dataset file {path}, line 1: {exc}") from None
     if not rows:
         raise ValueError(f"dataset file {path} has no samples")
     # rows[r] is line r + 2 of the file: the header is line 1.
@@ -298,15 +311,25 @@ def load_dataset(path: str) -> Dataset:
     if ragged:
         r = ragged[0]
         raise ValueError(f"dataset file {path}, line {r + 2}: {len(rows[r])} columns, the header has {len(header)}")
-    features = np.array([[float(v) for v in r[:-1]] for r in rows])
-    y = np.array([int(r[-1]) for r in rows], dtype=int)
+    try:
+        features = np.array([[float(v) for v in r[:-1]] for r in rows])
+    except ValueError:
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row[:-1]):
+                try:
+                    float(v)
+                except ValueError:
+                    raise ValueError(
+                        f"dataset file {path}, line {r + 2}, column {c + 1} ({header[c]}): {v!r} is not a number"
+                    ) from None
+    y = np.array([_label_value(r[-1]) for r in rows], dtype=int)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, c = bad[0]
         raise ValueError(
             f"dataset file {path}, line {r + 2}, column {c + 1} ({header[c]}): non-finite feature {rows[r][c]!r}"
         )
-    bad = np.flatnonzero(np.abs(y) != 1)
+    bad = np.flatnonzero(y == 0)
     if bad.size:
         r = bad[0]
         raise ValueError(

@@ -11,6 +11,7 @@ separable) everywhere.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .measure import Standardizer, apply_standardizer, fit_standardizer
+from .measure import STANDARDIZER_MODES, Standardizer, apply_standardizer, fit_standardizer
 
 CLASS_ORDER = (-1, 1)
 
@@ -306,6 +307,56 @@ def save_model(model: FldaModel, path: str) -> None:
     atomic_write(path, json.dumps(model_to_document(model), indent=2) + "\n")
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_document(doc, path: str) -> None:
+    """Refuse anything :func:`model_from_document` cannot turn into a usable
+    model, with a ValueError naming the file and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path}: expected a JSON object, got {type(doc).__name__}")
+
+    def bad(key, problem):
+        return ValueError(f"model file {path}, key {key!r}: {problem}")
+
+    for key in ("w", "projected_means", "threshold", "epsilon", "fisher_j", "standardizer"):
+        if key not in doc:
+            raise bad(key, "missing")
+    std = doc["standardizer"]
+    if not isinstance(std, dict):
+        raise bad("standardizer", "expected an object")
+    for key in ("mode", "shift", "scale"):
+        if key not in std:
+            raise bad(f"standardizer.{key}", "missing")
+    if std["mode"] not in STANDARDIZER_MODES:
+        raise bad("standardizer.mode", f"{std['mode']!r} is not one of {STANDARDIZER_MODES}")
+    n = len(doc["w"]) if isinstance(doc["w"], list) else 0
+    vectors = {"w": doc["w"], "standardizer.shift": std["shift"], "standardizer.scale": std["scale"]}
+    for key, value in vectors.items():
+        if not (isinstance(value, list) and value and all(_is_finite_number(v) for v in value)):
+            raise bad(key, "expected a nonempty list of finite numbers")
+        if len(value) != n:
+            raise bad(key, f"has {len(value)} entries, 'w' has {n}")
+    means = doc["projected_means"]
+    if not (isinstance(means, list) and len(means) == 2 and all(_is_finite_number(v) for v in means)):
+        raise bad("projected_means", "expected two finite numbers")
+    if not _is_finite_number(doc["threshold"]):
+        raise bad("threshold", "expected a finite number")
+    for key in ("epsilon", "fisher_j"):
+        if type(doc[key]) not in (int, float):
+            raise bad(key, "expected a number")
+    names = doc.get("feature_names")
+    if names is not None and not (isinstance(names, list) and len(names) == n):
+        raise bad("feature_names", f"expected a list of {n} names, one per entry of 'w'")
+
+
 def load_model(path: str) -> FldaModel:
+    """Read and check a model document written by :func:`save_model`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_document(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file {path} is not JSON: {exc}") from None
+    _check_document(doc, path)
+    return model_from_document(doc)

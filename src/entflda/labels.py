@@ -6,7 +6,7 @@ labels by the sign of the minimum partial-transpose eigenvalue (with the
 bound-entangled family forced to -1, since it is PPT by construction).
 The conventions disagree for the diagonal ``ppt-alt`` state and for the
 four-qubit Werner boundary; experiments record which one produced the
-labels.
+labels. Labelling reads the state its caller built and builds none.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def concurrence_wootters(rho: DensityOperator) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def assign_label(family: str, params: dict, convention: str = "paper") -> int:
-    """Ground-truth class for a (family, parameters) pair.
+def assign_label(family: str, params: dict, rho: DensityOperator, convention: str = "paper") -> int:
+    """Ground-truth class of ``rho``, the state built from (family, parameters).
 
     ``paper``: Werner families entangled above their published mixing
     threshold, the circuit family entangled for C > 0, both PPT families
@@ -108,6 +108,5 @@ def assign_label(family: str, params: dict, convention: str = "paper") -> int:
         if family == "concurrence":
             return ENTANGLED if concurrence_analytic(params["theta0"], params["theta1"]) > 0 else SEPARABLE
         return ENTANGLED  # ppt-alt, biseparable
-    report = ppt_report(states.from_family(family, params))
-    return SEPARABLE if report.is_ppt_all else ENTANGLED
+    return SEPARABLE if ppt_report(rho).is_ppt_all else ENTANGLED
 

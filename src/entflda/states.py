@@ -3,9 +3,11 @@
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
 ``product-sep``) has one :class:`Family` record in :data:`FAMILIES`;
-:func:`from_family` rebuilds a state from a plain parameter dict. Random
-sampling lives in the experiment harness; the constructors here are pure,
-except :func:`random_product_state` which takes an explicit generator stream.
+:func:`from_family` builds a state from a plain parameter dict. Builders
+compose plain arrays and wrap the result in one :class:`DensityOperator`,
+so each state is validated once. Random sampling lives in the experiment
+harness; the constructors here are pure, except
+:func:`random_product_state` which takes an explicit generator stream.
 """
 
 from __future__ import annotations
@@ -58,13 +60,7 @@ class BellSigns:
         return cls(-1, -1, -1)
 
 
-def werner2(p: float, signs: BellSigns | None = None) -> DensityOperator:
-    """Two-qubit Werner state: Bell projector mixed with white noise.
-
-    Built from its diagonal Pauli expansion, (1/4) (II + p s1 XX +
-    p s2 YY + p s3 ZZ), which equals p |Bell><Bell| + (1-p) I/4 for the
-    Bell state matching ``signs``. Valid mixing range is p in [-1/3, 1].
-    """
+def _werner2_matrix(p: float, signs: BellSigns | None = None) -> np.ndarray:
     if signs is None:
         signs = BellSigns.singlet()
     if not (-1 / 3 - 1e-12 <= p <= 1 + 1e-12):
@@ -72,15 +68,33 @@ def werner2(p: float, signs: BellSigns | None = None) -> DensityOperator:
     m = pauli_string_operator("II").astype(complex)
     for letter, s in zip("XYZ", (signs.s1, signs.s2, signs.s3)):
         m += p * s * pauli_string_operator(letter * 2)
-    return DensityOperator(m / 4.0)
+    return m / 4.0
+
+
+def werner2(p: float, signs: BellSigns | None = None) -> DensityOperator:
+    """Two-qubit Werner state: Bell projector mixed with white noise.
+
+    Built from its diagonal Pauli expansion, (1/4) (II + p s1 XX +
+    p s2 YY + p s3 ZZ), which equals p |Bell><Bell| + (1-p) I/4 for the
+    Bell state matching ``signs``. Valid mixing range is p in [-1/3, 1].
+    """
+    return DensityOperator(_werner2_matrix(p, signs))
+
+
+def _ghz_matrix(n_qubits: int) -> np.ndarray:
+    psi = np.zeros(2**n_qubits, dtype=complex)
+    psi[0] = psi[-1] = 1 / np.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+def _depolarized(m: np.ndarray, p: float) -> np.ndarray:
+    eye = np.eye(len(m), dtype=complex) / len(m)
+    return p * m + (1 - p) * eye
 
 
 def ghz_state(n_qubits: int) -> DensityOperator:
     """Projector onto (|0...0> + |1...1>)/sqrt(2)."""
-    dim = 2**n_qubits
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = psi[-1] = 1 / np.sqrt(2)
-    return DensityOperator(np.outer(psi, psi.conj()))
+    return DensityOperator(_ghz_matrix(n_qubits))
 
 
 def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
@@ -89,7 +103,7 @@ def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
         raise ValueError(f"werner_ghz supports 3 or 4 qubits, got {n_qubits}")
     if not (0 <= p <= 1):
         raise ValueError(f"werner_ghz mixing parameter p={p} outside [0, 1]")
-    return depolarize(ghz_state(n_qubits), p)
+    return DensityOperator(_depolarized(_ghz_matrix(n_qubits), p))
 
 
 def concurrence_state(theta0: float, theta1: float) -> DensityOperator:
@@ -117,8 +131,7 @@ def depolarize(rho: DensityOperator, p: float) -> DensityOperator:
     """Depolarizing channel with survival weight p: p rho + (1-p) I / 2^n."""
     if not (0 <= p <= 1):
         raise ValueError(f"depolarizing weight p={p} outside [0, 1]")
-    eye = np.eye(rho.dim, dtype=complex) / rho.dim
-    return DensityOperator(p * rho.matrix + (1 - p) * eye)
+    return DensityOperator(_depolarized(rho.matrix, p))
 
 
 def pptes_acin(a: float, b: float, c: float) -> DensityOperator:
@@ -143,51 +156,7 @@ def ppt_alternative() -> DensityOperator:
     return DensityOperator(m / 8.0)
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Convex mixture of tensor products over a fixed qubit partition.
-
-    ``partition`` lists contiguous, ascending blocks of qubit indices that
-    cover the register; each component supplies one factor state per block.
-    """
-
-    components: tuple  # ((weight, (DensityOperator, ...)), ...)
-    partition: tuple  # ((qubit, ...), ...)
-
-    def __post_init__(self):
-        blocks = [tuple(b) for b in self.partition]
-        flat = [q for b in blocks for q in b]
-        if flat != list(range(len(flat))):
-            raise ValueError(f"partition {blocks} must be contiguous ascending blocks covering the register")
-        weights = [w for w, _ in self.components]
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
-        for _, factors in self.components:
-            if len(factors) != len(blocks):
-                raise ValueError("each component needs one factor per partition block")
-            for block, factor in zip(blocks, factors):
-                if factor.num_qubits != len(block):
-                    raise ValueError(
-                        f"factor on block {block} has {factor.num_qubits} qubits, expected {len(block)}"
-                    )
-
-
-def separable_mixture(spec: MixtureSpec) -> DensityOperator:
-    """Sum of weighted tensor products described by ``spec``."""
-    total = None
-    for weight, factors in spec.components:
-        term = factors[0].matrix
-        for factor in factors[1:]:
-            term = kron(term, factor.matrix)
-        term = weight * term
-        total = term if total is None else total + term
-    return DensityOperator(total)
-
-
-def bloch_state(bloch: np.ndarray) -> DensityOperator:
-    """Single-qubit state (1/2)(I + b . sigma) for a Bloch vector b."""
+def _bloch_matrix(bloch) -> np.ndarray:
     b = np.asarray(bloch, dtype=float)
     if b.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {b.shape}")
@@ -197,18 +166,43 @@ def bloch_state(bloch: np.ndarray) -> DensityOperator:
     m = np.eye(2, dtype=complex)
     for component, letter in zip(b, "XYZ"):
         m += component * pauli_string_operator(letter)
-    return DensityOperator(m / 2.0)
+    return m / 2.0
+
+
+def _kron_all(factors) -> np.ndarray:
+    if not factors:
+        raise ValueError("need at least one Bloch vector")
+    m = factors[0]
+    for factor in factors[1:]:
+        m = kron(m, factor)
+    return m
+
+
+def _weighted_kron_sum(components) -> np.ndarray:
+    """sum_k w_k (F_k1 x F_k2 x ...) over ``(weight, factor matrices)`` pairs.
+
+    The weights must be nonnegative; that they sum to one is left to the
+    trace check of the state built from the result.
+    """
+    total = None
+    for weight, factors in components:
+        if weight < 0:
+            raise ValueError("mixture weights must be nonnegative")
+        term = weight * _kron_all(factors)
+        total = term if total is None else total + term
+    if total is None:
+        raise ValueError("a mixture needs at least one component")
+    return total
+
+
+def bloch_state(bloch: np.ndarray) -> DensityOperator:
+    """Single-qubit state (1/2)(I + b . sigma) for a Bloch vector b."""
+    return DensityOperator(_bloch_matrix(bloch))
 
 
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit Bloch states."""
-    blochs = list(blochs)
-    if not blochs:
-        raise ValueError("need at least one Bloch vector")
-    m = bloch_state(blochs[0]).matrix
-    for b in blochs[1:]:
-        m = kron(m, bloch_state(b).matrix)
-    return DensityOperator(m)
+    return DensityOperator(_kron_all([_bloch_matrix(b) for b in blochs]))
 
 
 def random_bloch_vector(rng: np.random.Generator, max_radius: float = 1.0) -> np.ndarray:
@@ -231,22 +225,22 @@ def random_product_state(n_qubits: int, rng: np.random.Generator, max_radius: fl
 
 
 def _biseparable(params: dict) -> DensityOperator:
-    parts = tuple(
-        (comp["weight"], (bloch_state(np.asarray(comp["a_bloch"])), werner2(comp["bc_p"])))
-        for comp in params["components"]
+    """Mixture of A|BC products: a Bloch state on qubit 0 times a Werner pair."""
+    return DensityOperator(
+        _weighted_kron_sum(
+            (comp["weight"], (_bloch_matrix(comp["a_bloch"]), _werner2_matrix(comp["bc_p"])))
+            for comp in params["components"]
+        )
     )
-    return separable_mixture(MixtureSpec(components=parts, partition=((0,), (1, 2))))
 
 
 def _product_mixture(params: dict) -> DensityOperator:
-    components = params["components"]
-    if len(components) == 1:
-        return product_state([np.asarray(b) for b in components[0]["blochs"]])
-    blocks = tuple((q,) for q in range(len(components[0]["blochs"])))
-    parts = tuple(
-        (comp["weight"], tuple(bloch_state(np.asarray(b)) for b in comp["blochs"])) for comp in components
+    """Mixture of fully separable products of single-qubit Bloch states."""
+    return DensityOperator(
+        _weighted_kron_sum(
+            (comp["weight"], [_bloch_matrix(b) for b in comp["blochs"]]) for comp in params["components"]
+        )
     )
-    return separable_mixture(MixtureSpec(components=parts, partition=blocks))
 
 
 @dataclass(frozen=True)
@@ -290,11 +284,11 @@ def family(name: str) -> Family:
 
 
 def from_family(name: str, params: dict) -> DensityOperator:
-    """Rebuild a state from its canonical family name and parameter dict.
+    """Build a state from its canonical family name and parameter dict.
 
     The dict layout matches what the experiment samplers record: scalar
     parameters for the parametric families, explicit Bloch vectors and
-    component weights for the random ones, so reconstruction is exact and
+    component weights for the random ones, so the build is exact and
     rng-free.
     """
     return family(name).build(params)

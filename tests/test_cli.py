@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestFit:
 
     def test_single_row_per_class_with_epsilon(self, tmp_path):
         train = tmp_path / "tiny.csv"
-        train.write_text("a,b,label\n0.0,1.0,-1\n1.0,0.0,1\n")
+        train.write_text("X,Z,label\n0.0,1.0,-1\n1.0,0.0,1\n")
         model_path = tmp_path / "tiny-model.json"
         assert run_cli("fit", "--train", str(train), "--epsilon", "1e-6",
                        "--standardizer", "none", "--model-out", str(model_path)) == 0
@@ -188,6 +190,67 @@ class TestBadDataset:
         err = capsys.readouterr().err
         assert f"{werner2_dataset}, line 4: 15 columns, the header has 16" in err
 
+    def test_non_numeric_feature(self, werner2_dataset, tmp_path, capsys):
+        self.corrupt(werner2_dataset, 3, lambda cells: cells[:1] + ["abc"] + cells[2:])
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert f"{werner2_dataset}, line 3, column 2 (IY): 'abc' is not a number" in err
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("IX", "duplicate Pauli word 'IX'"),
+            ("QQ", "bad Pauli word 'QQ' for 2 qubits"),
+            ("II", "identity string"),
+            ("XYZ", "bad Pauli word 'XYZ' for 2 qubits"),
+        ],
+        ids=["repeated", "malformed", "identity", "mixed-length"],
+    )
+    def test_bad_header_word(self, werner2_dataset, tmp_path, capsys, word, message):
+        self.corrupt(werner2_dataset, 1, lambda cells: cells[:1] + [word] + cells[2:])
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert f"dataset file {werner2_dataset}, line 1: {message}" in err
+
+
+def _edit_w(doc, edit):
+    doc["w"] = edit(doc["w"])
+
+
+class TestBadModel:
+    """A malformed model document exits 1, naming the file and the key."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("w"), "key 'w': missing"),
+            (lambda doc: _edit_w(doc, lambda w: w[:-1]), "key 'standardizer.shift': has 15 entries, 'w' has 14"),
+            (lambda doc: doc.update(threshold="0.5"), "key 'threshold': expected a finite number"),
+            (lambda doc: _edit_w(doc, lambda w: [float("nan")] + w[1:]), "key 'w': expected a nonempty list of finite"),
+            (lambda doc: doc["standardizer"].update(mode="robust"), "key 'standardizer.mode': 'robust' is not one of"),
+            (lambda doc: doc.update(feature_names=["IX"]), "key 'feature_names': expected a list of 15 names"),
+            (lambda doc: doc.update(projected_means=[0.1]), "key 'projected_means': expected two finite numbers"),
+        ],
+        ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean"],
+    )
+    def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model file {model_path}, {message}" in captured.err
+
+    def test_top_level_list(self, werner2_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1, 2, 3]\n")
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 1
+        assert f"model file {model_path}: expected a JSON object, got list" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_registered_family(name, capsys):
@@ -200,9 +263,10 @@ def test_every_registered_family(name, capsys):
     else:
         build_family, params = sample_family_params(name, labels.ENTANGLED, "high", rng)
         assert build_family == name
-    assert from_family(name, params).num_qubits == spec.n_qubits
+    rho = from_family(name, params)
+    assert rho.num_qubits == spec.n_qubits
     for convention in labels.LABEL_CONVENTIONS:
-        label = labels.assign_label(name, params, convention)
+        label = labels.assign_label(name, params, rho, convention)
         assert label in (-1, 1)
         assert spec.fixed_label in (None, label)
     flags = [arg for key in spec.params for arg in (f"--{key}", repr(params[key]))]
@@ -234,6 +298,10 @@ class TestInspect:
                        "--theta1", "3.141592653589793") == 0
         out = capsys.readouterr().out
         assert "concurrence: 1.000000" in out
+
+    def test_empty_product_exits_one(self, capsys):
+        assert run_cli("inspect", "--family", "product-sep", "--n-qubits", "0") == 1
+        assert "need at least one Bloch vector" in capsys.readouterr().err
 
     def test_missing_parameter_exits_one(self, capsys):
         code = run_cli("inspect", "--family", "werner2")
@@ -275,6 +343,16 @@ class TestParser:
         out = capsys.readouterr().out
         for sub in ("gen", "fit", "eval", "inspect", "reproduce"):
             assert sub in out
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_seed_env_exits_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ENTFLDA_SEED", value)
+        assert run_cli("inspect", "--family", "biseparable") == 1
+        assert f"error: ENTFLDA_SEED: expected a non-negative integer, got {value!r}" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_one(self, capsys):
+        assert run_cli("inspect", "--family", "biseparable", "--seed", "-3") == 1
+        assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
 
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ENTFLDA_SEED", "11")

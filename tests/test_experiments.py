@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entflda import experiments, labels
+from entflda import experiments, labels, qops, states
 from entflda.experiments import (
     Dataset,
     ExperimentConfig,
@@ -126,7 +126,8 @@ class TestSampleFamilyParams:
             for requested in (-1, 1):
                 for overlap in ("high", "low"):
                     fam, params = sample_family_params(family, requested, overlap, rng)
-                    assert labels.assign_label(fam, params, "paper") == requested
+                    rho = states.from_family(fam, params)
+                    assert labels.assign_label(fam, params, rho, "paper") == requested
 
 
 class TestGenerateDataset:
@@ -155,6 +156,30 @@ class TestGenerateDataset:
             ds = dataset_in_order(cfg, order)
             assert ds.features.tobytes() == reference.features.tobytes()
             assert ds.labels.tobytes() == reference.labels.tobytes()
+
+    @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
+    @pytest.mark.parametrize(
+        "family", [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
+    )
+    def test_one_state_per_row(self, family, convention, monkeypatch):
+        """Each row builds and validates exactly one state; labelling reuses it."""
+        counts = {"DensityOperator": 0, "from_family": 0}
+        init, build = qops.DensityOperator.__init__, states.from_family
+
+        def counted_init(self, *args, **kwargs):
+            counts["DensityOperator"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            counts["from_family"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(qops.DensityOperator, "__init__", counted_init)
+        monkeypatch.setattr(states, "from_family", counted_build)
+        cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4,
+                               separable_mixture_components=2)
+        generate_dataset(cfg)
+        assert counts == {"DensityOperator": 24, "from_family": 24}
 
     def test_low_overlap_exact_zz_signature(self):
         # shots=0 with entangled p > 0.5833 forces the ZZ feature below -0.45

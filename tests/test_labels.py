@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from entflda import labels
 from entflda.qops import DensityOperator, hermitian_eigenvalues, partial_transpose
-from entflda.states import pptes_acin, random_product_state, werner2, werner_ghz
+from entflda.states import from_family, pptes_acin, random_product_state, werner2, werner_ghz
 
 
 class TestPptReport:
@@ -92,52 +92,57 @@ class TestConcurrenceWootters:
         assert worst < 1e-9, worst
 
 
+def label(family, params, convention):
+    """The label of the state that ``family`` builds from ``params``."""
+    return labels.assign_label(family, params, from_family(family, params), convention)
+
+
 class TestAssignLabel:
     def test_werner2_paper_boundary(self):
-        assert labels.assign_label("werner2", {"p": 0.5}, "paper") == -1
-        assert labels.assign_label("werner2", {"p": 0.2}, "paper") == 1
-        assert labels.assign_label("werner2", {"p": 1 / 3}, "paper") == 1  # boundary is separable
+        assert label("werner2", {"p": 0.5}, "paper") == -1
+        assert label("werner2", {"p": 0.2}, "paper") == 1
+        assert label("werner2", {"p": 1 / 3}, "paper") == 1  # boundary is separable
 
     def test_werner3_boundary_one_fifth(self):
-        assert labels.assign_label("werner3", {"p": 0.21}, "paper") == -1
-        assert labels.assign_label("werner3", {"p": 0.19}, "paper") == 1
+        assert label("werner3", {"p": 0.21}, "paper") == -1
+        assert label("werner3", {"p": 0.19}, "paper") == 1
 
     def test_werner4_conventions_differ(self):
         # p = 0.125 sits between the 1/9 transpose threshold and the
         # published 1/7 boundary
-        assert labels.assign_label("werner4", {"p": 0.125}, "paper") == 1
-        assert labels.assign_label("werner4", {"p": 0.125}, "ppt-oracle") == -1
+        assert label("werner4", {"p": 0.125}, "paper") == 1
+        assert label("werner4", {"p": 0.125}, "ppt-oracle") == -1
 
     def test_ppt_alt_divergence(self):
-        assert labels.assign_label("ppt-alt", {}, "paper") == -1
-        assert labels.assign_label("ppt-alt", {}, "ppt-oracle") == 1
+        assert label("ppt-alt", {}, "paper") == -1
+        assert label("ppt-alt", {}, "ppt-oracle") == 1
 
     def test_bound_entangled_forced(self):
         params = {"a": 1.2, "b": 0.7, "c": 1.5}
-        assert labels.assign_label("pptes-acin", params, "paper") == -1
-        assert labels.assign_label("pptes-acin", params, "ppt-oracle") == -1
+        assert label("pptes-acin", params, "paper") == -1
+        assert label("pptes-acin", params, "ppt-oracle") == -1
 
     def test_product_always_separable(self):
         params = {"components": [{"weight": 1.0, "blochs": [[0, 0, 0.5], [0.5, 0, 0]]}]}
-        assert labels.assign_label("product-sep", params, "paper") == 1
-        assert labels.assign_label("product-sep", params, "ppt-oracle") == 1
+        assert label("product-sep", params, "paper") == 1
+        assert label("product-sep", params, "ppt-oracle") == 1
 
     def test_biseparable_entangled_both_conventions(self):
         params = {"components": [{"weight": 1.0, "a_bloch": [0, 0, 0.2], "bc_p": 0.9}]}
-        assert labels.assign_label("biseparable", params, "paper") == -1
-        assert labels.assign_label("biseparable", params, "ppt-oracle") == -1
+        assert label("biseparable", params, "paper") == -1
+        assert label("biseparable", params, "ppt-oracle") == -1
 
     def test_concurrence_label(self):
-        assert labels.assign_label("concurrence", {"theta0": np.pi / 2, "theta1": np.pi}, "paper") == -1
-        assert labels.assign_label("concurrence", {"theta0": 0.0, "theta1": np.pi}, "paper") == 1
+        assert label("concurrence", {"theta0": np.pi / 2, "theta1": np.pi}, "paper") == -1
+        assert label("concurrence", {"theta0": 0.0, "theta1": np.pi}, "paper") == 1
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            labels.assign_label("ghz-mixed", {}, "paper")
+            labels.assign_label("ghz-mixed", {}, werner2(0.5), "paper")
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
-            labels.assign_label("werner2", {"p": 0.5}, "majority-vote")
+            labels.assign_label("werner2", {"p": 0.5}, werner2(0.5), "majority-vote")
 
 
 def test_werner2_pt_sign_matches_boundary():

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from entflda import labels
-from entflda.qops import DensityOperator, expectation, hermitian_eigenvalues, partial_transpose, pauli_string_operator
+from entflda.experiments import product_params, sample_family_params
+from entflda.qops import DensityOperator, expectation, hermitian_eigenvalues, kron, partial_transpose, pauli_string_operator
 from entflda.states import (
+    ENTANGLED,
+    FAMILIES,
+    SEPARABLE,
     BellSigns,
-    MixtureSpec,
     bloch_state,
     concurrence_state,
     depolarize,
@@ -16,8 +19,8 @@ from entflda.states import (
     ppt_alternative,
     pptes_acin,
     product_state,
+    random_bloch_vector,
     random_product_state,
-    separable_mixture,
     werner2,
     werner_ghz,
 )
@@ -189,46 +192,42 @@ class TestPptAlternative:
         assert abs(expectation(rho, pauli_string_operator("ZZI")) - 1.0) < 1e-12
 
 
+def product_mixture(components):
+    return {"components": [{"weight": w, "blochs": blochs} for w, blochs in components]}
+
+
 class TestSeparableMixture:
     def test_single_component_identity_factors(self):
-        half = DensityOperator(np.eye(2, dtype=complex) / 2)
-        spec = MixtureSpec(components=((1.0, (half, half, half)),), partition=((0,), (1,), (2,)))
-        np.testing.assert_allclose(separable_mixture(spec).matrix, np.eye(8) / 8, atol=1e-15)
+        rho = from_family("product-sep", product_mixture([(1.0, [[0.0, 0.0, 0.0]] * 3)]))
+        np.testing.assert_allclose(rho.matrix, np.eye(8) / 8, atol=1e-15)
 
     def test_biseparable_cut_structure(self):
         # A|BC product with an entangled BC factor: the A cut stays PPT,
         # the other cuts (and the BC marginal itself) go negative.
-        phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        bc = DensityOperator(np.outer(phi, phi.conj()))
-        a = bloch_state(np.array([0.0, 0.0, 0.3]))
-        spec = MixtureSpec(components=((1.0, (a, bc)),), partition=((0,), (1, 2)))
-        rho = separable_mixture(spec)
+        bc_pt = hermitian_eigenvalues(partial_transpose(werner2(1.0), {0}))
+        assert bc_pt[0] < -0.4  # the singlet marginal is NPT
 
-        bc_pt = hermitian_eigenvalues(partial_transpose(bc, {0}))
-        assert bc_pt[0] < -0.4  # |Phi+> marginal is NPT
-
-        report = labels.ppt_report(rho)
+        params = {"components": [{"weight": 1.0, "a_bloch": [0.0, 0.0, 0.3], "bc_p": 1.0}]}
+        report = labels.ppt_report(from_family("biseparable", params))
         assert report.min_eigenvalues["0|12"] >= -1e-9
         assert report.min_eigenvalues["01|2"] < -1e-9
         assert not report.is_ppt_all
 
     def test_two_equal_weight_products(self):
         rng = np.random.default_rng(23)
-        f1 = tuple(random_product_state(1, rng) for _ in range(2))
-        f2 = tuple(random_product_state(1, rng) for _ in range(2))
-        spec = MixtureSpec(components=((0.5, f1), (0.5, f2)), partition=((0,), (1,)))
-        rho = separable_mixture(spec)
+        blochs = [[random_bloch_vector(rng).tolist() for _ in range(2)] for _ in range(2)]
+        rho = from_family("product-sep", product_mixture([(0.5, blochs[0]), (0.5, blochs[1])]))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
 
     def test_weight_violation(self):
-        half = DensityOperator(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError, match="sum"):
-            MixtureSpec(components=((0.6, (half,)), (0.6, (half,))), partition=((0,),))
+        params = product_mixture([(0.6, [[0.0, 0.0, 0.0]]), (0.6, [[0.0, 0.0, 0.0]])])
+        with pytest.raises(ValueError, match="trace"):
+            from_family("product-sep", params)
 
-    def test_dimension_mismatch(self):
-        half = DensityOperator(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError, match="qubits"):
-            MixtureSpec(components=((1.0, (half, half)),), partition=((0, 1), (2,)))
+    def test_negative_weight(self):
+        params = product_mixture([(1.5, [[0.0, 0.0, 0.1]]), (-0.5, [[0.0, 0.0, 0.0]])])
+        with pytest.raises(ValueError, match="nonnegative"):
+            from_family("product-sep", params)
 
 
 class TestRandomProductState:
@@ -278,6 +277,53 @@ class TestFromFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             from_family("w-state", {})
+
+
+def composed(name, params):
+    """The state matrix of (name, params) composed from the public
+    constructors: depolarized GHZ projectors, and weighted sums of Kronecker
+    products of Bloch and Werner-pair states."""
+    if name in ("werner3", "werner4"):
+        return depolarize(ghz_state(FAMILIES[name].n_qubits), params["p"]).matrix
+    if name == "werner2":
+        return werner2(params["p"]).matrix
+    if name == "concurrence":
+        return concurrence_state(params["theta0"], params["theta1"]).matrix
+    if name == "pptes-acin":
+        return pptes_acin(params["a"], params["b"], params["c"]).matrix
+    if name == "ppt-alt":
+        return ppt_alternative().matrix
+    if name == "biseparable":
+        terms = [(c["weight"], [bloch_state(c["a_bloch"]).matrix, werner2(c["bc_p"]).matrix])
+                 for c in params["components"]]
+    else:
+        terms = [(c["weight"], [bloch_state(b).matrix for b in c["blochs"]]) for c in params["components"]]
+    total = None
+    for weight, factors in terms:
+        term = factors[0]
+        for factor in factors[1:]:
+            term = kron(term, factor)
+        term = weight * term
+        total = term if total is None else total + term
+    return total
+
+
+def sampled_params(name, rng, draw):
+    if name == "product-sep":
+        return "product-sep", product_params(2 + draw % 2, rng, 1 + draw // 2 % 4)
+    label = SEPARABLE if name.startswith("werner") and draw % 2 else ENTANGLED
+    return sample_family_params(name, label, ("high", "low")[draw % 2], rng)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_from_family_matches_composition_bit_for_bit(name):
+    """Each family builds its state in one step, with the same arithmetic
+    as composing the public constructors, so its bytes are unchanged."""
+    rng = np.random.default_rng(sorted(FAMILIES).index(name))
+    for draw in range(200):
+        build_family, params = sampled_params(name, rng, draw)
+        assert build_family == name
+        assert from_family(name, params).matrix.tobytes() == composed(name, params).tobytes(), params
 
 
 def test_constructor_grid_validity():
