@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .qops import DensityOperator, expectation, hermitian_eigenvalues, kron, partial_transpose, pauli_matrix, pauli_string_operator
 from .states import (
-    BellSigns,
     concurrence_state,
     depolarize,
     from_family,
@@ -13,7 +12,6 @@ from .states import (
     ppt_alternative,
     pptes_acin,
     product_state,
-    random_product_state,
     werner2,
     werner_ghz,
 )

@@ -94,7 +94,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table_id(text: str) -> int:
+    try:
+        table = int(text)
+    except ValueError:
+        raise ValueError(f"--tables: {text.strip()!r} is not a table id") from None
+    if table not in experiments.TABLE_FAMILIES:
+        raise ValueError(f"--tables: unknown table id {table}; valid ids are 1..7")
+    return table
+
+
 def _parse_table_ids(text: str) -> list:
+    """Table ids from a comma list of ids and ``lo..hi`` ranges; each id and
+    range end is checked before a range is expanded."""
     ids = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -102,9 +114,9 @@ def _parse_table_ids(text: str) -> list:
             continue
         if ".." in chunk:
             lo, hi = chunk.split("..", 1)
-            ids.update(range(int(lo), int(hi) + 1))
+            ids.update(range(_table_id(lo), _table_id(hi) + 1))
         else:
-            ids.add(int(chunk))
+            ids.add(_table_id(chunk))
     if not ids:
         raise ValueError(f"no table ids in {text!r}")
     return sorted(ids)
@@ -186,7 +198,7 @@ def _inspect_params(args) -> dict:
         return {name: getattr(args, name) for name in names}
     rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
     if args.family == "product-sep":
-        return experiments.product_params(args.n_qubits, rng, 1)
+        return experiments.product_params(args.n_qubits, rng)
     _, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng)
     return params
 

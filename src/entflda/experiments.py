@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 import time
 from dataclasses import asdict, dataclass
 
@@ -59,12 +58,8 @@ class ExperimentConfig:
     balance: float = 0.5
     shots: int | None = None  # None = overlap preset; 0 = exact expectations
     split: float = 0.8
-    epsilon: float | None = None
     label_convention: str = "paper"
     master_seed: int = 0
-    standardizer: str = "zscore"
-    separable_mixture_components: int = 1
-    observables: str = "full"  # "full" or "weightK" (words acting on <= K qubits)
 
     def __post_init__(self):
         if states.family(self.family).fixed_label == labels.SEPARABLE:
@@ -75,19 +70,16 @@ class ExperimentConfig:
             raise ValueError(f"n_samples={self.n_samples} is below the minimum of 20")
         if not (0.0 < self.split < 1.0):
             raise ValueError(f"split={self.split} must lie strictly inside (0, 1)")
+        if not (0.0 < self.balance < 1.0):
+            raise ValueError(f"balance={self.balance} must lie strictly inside (0, 1)")
         if min(self.n_entangled, self.n_samples - self.n_entangled) < 10:
             raise ValueError("balance leaves fewer than 10 samples in one class")
         if self.shots is not None and self.shots < 0:
             raise ValueError(f"shots must be nonnegative, got {self.shots}")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.label_convention not in labels.LABEL_CONVENTIONS:
             raise ValueError(f"unknown label convention {self.label_convention!r}")
-        if not (1 <= self.separable_mixture_components <= 4):
-            raise ValueError("separable_mixture_components must be between 1 and 4")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        self.observable_set()  # validates the subset name
 
     @property
     def n_entangled(self) -> int:
@@ -98,15 +90,7 @@ class ExperimentConfig:
         return OVERLAP_SHOTS[self.overlap] if self.shots is None else self.shots
 
     def observable_set(self) -> ObservableSet:
-        n = states.FAMILIES[self.family].n_qubits
-        if self.observables == "full":
-            return ObservableSet.full(n)
-        match = re.fullmatch(r"weight(\d+)", self.observables)
-        if match and 1 <= int(match.group(1)) <= n:
-            return ObservableSet.up_to_weight(n, int(match.group(1)))
-        raise ValueError(
-            f"unknown observable subset {self.observables!r}; expected 'full' or 'weightK' with K in [1, {n}]"
-        )
+        return ObservableSet.full(states.FAMILIES[self.family].n_qubits)
 
 
 @dataclass
@@ -141,18 +125,10 @@ def _split_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, 2])
 
 
-def product_params(n_qubits: int, rng: np.random.Generator, components: int) -> dict:
-    comps = []
-    if components == 1:
-        weights = [1.0]
-    else:
-        raw = rng.random(components)
-        weights = (raw / raw.sum()).tolist()
-    for w in weights:
-        comps.append(
-            {"weight": float(w), "blochs": [states.random_bloch_vector(rng).tolist() for _ in range(n_qubits)]}
-        )
-    return {"components": comps}
+def product_params(n_qubits: int, rng: np.random.Generator) -> dict:
+    """``product-sep`` parameters: one product of Bloch-ball-uniform qubits."""
+    blochs = [states.random_bloch_vector(rng).tolist() for _ in range(n_qubits)]
+    return {"components": [{"weight": 1.0, "blochs": blochs}]}
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -184,7 +160,6 @@ def sample_family_params(
     overlap: str,
     rng: np.random.Generator,
     convention: str = "paper",
-    separable_components: int = 1,
 ) -> tuple:
     """Draw constructor parameters for one sample of the requested class.
 
@@ -207,7 +182,7 @@ def sample_family_params(
         return family, {"p": float(p)}
 
     if label == labels.SEPARABLE:
-        return "product-sep", product_params(spec.n_qubits, rng, separable_components)
+        return "product-sep", product_params(spec.n_qubits, rng)
 
     if family == "concurrence":
         c_min = CONCURRENCE_MIN[overlap]
@@ -245,12 +220,7 @@ def _row(config: ExperimentConfig, obs: ObservableSet, i: int) -> tuple:
     requested = labels.ENTANGLED if i < config.n_entangled else labels.SEPARABLE
     rng = _sample_rng(config.master_seed, i)
     build_family, params = sample_family_params(
-        config.family,
-        requested,
-        config.overlap,
-        rng,
-        convention=config.label_convention,
-        separable_components=config.separable_mixture_components,
+        config.family, requested, config.overlap, rng, convention=config.label_convention
     )
     rho = states.from_family(build_family, params)
     shots = config.effective_shots
@@ -360,8 +330,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     model = flda.fit(
         dataset.features[train_idx],
         dataset.labels[train_idx],
-        epsilon=config.epsilon,
-        standardizer=config.standardizer,
         feature_names=dataset.feature_names,
         label_convention=config.label_convention,
     )

@@ -155,31 +155,28 @@ def fit(
     features: np.ndarray,
     labels: np.ndarray,
     epsilon: float | None = None,
-    standardizer: str | Standardizer = "zscore",
+    standardizer: str = "zscore",
     feature_names=None,
     label_convention: str | None = None,
 ) -> FldaModel:
     """Fit the two-class discriminant.
 
-    ``standardizer`` is a mode name fit here on the given (training) rows,
-    or an already-fit :class:`Standardizer`. ``epsilon`` defaults to
-    :func:`default_epsilon`: 1e-6 times the mean diagonal of S_W with at
-    least ten samples per feature (n >= 10 d), 100 times it below that. Pass
-    an explicit value when the within-class scatter is degenerate (e.g. one
-    sample per class).
+    ``standardizer`` is one of :data:`STANDARDIZER_MODES`, fit here on the
+    given (training) rows. ``epsilon`` defaults to :func:`default_epsilon`:
+    1e-6 times the mean diagonal of S_W with at least ten samples per
+    feature (n >= 10 d), 100 times it below that. Pass an explicit finite
+    value when the within-class scatter is degenerate (e.g. one sample per
+    class).
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
-    if isinstance(standardizer, Standardizer):
-        std = standardizer
-    else:
-        std = fit_standardizer(x, mode=standardizer) if standardizer != "none" else Standardizer.identity(x.shape[1])
+    std = fit_standardizer(x, mode=standardizer)
     xs = apply_standardizer(std, x)
 
     scatter = compute_scatter(xs, y)
     eps = default_epsilon(scatter) if epsilon is None else float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
 
     delta = scatter.class_means[1] - scatter.class_means[0]
     if np.linalg.norm(delta) == 0.0:

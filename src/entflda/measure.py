@@ -51,13 +51,6 @@ class ObservableSet:
         words = ("".join(w) for w in product("IXYZ", repeat=num_qubits))
         return cls(num_qubits, (w for w in words if w != "I" * num_qubits))
 
-    @classmethod
-    def up_to_weight(cls, num_qubits: int, max_weight: int) -> "ObservableSet":
-        """Non-identity words acting on at most ``max_weight`` qubits."""
-        words = ("".join(w) for w in product("IXYZ", repeat=num_qubits))
-        keep = (w for w in words if 0 < sum(ch != "I" for ch in w) <= max_weight)
-        return cls(num_qubits, keep)
-
     def __len__(self) -> int:
         return len(self.strings)
 

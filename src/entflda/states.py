@@ -7,7 +7,7 @@ Each canonical family (``werner2``, ``werner3``, ``werner4``,
 compose plain arrays and wrap the result in one :class:`DensityOperator`,
 so each state is validated once. Random sampling lives in the experiment
 harness; the constructors here are pure, except
-:func:`random_product_state` which takes an explicit generator stream.
+:func:`random_bloch_vector` which takes an explicit generator stream.
 """
 
 from __future__ import annotations
@@ -23,62 +23,27 @@ from .qops import DensityOperator, kron, pauli_string_operator
 ENTANGLED = -1
 SEPARABLE = 1
 
-# Correlation signs (s1, s2, s3) of <XX>, <YY>, <ZZ> for the four Bell
-# states. Their product is always -1; no other pattern is realizable.
-_BELL_SIGN_TABLE = {
-    "phi+": (1, -1, 1),
-    "phi-": (-1, 1, 1),
-    "psi+": (1, 1, -1),
-    "psi-": (-1, -1, -1),
-}
+# Signs of <XX>, <YY>, <ZZ> in the singlet |psi-> = (|01> - |10>)/sqrt(2).
+_SINGLET_SIGNS = (-1, -1, -1)
 
 
-@dataclass(frozen=True)
-class BellSigns:
-    """Diagonal correlation signs of a Bell state."""
-
-    s1: int
-    s2: int
-    s3: int
-
-    def __post_init__(self):
-        if (self.s1, self.s2, self.s3) not in _BELL_SIGN_TABLE.values():
-            raise ValueError(
-                f"sign pattern {(self.s1, self.s2, self.s3)} does not match any Bell state; "
-                f"allowed: {sorted(_BELL_SIGN_TABLE.values())}"
-            )
-
-    @classmethod
-    def from_name(cls, name: str) -> "BellSigns":
-        try:
-            return cls(*_BELL_SIGN_TABLE[name])
-        except KeyError:
-            raise ValueError(f"unknown Bell state {name!r}; expected one of {sorted(_BELL_SIGN_TABLE)}") from None
-
-    @classmethod
-    def singlet(cls) -> "BellSigns":
-        return cls(-1, -1, -1)
-
-
-def _werner2_matrix(p: float, signs: BellSigns | None = None) -> np.ndarray:
-    if signs is None:
-        signs = BellSigns.singlet()
+def _werner2_matrix(p: float) -> np.ndarray:
     if not (-1 / 3 - 1e-12 <= p <= 1 + 1e-12):
         raise ValueError(f"werner2 mixing parameter p={p} outside [-1/3, 1]")
     m = pauli_string_operator("II").astype(complex)
-    for letter, s in zip("XYZ", (signs.s1, signs.s2, signs.s3)):
+    for letter, s in zip("XYZ", _SINGLET_SIGNS):
         m += p * s * pauli_string_operator(letter * 2)
     return m / 4.0
 
 
-def werner2(p: float, signs: BellSigns | None = None) -> DensityOperator:
-    """Two-qubit Werner state: Bell projector mixed with white noise.
+def werner2(p: float) -> DensityOperator:
+    """Two-qubit Werner state: singlet projector mixed with white noise.
 
-    Built from its diagonal Pauli expansion, (1/4) (II + p s1 XX +
-    p s2 YY + p s3 ZZ), which equals p |Bell><Bell| + (1-p) I/4 for the
-    Bell state matching ``signs``. Valid mixing range is p in [-1/3, 1].
+    Built from its diagonal Pauli expansion, (1/4) (II - p XX - p YY -
+    p ZZ), which equals p |psi-><psi-| + (1-p) I/4. Valid mixing range is
+    p in [-1/3, 1].
     """
-    return DensityOperator(_werner2_matrix(p, signs))
+    return DensityOperator(_werner2_matrix(p))
 
 
 def _ghz_matrix(n_qubits: int) -> np.ndarray:
@@ -185,10 +150,15 @@ def _weighted_kron_sum(components) -> np.ndarray:
     trace check of the state built from the result.
     """
     total = None
-    for weight, factors in components:
+    for k, (weight, factors) in enumerate(components):
         if weight < 0:
             raise ValueError("mixture weights must be nonnegative")
         term = weight * _kron_all(factors)
+        if total is not None and term.shape != total.shape:
+            raise ValueError(
+                f"mixture component {k} acts on {term.shape[0].bit_length() - 1} qubits, "
+                f"the ones before it on {total.shape[0].bit_length() - 1}"
+            )
         total = term if total is None else total + term
     if total is None:
         raise ValueError("a mixture needs at least one component")
@@ -205,23 +175,15 @@ def product_state(blochs) -> DensityOperator:
     return DensityOperator(_kron_all([_bloch_matrix(b) for b in blochs]))
 
 
-def random_bloch_vector(rng: np.random.Generator, max_radius: float = 1.0) -> np.ndarray:
-    """Vector distributed uniformly in the Bloch ball of radius ``max_radius``.
+def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
+    """Vector distributed uniformly in the unit Bloch ball.
 
     Direction uniform on the sphere, radius u**(1/3) so the volume density
     is flat.
     """
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    radius = max_radius * rng.random() ** (1 / 3)
-    return radius * direction
-
-
-def random_product_state(n_qubits: int, rng: np.random.Generator, max_radius: float = 1.0) -> DensityOperator:
-    """Product of ``n_qubits`` independent Bloch-ball-uniform qubit states."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    return product_state([random_bloch_vector(rng, max_radius) for _ in range(n_qubits)])
+    return rng.random() ** (1 / 3) * direction
 
 
 def _biseparable(params: dict) -> DensityOperator:

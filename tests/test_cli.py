@@ -72,6 +72,12 @@ class TestGen:
         capsys.readouterr()
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_nan_balance_exits_one(self, tmp_path, capsys):
+        code = run_cli("gen", "--family", "werner2", "--n", "40", "--balance", "nan", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "error: balance=nan must lie strictly inside (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_prints_class_counts(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "werner2", "--n", "24", "--shots", "2", "--seed", "2",
                        "--out", str(tmp_path / "c.csv")) == 0
@@ -86,6 +92,14 @@ class TestFit:
         out = capsys.readouterr().out
         train_acc = float(out.split("train accuracy: ")[1].splitlines()[0])
         assert train_acc >= 0.99
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_one(self, werner2_dataset, tmp_path, capsys, value):
+        code = run_cli("fit", "--train", str(werner2_dataset), "--epsilon", value,
+                       "--model-out", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: epsilon must be finite and nonnegative, got {value}\n" == err
 
     def test_single_row_per_class_with_epsilon(self, tmp_path):
         train = tmp_path / "tiny.csv"
@@ -259,7 +273,7 @@ def test_every_registered_family(name, capsys):
     spec = FAMILIES[name]
     rng = np.random.default_rng(0)
     if spec.fixed_label == labels.SEPARABLE:
-        params = product_params(spec.n_qubits, rng, 1)
+        params = product_params(spec.n_qubits, rng)
     else:
         build_family, params = sample_family_params(name, labels.ENTANGLED, "high", rng)
         assert build_family == name
@@ -330,6 +344,19 @@ class TestReproduce:
         code = run_cli("reproduce", "--tables", "9", "--out", str(tmp_path / "x.csv"))
         capsys.readouterr()
         assert code == 1
+
+    def test_range_end_checked_before_expansion(self, tmp_path, capsys):
+        code = run_cli("reproduce", "--tables", "1..3000000", "--out", str(tmp_path / "x.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: --tables: unknown table id 3000000; valid ids are 1..7\n"
+
+    @pytest.mark.parametrize("text", ["x", "1..x", "2,x"])
+    def test_non_integer_table_names_flag(self, tmp_path, capsys, text):
+        code = run_cli("reproduce", "--tables", text, "--out", str(tmp_path / "x.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: --tables: 'x' is not a table id\n"
 
 
 class TestParser:

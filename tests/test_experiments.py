@@ -54,10 +54,10 @@ class TestConfigValidation:
             ({"family": "werner2", "split": 1.0}, "split"),
             ({"family": "werner2", "n_samples": 30, "balance": 0.1}, "fewer than 10"),
             ({"family": "werner2", "shots": -1}, "shots"),
-            ({"family": "werner2", "epsilon": -2.0}, "epsilon"),
+            ({"family": "werner2", "balance": float("nan")}, "balance"),
             ({"family": "werner2", "label_convention": "vote"}, "convention"),
             ({"family": "werner2", "master_seed": -3}, "master_seed"),
-            ({"family": "werner2", "separable_mixture_components": 9}, "components"),
+            ({"family": "werner2", "balance": 1.0}, "balance"),
         ],
     )
     def test_rejections(self, kwargs, message):
@@ -176,8 +176,7 @@ class TestGenerateDataset:
 
         monkeypatch.setattr(qops.DensityOperator, "__init__", counted_init)
         monkeypatch.setattr(states, "from_family", counted_build)
-        cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4,
-                               separable_mixture_components=2)
+        cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
         assert counts == {"DensityOperator": 24, "from_family": 24}
 
@@ -307,14 +306,6 @@ class TestReproduceTables:
             n_test = profile_samples("ci", rows[0]["family"]) // 5
             tol = 2.0 / n_test
             assert accs[2] >= accs[1] - tol >= accs[0] - 2 * tol, (table, accs)
-
-    def test_weight_limited_observable_subset(self):
-        cfg = ExperimentConfig(family="werner3", n_samples=20, shots=2, observables="weight2")
-        ds = generate_dataset(cfg)
-        assert ds.features.shape[1] == 36
-        assert all(sum(ch != "I" for ch in name) <= 2 for name in ds.feature_names)
-        with pytest.raises(ValueError, match="observable subset"):
-            ExperimentConfig(family="werner2", observables="top10")
 
     def test_render_formats(self):
         rows = [

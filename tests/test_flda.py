@@ -19,6 +19,7 @@ from entflda.flda import (
     project,
     save_model,
 )
+from entflda.measure import STANDARDIZER_MODES
 
 
 def two_gaussian_problem(rng, n_features=6, n_per_class=150, separation=3.0):
@@ -125,6 +126,17 @@ class TestFit:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             fit(np.array([[0.0], [1.0]]), np.array([-1, 1]), epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        x, y = two_gaussian_problem(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            fit(x, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    def test_one_dimensional_features_rejected(self, mode):
+        with pytest.raises(ValueError, match="2-D"):
+            fit(np.array([0.0, 1.0, 2.0, 3.0]), np.array([-1, -1, 1, 1]), standardizer=mode)
 
 
 class TestProjectClassify:

@@ -5,8 +5,13 @@ import pytest
 from scipy.optimize import brentq
 
 from entflda import labels
+from entflda.experiments import product_params
 from entflda.qops import DensityOperator, hermitian_eigenvalues, partial_transpose
-from entflda.states import from_family, pptes_acin, random_product_state, werner2, werner_ghz
+from entflda.states import from_family, pptes_acin, werner2, werner_ghz
+
+
+def random_product_state(n_qubits, rng):
+    return from_family("product-sep", product_params(n_qubits, rng))
 
 
 class TestPptReport:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entflda.experiments import product_params
 from entflda.measure import (
     ObservableSet,
     Standardizer,
@@ -13,7 +14,7 @@ from entflda.measure import (
     sampled_features,
 )
 from entflda.qops import DensityOperator
-from entflda.states import concurrence_state, pptes_acin, random_product_state, werner2, werner_ghz
+from entflda.states import concurrence_state, from_family, pptes_acin, werner2, werner_ghz
 
 
 class TestObservableSet:
@@ -27,12 +28,6 @@ class TestObservableSet:
     def test_full_counts_scale(self):
         assert len(ObservableSet.full(3)) == 63
         assert len(ObservableSet.full(4)) == 255
-
-    def test_weight_limited_subset(self):
-        obs = ObservableSet.up_to_weight(3, 2)
-        # 9 single-qubit words + 27 two-qubit words
-        assert len(obs) == 36
-        assert all(sum(ch != "I" for ch in s) <= 2 for s in obs.strings)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -64,7 +59,7 @@ class TestExactFeatures:
         rng = np.random.default_rng(19)
         obs = ObservableSet.full(3)
         for _ in range(5):
-            values = exact_features(random_product_state(3, rng), obs)
+            values = exact_features(from_family("product-sep", product_params(3, rng)), obs)
             assert np.all(np.abs(values) <= 1 + 1e-10)
 
     def test_dimension_mismatch(self):
@@ -127,7 +122,7 @@ class TestReconstruction:
             (concurrence_state(1.1, 2.3), obs2),
             (werner_ghz(3, 0.37), obs3),
             (pptes_acin(1.4, 0.6, 2.1), obs3),
-            (random_product_state(3, np.random.default_rng(8)), obs3),
+            (from_family("product-sep", product_params(3, np.random.default_rng(8))), obs3),
         ]
         for rho, obs in cases:
             rebuilt = reconstruct_density(exact_features(rho, obs), obs)

@@ -10,7 +10,6 @@ from entflda.states import (
     ENTANGLED,
     FAMILIES,
     SEPARABLE,
-    BellSigns,
     bloch_state,
     concurrence_state,
     depolarize,
@@ -20,36 +19,11 @@ from entflda.states import (
     pptes_acin,
     product_state,
     random_bloch_vector,
-    random_product_state,
     werner2,
     werner_ghz,
 )
 
-BELL_VECTORS = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-}
-
-
-class TestBellSigns:
-    def test_four_patterns_accepted(self):
-        for name in BELL_VECTORS:
-            BellSigns.from_name(name)
-
-    def test_sign_product_is_minus_one(self):
-        for name in BELL_VECTORS:
-            s = BellSigns.from_name(name)
-            assert s.s1 * s.s2 * s.s3 == -1
-
-    def test_invalid_pattern_rejected(self):
-        with pytest.raises(ValueError, match="does not match any Bell state"):
-            BellSigns(1, 1, 1)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown Bell state"):
-            BellSigns.from_name("sigma")
+SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
 class TestWerner2:
@@ -58,8 +32,7 @@ class TestWerner2:
 
     def test_p_one_is_singlet(self):
         rho = werner2(1.0)
-        psi = BELL_VECTORS["psi-"]
-        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
+        np.testing.assert_allclose(rho.matrix, np.outer(SINGLET, SINGLET.conj()), atol=1e-12)
         assert abs(expectation(rho, pauli_string_operator("ZZ")) + 1.0) < 1e-12
 
     def test_critical_pt_eigenvalue_at_half(self):
@@ -74,13 +47,10 @@ class TestWerner2:
 
     def test_matches_depolarized_bell_projector(self):
         rng = np.random.default_rng(13)
+        singlet = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
         for _ in range(50):
             p = rng.uniform(0, 1)
-            name = rng.choice(list(BELL_VECTORS))
-            psi = BELL_VECTORS[name]
-            bell = DensityOperator(np.outer(psi, psi.conj()))
-            lhs = werner2(p, BellSigns.from_name(name)).matrix
-            np.testing.assert_allclose(lhs, depolarize(bell, p).matrix, atol=1e-12)
+            np.testing.assert_allclose(werner2(p).matrix, depolarize(singlet, p).matrix, atol=1e-12)
 
 
 class TestWernerGhz:
@@ -229,6 +199,15 @@ class TestSeparableMixture:
         with pytest.raises(ValueError, match="nonnegative"):
             from_family("product-sep", params)
 
+    def test_component_size_mismatch(self):
+        params = product_mixture([(0.5, [[0.0, 0.0, 0.0]] * 2), (0.5, [[0.0, 0.0, 0.0]] * 3)])
+        with pytest.raises(ValueError, match="mixture component 1 acts on 3 qubits, the ones before it on 2"):
+            from_family("product-sep", params)
+
+
+def random_product_state(n_qubits, rng):
+    return from_family("product-sep", product_params(n_qubits, rng))
+
 
 class TestRandomProductState:
     def test_deterministic_given_stream(self):
@@ -310,7 +289,12 @@ def composed(name, params):
 
 def sampled_params(name, rng, draw):
     if name == "product-sep":
-        return "product-sep", product_params(2 + draw % 2, rng, 1 + draw // 2 % 4)
+        # Mixtures of 1 to 4 random products on 2 or 3 qubits.
+        raw = rng.random(1 + draw // 2 % 4)
+        n_qubits = 2 + draw % 2
+        return "product-sep", product_mixture(
+            [(float(w), [random_bloch_vector(rng).tolist() for _ in range(n_qubits)]) for w in raw / raw.sum()]
+        )
     label = SEPARABLE if name.startswith("werner") and draw % 2 else ENTANGLED
     return sample_family_params(name, label, ("high", "low")[draw % 2], rng)
 
