@@ -14,13 +14,16 @@ import sys
 
 import numpy as np
 
-from . import experiments, flda, labels, reference, states
+from . import experiments, flda, labels, measure, qops, reference, states
 
 SEED_ENV_VAR = "ENTFLDA_SEED"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+# Help text of the family-parameter flags of ``inspect``; the rest have none.
+_PARAM_HELP = {"p": "Werner mixing parameter"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--train", required=True, help="training dataset path")
     fit.add_argument("--epsilon", type=float, default=None,
                      help="scatter regularizer (default: 1e-6 x mean diag(S_W) if n >= 10 d, else 100 x mean diag)")
-    fit.add_argument("--standardizer", default="zscore", choices=("zscore", "minmax", "none"))
+    fit.add_argument("--standardizer", default="zscore", choices=measure.STANDARDIZER_MODES)
     fit.add_argument("--model-out", required=True, help="output model path (JSON)")
 
     ev = sub.add_parser("eval", help="evaluate a saved model on a dataset file")
@@ -75,12 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="print spectra, PPT cuts and labels for one state")
     ins.add_argument("--family", required=True, choices=states.FAMILIES)
-    ins.add_argument("--p", type=float, default=None, help="Werner mixing parameter")
-    ins.add_argument("--theta0", type=float, default=None)
-    ins.add_argument("--theta1", type=float, default=None)
-    ins.add_argument("--a", type=float, default=None)
-    ins.add_argument("--b", type=float, default=None)
-    ins.add_argument("--c", type=float, default=None)
+    for name in dict.fromkeys(key for spec in states.FAMILIES.values() for key in spec.params):
+        ins.add_argument(f"--{name}", type=float, default=None, help=_PARAM_HELP.get(name))
     ins.add_argument("--seed", type=_seed, default=None, help="seed for the random families")
     ins.add_argument("--n-qubits", type=int, default=2, help="register size for product-sep")
 
@@ -198,6 +197,8 @@ def _inspect_params(args) -> dict:
         return {name: getattr(args, name) for name in names}
     rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
     if args.family == "product-sep":
+        if not 1 <= args.n_qubits <= qops.MAX_QUBITS:
+            raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {args.n_qubits}")
         return experiments.product_params(args.n_qubits, rng)
     _, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng)
     return params

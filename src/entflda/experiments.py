@@ -29,6 +29,7 @@ from .measure import ObservableSet, exact_features, sampled_features
 OVERLAP_LEVELS = ("high", "medium", "low")
 OVERLAP_MARGIN = {"high": 0.0, "medium": 0.1, "low": 0.25}
 OVERLAP_SHOTS = {"high": 512, "medium": 2048, "low": 0}
+MAX_SHOTS = 2**63 - 1  # the largest count numpy's Generator.binomial accepts
 CONCURRENCE_MIN = {"high": 0.1, "medium": 0.4, "low": 0.8}
 
 # Width of the mixing-parameter interval sampled on each side of the boundary.
@@ -74,8 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"balance={self.balance} must lie strictly inside (0, 1)")
         if min(self.n_entangled, self.n_samples - self.n_entangled) < 10:
             raise ValueError("balance leaves fewer than 10 samples in one class")
-        if self.shots is not None and self.shots < 0:
-            raise ValueError(f"shots must be nonnegative, got {self.shots}")
+        if self.shots is not None and not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in 0..{MAX_SHOTS}, got {self.shots}")
         if self.label_convention not in labels.LABEL_CONVENTIONS:
             raise ValueError(f"unknown label convention {self.label_convention!r}")
         if self.master_seed < 0:

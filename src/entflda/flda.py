@@ -253,40 +253,14 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
     }
 
 
-def model_to_document(model: FldaModel) -> dict:
-    """JSON-ready dict; floats survive a round trip bit-exactly."""
-    return {
-        "w": [float(v) for v in model.w],
-        "projected_means": [float(v) for v in model.projected_means],
-        "threshold": float(model.threshold),
-        "epsilon": float(model.epsilon),
-        "fisher_j": float(model.fisher_j),
-        "standardizer": model.standardizer.to_dict(),
-        "feature_names": list(model.feature_names) if model.feature_names is not None else None,
-        "label_convention": model.label_convention,
-        "train_accuracy": float(model.train_accuracy) if model.train_accuracy is not None else None,
-    }
-
-
-def model_from_document(doc: dict) -> FldaModel:
-    return FldaModel(
-        w=np.asarray(doc["w"], dtype=float),
-        projected_means=tuple(doc["projected_means"]),
-        threshold=doc["threshold"],
-        epsilon=doc["epsilon"],
-        fisher_j=doc["fisher_j"],
-        standardizer=Standardizer.from_dict(doc["standardizer"]),
-        feature_names=tuple(doc["feature_names"]) if doc.get("feature_names") is not None else None,
-        label_convention=doc.get("label_convention"),
-        train_accuracy=doc.get("train_accuracy"),
-    )
-
-
 def atomic_write(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` through a uniquely named temp file
     beside it, so concurrent writers never share one. The file gets the mode
     open() would give it; the temp file is removed if any step fails."""
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -300,8 +274,22 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def save_model(model: FldaModel, path: str) -> None:
-    """Write the model document atomically (temp file + rename)."""
-    atomic_write(path, json.dumps(model_to_document(model), indent=2) + "\n")
+    """Write the model as a JSON document through :func:`atomic_write`. Floats
+    keep ``repr`` precision, so saving what :func:`load_model` reads back
+    gives the same bytes."""
+    std = model.standardizer
+    doc = {
+        "w": [float(v) for v in model.w],
+        "projected_means": [float(v) for v in model.projected_means],
+        "threshold": float(model.threshold),
+        "epsilon": float(model.epsilon),
+        "fisher_j": float(model.fisher_j),
+        "standardizer": {"mode": std.mode, "shift": list(map(float, std.shift)), "scale": list(map(float, std.scale))},
+        "feature_names": list(model.feature_names) if model.feature_names is not None else None,
+        "label_convention": model.label_convention,
+        "train_accuracy": float(model.train_accuracy) if model.train_accuracy is not None else None,
+    }
+    atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _is_finite_number(value) -> bool:
@@ -309,8 +297,8 @@ def _is_finite_number(value) -> bool:
 
 
 def _check_document(doc, path: str) -> None:
-    """Refuse anything :func:`model_from_document` cannot turn into a usable
-    model, with a ValueError naming the file and the key."""
+    """Refuse anything :func:`load_model` cannot turn into a usable model,
+    with a ValueError naming the file and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"model file {path}: expected a JSON object, got {type(doc).__name__}")
 
@@ -335,6 +323,10 @@ def _check_document(doc, path: str) -> None:
             raise bad(key, "expected a nonempty list of finite numbers")
         if len(value) != n:
             raise bad(key, f"has {len(value)} entries, 'w' has {n}")
+    if not any(doc["w"]):
+        raise bad("w", "is all zeros, so it projects every row to 0")
+    if min(std["scale"]) <= 0:
+        raise bad("standardizer.scale", f"expected positive numbers, got {min(std['scale'])!r}")
     means = doc["projected_means"]
     if not (isinstance(means, list) and len(means) == 2 and all(_is_finite_number(v) for v in means)):
         raise bad("projected_means", "expected two finite numbers")
@@ -356,4 +348,15 @@ def load_model(path: str) -> FldaModel:
         except json.JSONDecodeError as exc:
             raise ValueError(f"model file {path} is not JSON: {exc}") from None
     _check_document(doc, path)
-    return model_from_document(doc)
+    shift, scale = (np.asarray(doc["standardizer"][key], dtype=float) for key in ("shift", "scale"))
+    return FldaModel(
+        w=np.asarray(doc["w"], dtype=float),
+        projected_means=tuple(doc["projected_means"]),
+        threshold=doc["threshold"],
+        epsilon=doc["epsilon"],
+        fisher_j=doc["fisher_j"],
+        standardizer=Standardizer(shift, scale, doc["standardizer"]["mode"]),
+        feature_names=tuple(doc["feature_names"]) if doc.get("feature_names") is not None else None,
+        label_convention=doc.get("label_convention"),
+        train_accuracy=doc.get("train_accuracy"),
+    )

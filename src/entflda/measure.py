@@ -107,17 +107,6 @@ class Standardizer:
     scale: np.ndarray
     mode: str
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "shift": [float(v) for v in self.shift], "scale": [float(v) for v in self.scale]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(shift=np.asarray(d["shift"], dtype=float), scale=np.asarray(d["scale"], dtype=float), mode=d["mode"])
-
-    @classmethod
-    def identity(cls, n_features: int) -> "Standardizer":
-        return cls(shift=np.zeros(n_features), scale=np.ones(n_features), mode="none")
-
 
 def fit_standardizer(train_values: np.ndarray, mode: str = "zscore") -> Standardizer:
     """Fit shift/scale statistics; zero-variance features get scale 1."""
@@ -127,7 +116,7 @@ def fit_standardizer(train_values: np.ndarray, mode: str = "zscore") -> Standard
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training matrix must be 2-D and nonempty")
     if mode == "none":
-        return Standardizer.identity(x.shape[1])
+        return Standardizer(shift=np.zeros(x.shape[1]), scale=np.ones(x.shape[1]), mode="none")
     if mode == "zscore":
         if x.shape[0] < 2:
             raise ValueError("zscore needs at least 2 training rows")

@@ -39,23 +39,26 @@ def pauli_matrix(letter: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli letter {letter!r}; expected one of I, X, Y, Z") from None
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two matrices.
+def kron(*factors: np.ndarray) -> np.ndarray:
+    """Tensor product ``F1 x F2 x ...`` of one or more matrices, left to right.
 
-    Refuses products larger than the ``MAX_QUBITS`` register dimension so a
-    runaway composition fails loudly instead of allocating huge arrays.
+    Refuses a product larger than the ``MAX_QUBITS`` register dimension
+    before computing it, so a runaway composition fails loudly instead of
+    allocating huge arrays.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if not factors:
+        raise ValueError("empty tensor product: kron needs at least one factor")
+    factors = [np.asarray(f) for f in factors]
+    if any(f.ndim != 2 for f in factors):
         raise ValueError("kron expects 2-D matrices")
-    max_dim = 2**MAX_QUBITS
-    if a.shape[0] * b.shape[0] > max_dim or a.shape[1] * b.shape[1] > max_dim:
-        raise ValueError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds the "
-            f"supported maximum 2**{MAX_QUBITS}"
-        )
-    return np.kron(a, b)
+    out = factors[0]
+    for f in factors[1:]:
+        rows, cols = out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        if (dim := max(rows, cols)) > 2**MAX_QUBITS:
+            raise ValueError(f"tensor product dimension {dim} exceeds the supported maximum 2**{MAX_QUBITS}")
+        # The broadcast product np.kron computes, without its generic-shape overhead.
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(rows, cols)
+    return out
 
 
 def pauli_string_operator(letters: str) -> np.ndarray:
@@ -64,14 +67,7 @@ def pauli_string_operator(letters: str) -> np.ndarray:
     The first letter acts on qubit 0 (most significant). The result is a
     Hermitian unitary of dimension ``2**len(letters)``.
     """
-    if len(letters) == 0:
-        raise ValueError("empty Pauli string")
-    if len(letters) > MAX_QUBITS:
-        raise ValueError(f"Pauli string length {len(letters)} exceeds MAX_QUBITS={MAX_QUBITS}")
-    op = pauli_matrix(letters[0])
-    for letter in letters[1:]:
-        op = np.kron(op, pauli_matrix(letter))
-    return op
+    return kron(*(pauli_matrix(letter) for letter in letters))
 
 
 class DensityOperator:
@@ -85,7 +81,7 @@ class DensityOperator:
 
     __slots__ = ("matrix", "num_qubits")
 
-    def __init__(self, matrix: np.ndarray, validate: bool = True):
+    def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -95,18 +91,17 @@ class DensityOperator:
             raise ValueError(f"dimension {dim} is not a power of two")
         if n < 1 or n > MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
-        if validate:
-            if not np.all(np.isfinite(m)):
-                raise ValueError("density matrix contains non-finite entries")
-            herm_err = np.max(np.abs(m - m.conj().T))
-            if herm_err > HERMITICITY_TOL:
-                raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-            tr_err = abs(m.trace() - 1.0)
-            if tr_err > TRACE_TOL:
-                raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < PSD_TOL:
-                raise ValueError(f"matrix is not positive semi-definite (min eigenvalue {min_eig:.3e})")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix contains non-finite entries")
+        herm_err = np.max(np.abs(m - m.conj().T))
+        if herm_err > HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
+        tr_err = abs(m.trace() - 1.0)
+        if tr_err > TRACE_TOL:
+            raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < PSD_TOL:
+            raise ValueError(f"matrix is not positive semi-definite (min eigenvalue {min_eig:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "num_qubits", n)
@@ -122,25 +117,31 @@ class DensityOperator:
         return f"DensityOperator(num_qubits={self.num_qubits})"
 
 
-def partial_transpose(rho: DensityOperator, subsystems) -> np.ndarray:
-    """Transpose the selected qubits' indices, leaving the rest untouched.
+def partial_transpose(matrix: np.ndarray, subsystems) -> np.ndarray:
+    """Transpose the selected qubits' indices of a 2^N x 2^N matrix, leaving
+    the rest untouched.
 
-    Returns a plain matrix: the result is generally not a valid state.
-    Implemented as an axis permutation on the rank-2N tensor reshape, so it
-    is exact (entry rearrangement only). Applying it twice over the same
-    subsystems returns the input.
+    Takes and returns a plain array (the result is generally not a valid
+    state, and the input is not checked to be one). Implemented as an axis
+    permutation on the rank-2N tensor reshape, so it is exact (entry
+    rearrangement only). Applying it twice over the same subsystems returns
+    the input.
     """
-    n = rho.num_qubits
+    m = np.asarray(matrix)
+    dim = m.shape[0] if m.ndim == 2 else 0
+    n = dim.bit_length() - 1
+    if m.shape != (dim, dim) or dim != 2**n:
+        raise ValueError(f"expected a 2^N x 2^N matrix, got shape {m.shape}")
     subs = sorted(set(int(q) for q in subsystems))
     if not subs:
         raise ValueError("subsystem set is empty; transposing nothing is a caller bug")
     if subs[0] < 0 or subs[-1] >= n:
         raise ValueError(f"qubit indices {subs} out of range for {n} qubits")
-    tensor = rho.matrix.reshape([2] * (2 * n))
+    tensor = m.reshape([2] * (2 * n))
     axes = list(range(2 * n))
     for q in subs:
         axes[q], axes[n + q] = axes[n + q], axes[q]
-    return tensor.transpose(axes).reshape(rho.dim, rho.dim)
+    return tensor.transpose(axes).reshape(dim, dim)
 
 
 def hermitian_eigenvalues(m: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:

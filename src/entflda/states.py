@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityOperator, kron, pauli_string_operator
+from .qops import DensityOperator, kron, pauli_matrix, pauli_string_operator
 
 # Class labels: -1 entangled, +1 separable.
 ENTANGLED = -1
@@ -130,17 +130,8 @@ def _bloch_matrix(bloch) -> np.ndarray:
         raise ValueError(f"Bloch vector length {r} exceeds 1")
     m = np.eye(2, dtype=complex)
     for component, letter in zip(b, "XYZ"):
-        m += component * pauli_string_operator(letter)
+        m += component * pauli_matrix(letter)
     return m / 2.0
-
-
-def _kron_all(factors) -> np.ndarray:
-    if not factors:
-        raise ValueError("need at least one Bloch vector")
-    m = factors[0]
-    for factor in factors[1:]:
-        m = kron(m, factor)
-    return m
 
 
 def _weighted_kron_sum(components) -> np.ndarray:
@@ -153,7 +144,7 @@ def _weighted_kron_sum(components) -> np.ndarray:
     for k, (weight, factors) in enumerate(components):
         if weight < 0:
             raise ValueError("mixture weights must be nonnegative")
-        term = weight * _kron_all(factors)
+        term = weight * kron(*factors)
         if total is not None and term.shape != total.shape:
             raise ValueError(
                 f"mixture component {k} acts on {term.shape[0].bit_length() - 1} qubits, "
@@ -172,7 +163,7 @@ def bloch_state(bloch: np.ndarray) -> DensityOperator:
 
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit Bloch states."""
-    return DensityOperator(_kron_all([_bloch_matrix(b) for b in blochs]))
+    return DensityOperator(kron(*(_bloch_matrix(b) for b in blochs)))
 
 
 def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:

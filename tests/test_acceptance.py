@@ -111,7 +111,7 @@ def test_criterion_06_ppt_oracle_exactness():
     with criterion(6, "PPT critical eigenvalue exact, three-qubit crossing at 1/5"):
         rng = np.random.default_rng(606)
         for p in rng.uniform(-1 / 3, 1.0, size=100):
-            eigs = hermitian_eigenvalues(partial_transpose(werner2(float(p)), {1}))
+            eigs = hermitian_eigenvalues(partial_transpose(werner2(float(p)).matrix, {1}))
             critical = (1 - 3 * p) / 4
             assert np.min(np.abs(eigs - critical)) < 1e-10, p
             if p >= 0:

@@ -53,8 +53,17 @@ class TestGen:
     def test_unwritable_path_exits_two(self, capsys):
         code = run_cli("gen", "--family", "werner2", "--n", "20", "--seed", "1",
                        "--out", "/nonexistent-dir/x.csv")
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.rstrip().endswith("'/nonexistent-dir/x.csv'")
+        assert ".tmp" not in err
+
+    def test_shots_beyond_binomial_range_exits_one(self, tmp_path, capsys):
+        code = run_cli("gen", "--family", "werner2", "--n", "40", "--shots", "99999999999999999999",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "error: shots must lie in 0..9223372036854775807, got 99999999999999999999" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_stale_temp_directory_does_not_block_write(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -231,6 +240,10 @@ def _edit_w(doc, edit):
     doc["w"] = edit(doc["w"])
 
 
+def _edit_scale(doc, edit):
+    doc["standardizer"]["scale"] = edit(doc["standardizer"]["scale"])
+
+
 class TestBadModel:
     """A malformed model document exits 1, naming the file and the key."""
 
@@ -244,8 +257,11 @@ class TestBadModel:
             (lambda doc: doc["standardizer"].update(mode="robust"), "key 'standardizer.mode': 'robust' is not one of"),
             (lambda doc: doc.update(feature_names=["IX"]), "key 'feature_names': expected a list of 15 names"),
             (lambda doc: doc.update(projected_means=[0.1]), "key 'projected_means': expected two finite numbers"),
+            (lambda doc: _edit_scale(doc, lambda s: [0] + s[1:]), "key 'standardizer.scale': expected positive"),
+            (lambda doc: _edit_w(doc, lambda w: [0.0] * len(w)), "key 'w': is all zeros"),
         ],
-        ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean"],
+        ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
+             "zero-scale", "zero-w"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
         model_path = tmp_path / "model.json"
@@ -313,9 +329,12 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "concurrence: 1.000000" in out
 
-    def test_empty_product_exits_one(self, capsys):
-        assert run_cli("inspect", "--family", "product-sep", "--n-qubits", "0") == 1
-        assert "need at least one Bloch vector" in capsys.readouterr().err
+    @pytest.mark.parametrize("n_qubits", ["0", "7", "-1"])
+    def test_register_size_out_of_range_exits_one(self, capsys, n_qubits):
+        assert run_cli("inspect", "--family", "product-sep", "--n-qubits", n_qubits) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --n-qubits must lie in 1..6, got {n_qubits}\n" == captured.err
 
     def test_missing_parameter_exits_one(self, capsys):
         code = run_cli("inspect", "--family", "werner2")

@@ -58,6 +58,7 @@ class TestConfigValidation:
             ({"family": "werner2", "label_convention": "vote"}, "convention"),
             ({"family": "werner2", "master_seed": -3}, "master_seed"),
             ({"family": "werner2", "balance": 1.0}, "balance"),
+            ({"family": "werner2", "shots": 2**63}, "shots"),
         ],
     )
     def test_rejections(self, kwargs, message):

@@ -21,6 +21,22 @@ class TestPptReport:
         assert abs(report.min_eigenvalues["0|1"]) < 1e-10
         assert report.is_ppt_all
 
+    def test_matches_per_cut_eigenvalues(self):
+        # one stacked eigvalsh gives the same bits as a call per cut
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 4):
+            g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T))
+            expected = {
+                descriptor: float(hermitian_eigenvalues(partial_transpose(rho.matrix, subset))[0])
+                for descriptor, subset in labels._bipartitions(n)
+            }
+            assert labels.ppt_report(rho).min_eigenvalues == expected
+
+    def test_single_qubit_has_no_cut(self):
+        report = labels.ppt_report(DensityOperator(np.eye(2, dtype=complex) / 2))
+        assert report.min_eigenvalues == {} and report.is_ppt_all
+
     def test_product_states_always_ppt(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4):
@@ -39,8 +55,8 @@ class TestPptReport:
         m = g @ g.conj().T
         rho = DensityOperator(m / m.trace())
         for subset, complement in (({0}, {1, 2}), ({1}, {0, 2}), ({2}, {0, 1})):
-            a = hermitian_eigenvalues(partial_transpose(rho, subset))[0]
-            b = hermitian_eigenvalues(partial_transpose(rho, complement))[0]
+            a = hermitian_eigenvalues(partial_transpose(rho.matrix, subset))[0]
+            b = hermitian_eigenvalues(partial_transpose(rho.matrix, complement))[0]
             assert abs(a - b) < 1e-10
 
     def test_ghz_werner_crossing_at_one_fifth(self):

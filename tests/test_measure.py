@@ -6,7 +6,6 @@ import pytest
 from entflda.experiments import product_params
 from entflda.measure import (
     ObservableSet,
-    Standardizer,
     apply_standardizer,
     exact_features,
     fit_standardizer,
@@ -172,10 +171,3 @@ class TestStandardizer:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             fit_standardizer(np.ones((3, 2)), "robust")
-
-    def test_dict_round_trip(self):
-        std = fit_standardizer(np.random.default_rng(1).normal(size=(10, 3)), "zscore")
-        again = Standardizer.from_dict(std.to_dict())
-        np.testing.assert_array_equal(again.shift, std.shift)
-        np.testing.assert_array_equal(again.scale, std.scale)
-        assert again.mode == std.mode

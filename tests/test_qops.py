@@ -61,6 +61,18 @@ class TestKron:
         big = np.eye(16)
         with pytest.raises(ValueError, match="exceeds"):
             kron(big, big)
+        with pytest.raises(ValueError, match="dimension 128 exceeds"):
+            kron(*[I2] * 7)
+
+    def test_n_ary_is_left_fold(self):
+        rng = np.random.default_rng(43)
+        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+        np.testing.assert_array_equal(kron(a, b, c), np.kron(np.kron(a, b), c))
+        np.testing.assert_array_equal(kron(a), a)
+
+    def test_empty_product(self):
+        with pytest.raises(ValueError, match="empty tensor product"):
+            kron()
 
 
 class TestPauliStringOperator:
@@ -114,20 +126,20 @@ class TestDensityOperator:
 class TestPartialTranspose:
     def test_maximally_mixed_invariant(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
-        np.testing.assert_allclose(partial_transpose(rho, {0}), rho.matrix, atol=1e-15)
+        np.testing.assert_allclose(partial_transpose(rho.matrix, {0}), rho.matrix, atol=1e-15)
 
     def test_singlet_min_eigenvalue(self):
         # pure singlet: transposing one qubit exposes eigenvalue -1/2
         psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
         rho = DensityOperator(np.outer(psi, psi.conj()))
-        eigs = hermitian_eigenvalues(partial_transpose(rho, {1}))
+        eigs = hermitian_eigenvalues(partial_transpose(rho.matrix, {1}))
         np.testing.assert_allclose(eigs[0], -0.5, atol=1e-12)
 
     def test_ghz3_min_eigenvalue(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = psi[7] = 1 / np.sqrt(2)
         rho = DensityOperator(np.outer(psi, psi.conj()))
-        eigs = hermitian_eigenvalues(partial_transpose(rho, {2}))
+        eigs = hermitian_eigenvalues(partial_transpose(rho.matrix, {2}))
         np.testing.assert_allclose(eigs[0], -0.5, atol=1e-12)
 
     def test_involution_trace_hermiticity(self):
@@ -135,26 +147,31 @@ class TestPartialTranspose:
         for n in (2, 3, 4):
             rho = random_density(rng, n)
             subset = {int(q) for q in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
-            pt = partial_transpose(rho, subset)
+            pt = partial_transpose(rho.matrix, subset)
             assert abs(pt.trace() - 1.0) < 1e-12
             np.testing.assert_allclose(pt, pt.conj().T, atol=1e-12)
-            pt2 = partial_transpose(DensityOperator(pt, validate=False), subset)
+            pt2 = partial_transpose(pt, subset)
             np.testing.assert_array_equal(pt2, rho.matrix)
 
     def test_full_set_is_global_transpose(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 2)
-        np.testing.assert_allclose(partial_transpose(rho, {0, 1}), rho.matrix.T, atol=1e-15)
+        np.testing.assert_allclose(partial_transpose(rho.matrix, {0, 1}), rho.matrix.T, atol=1e-15)
 
     def test_empty_subset_rejected(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError, match="empty"):
-            partial_transpose(rho, set())
+            partial_transpose(rho.matrix, set())
 
     def test_out_of_range_rejected(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError, match="out of range"):
-            partial_transpose(rho, {2})
+            partial_transpose(rho.matrix, {2})
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 3)])
+    def test_non_qubit_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"2\^N x 2\^N"):
+            partial_transpose(np.zeros(shape), {0})
 
 
 class TestHermitianEigenvalues:

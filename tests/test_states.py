@@ -36,7 +36,7 @@ class TestWerner2:
         assert abs(expectation(rho, pauli_string_operator("ZZ")) + 1.0) < 1e-12
 
     def test_critical_pt_eigenvalue_at_half(self):
-        eigs = hermitian_eigenvalues(partial_transpose(werner2(0.5), {1}))
+        eigs = hermitian_eigenvalues(partial_transpose(werner2(0.5).matrix, {1}))
         np.testing.assert_allclose(eigs[0], (1 - 3 * 0.5) / 4, atol=1e-12)
 
     def test_out_of_range(self):
@@ -174,7 +174,7 @@ class TestSeparableMixture:
     def test_biseparable_cut_structure(self):
         # A|BC product with an entangled BC factor: the A cut stays PPT,
         # the other cuts (and the BC marginal itself) go negative.
-        bc_pt = hermitian_eigenvalues(partial_transpose(werner2(1.0), {0}))
+        bc_pt = hermitian_eigenvalues(partial_transpose(werner2(1.0).matrix, {0}))
         assert bc_pt[0] < -0.4  # the singlet marginal is NPT
 
         params = {"components": [{"weight": 1.0, "a_bloch": [0.0, 0.0, 0.3], "bc_p": 1.0}]}
