@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entflda.experiments import product_params
+from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
     ObservableSet,
     apply_standardizer,
@@ -159,6 +160,19 @@ class TestStandardizer:
         out = apply_standardizer(fit_standardizer(train, "zscore"), train)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-8)
+
+    def test_dict_round_trip(self, tmp_path):
+        """The standardizer's mode, shift and scale survive the model file."""
+        x = np.random.default_rng(1).normal(size=(10, 3))
+        y = np.array([1] * 5 + [-1] * 5)
+        for mode in ("zscore", "minmax", "none"):
+            std = fit_standardizer(x, mode)
+            path = tmp_path / f"{mode}.json"
+            save_model(fit(x, y, standardizer=mode), str(path))
+            again = load_model(str(path)).standardizer
+            np.testing.assert_array_equal(again.shift, std.shift)
+            np.testing.assert_array_equal(again.scale, std.scale)
+            assert again.mode == std.mode
 
     def test_zscore_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
