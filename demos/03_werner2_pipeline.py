@@ -15,7 +15,7 @@ from entflda import (
     evaluate,
     fit,
     generate_dataset,
-    projections_by_class,
+    project,
     stratified_split,
 )
 
@@ -41,7 +41,8 @@ print(f"confusion:       {metrics['confusion']}")
 weights = sorted(zip(dataset.feature_names, model.w), key=lambda kv: -abs(kv[1]))
 print("most informative observables:", ", ".join(f"{name} ({w:+.2f})" for name, w in weights[:5]))
 
-groups = projections_by_class(model, dataset)
+projected = project(model, dataset.features)
+groups = {cls: projected[dataset.labels == cls] for cls in (-1, 1)}
 print("\nprojection summary (y = w . x):")
 for cls, values in groups.items():
     side = "entangled" if cls == -1 else "separable"

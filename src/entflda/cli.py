@@ -195,13 +195,15 @@ def _inspect_params(args) -> dict:
             listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
             raise ValueError(f"{args.family} requires {listed}")
         return {name: getattr(args, name) for name in names}
-    rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
+    seed = args.seed if args.seed is not None else _default_seed()
     if args.family == "product-sep":
         if not 1 <= args.n_qubits <= qops.MAX_QUBITS:
             raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {args.n_qubits}")
-        return experiments.product_params(args.n_qubits, rng)
-    _, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng)
-    return params
+        blochs = experiments.bloch_vectors(np.random.default_rng(seed).random((args.n_qubits, 3)))
+        return states.row_params("product-sep", blochs.ravel())
+    u = np.random.default_rng(seed).random((1, experiments.ROW_UNIFORMS[args.family]))
+    name, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", u)
+    return states.row_params(name, params[0])
 
 
 def _cmd_inspect(args) -> int:

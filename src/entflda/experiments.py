@@ -7,23 +7,27 @@ They are chosen so the qualitative accuracy/Fisher ordering of the
 benchmark tables emerges; the exact thresholds and Fisher magnitudes are
 explicitly not reproduction targets.
 
-Determinism contract: every sample's random stream is derived from
-(master_seed, sample index), so datasets and reports are bit-identical
-across reruns and whatever order rows are generated in. Wall time is the
-one report field outside that contract.
+Determinism contract: a dataset draws from two streams keyed by its
+master seed. Row i's parameters come from a fixed block of uniforms of a
+counter-based Philox stream, so they depend on (master_seed, i) alone and
+row i can be regenerated by advancing the stream to its block; shot counts
+come from a second stream, drawn in row order. Generation runs in chunks
+of rows, and datasets and reports are bit-identical across reruns and
+chunk sizes. Wall time is the one report field outside that contract.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import flda, labels, states
+from . import flda, labels, qops, states
 from .measure import ObservableSet, exact_features, sampled_features
 
 OVERLAP_LEVELS = ("high", "medium", "low")
@@ -118,18 +122,37 @@ class ExperimentReport:
         return d
 
 
-def _sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, 1, index])
+# Rows per generation chunk; the bytes do not depend on it.
+_CHUNK_ROWS = 256
+
+# Candidate angle pairs per concurrence row; the first reaching the preset's
+# floor is kept. At the low preset a pair passes with probability 0.134, so
+# all 256 fail with probability below 1e-16.
+CONCURRENCE_CANDIDATES = 256
+
+# Uniforms per row (what either class uses) in whole Philox outputs of four
+# 64-bit words, so row i's block starts at counter i * block / 4.
+ROW_UNIFORMS = {"werner2": 4, "werner3": 4, "werner4": 4, "concurrence": 2 * CONCURRENCE_CANDIDATES,
+                "pptes-acin": 12, "ppt-alt": 12, "biseparable": 16}
+
+
+def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Generator:
+    """The parameter stream (Philox keyed by the master seed) at row ``row``'s block."""
+    bit_generator = np.random.Philox(np.random.SeedSequence([master_seed, 1]))
+    bit_generator.advance(row * ROW_UNIFORMS[family] // 4)
+    return np.random.Generator(bit_generator)
 
 
 def _split_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, 2])
 
 
-def product_params(n_qubits: int, rng: np.random.Generator) -> dict:
-    """``product-sep`` parameters: one product of Bloch-ball-uniform qubits."""
-    blochs = [states.random_bloch_vector(rng).tolist() for _ in range(n_qubits)]
-    return {"components": [{"weight": 1.0, "blochs": blochs}]}
+def bloch_vectors(u: np.ndarray) -> np.ndarray:
+    """Bloch-ball-uniform vectors from (..., 3) uniforms read as (cos theta,
+    phi, r), with radius u**(1/3) so the volume density is flat."""
+    cos_t, phi, r = 2 * u[..., 0] - 1, 2 * np.pi * u[..., 1], u[..., 2] ** (1 / 3)
+    sin_t = np.sqrt(1 - cos_t**2)
+    return r[..., None] * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -155,101 +178,109 @@ def _werner_intervals(spec: states.Family, family: str, overlap: str, convention
     return ent_lo, ent_hi, sep_lo, sep_hi
 
 
-def sample_family_params(
-    family: str,
-    label: int,
-    overlap: str,
-    rng: np.random.Generator,
-    convention: str = "paper",
-) -> tuple:
-    """Draw constructor parameters for one sample of the requested class.
-
-    Returns ``(build_family, params)``; the build family differs from the
-    dataset family when the separable class is realized by random product
-    states (concurrence, pptes-acin, ppt-alt, biseparable).
-    """
+def sample_family_params(family: str, label: int, overlap: str, uniforms: np.ndarray, convention: str = "paper"):
+    """``(build_family, params)`` of the requested class, one row of the (n, k)
+    array ``states.FAMILIES[build_family].stack`` takes per row of ``uniforms``
+    (``ROW_UNIFORMS[family]`` [0, 1) draws each); the separable class of
+    concurrence, pptes-acin, ppt-alt and biseparable is ``product-sep``."""
     if overlap not in OVERLAP_LEVELS:
         raise ValueError(f"overlap {overlap!r} not one of {OVERLAP_LEVELS}")
     if label not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {label}")
 
     spec = states.family(family)
+    u = np.asarray(uniforms, dtype=float)
+    n = len(u)
     if spec.boundary is not None:
         ent_lo, ent_hi, sep_lo, sep_hi = _werner_intervals(spec, family, overlap, convention)
         if label == labels.ENTANGLED:
-            p = ent_hi - rng.random() * (ent_hi - ent_lo)  # (lo, hi]
+            p = ent_hi - u[:, 0] * (ent_hi - ent_lo)  # (lo, hi]
         else:
-            p = rng.uniform(sep_lo, sep_hi)  # [lo, hi)
-        return family, {"p": float(p)}
+            p = sep_lo + u[:, 0] * (sep_hi - sep_lo)  # [lo, hi)
+        return family, p[:, None]
 
     if label == labels.SEPARABLE:
-        return "product-sep", product_params(spec.n_qubits, rng)
+        return "product-sep", bloch_vectors(u[:, : 3 * spec.n_qubits].reshape(n, -1, 3)).reshape(n, -1)
 
     if family == "concurrence":
         c_min = CONCURRENCE_MIN[overlap]
-        for _ in range(100000):
-            theta0 = rng.uniform(0.0, np.pi)
-            theta1 = rng.uniform(0.0, np.pi)
-            if labels.concurrence_analytic(theta0, theta1) >= c_min:
-                return family, {"theta0": float(theta0), "theta1": float(theta1)}
-        raise RuntimeError(f"rejection sampling failed to reach concurrence {c_min}")
+        pairs, first = np.pi * u[:, : 2 * CONCURRENCE_CANDIDATES].reshape(n, -1, 2), np.full(n, -1)
+        for stop in (16, CONCURRENCE_CANDIDATES):  # most rows accept one of their first 16 pairs
+            pending = np.flatnonzero(first < 0)
+            accepted = labels.concurrence_analytic(pairs[pending, :stop, 0], pairs[pending, :stop, 1]) >= c_min
+            first[pending] = np.where(accepted.any(axis=1), accepted.argmax(axis=1), -1)
+        if np.any(first < 0):
+            raise RuntimeError(f"rejection sampling failed to reach concurrence {c_min}")
+        return family, pairs[np.arange(n), first]
     if family == "pptes-acin":
         lo, hi = np.log(0.5), np.log(2.0)
-        a, b, c = np.exp(rng.uniform(lo, hi, size=3))
-        return family, {"a": float(a), "b": float(b), "c": float(c)}
+        return family, np.exp(lo + u[:, :3] * (hi - lo))
     if family == "ppt-alt":
-        return family, {}
+        return family, np.empty((n, 0))
     if family == "biseparable":
-        n_components = int(rng.integers(1, 4))
-        raw = rng.random(n_components)
-        weights = raw / raw.sum()
-        comps = []
-        for w in weights:
-            comps.append(
-                {
-                    "weight": float(w),
-                    "a_bloch": states.random_bloch_vector(rng).tolist(),
-                    "bc_p": float(rng.uniform(0.5, 1.0)),
-                }
-            )
-        return family, {"components": comps}
+        k = states.BISEPARABLE_COMPONENTS
+        used = np.arange(k) < 1 + (k * u[:, :1]).astype(int)  # 1..k components
+        raw = np.where(used, u[:, 1 : k + 1], 0.0)
+        a_bloch = bloch_vectors(u[:, k + 1 : 4 * k + 1].reshape(n, k, 3)).reshape(n, -1)
+        bc_p = 0.5 + 0.5 * u[:, 4 * k + 1 : 5 * k + 1]
+        return family, np.hstack([raw / raw.sum(axis=1, keepdims=True), a_bloch, bc_p])
     raise ValueError(f"family {family!r} has no entangled class")
 
 
-def _row(config: ExperimentConfig, obs: ObservableSet, i: int) -> tuple:
-    """Features and label of row ``i``; they depend on (config, i) alone."""
-    requested = labels.ENTANGLED if i < config.n_entangled else labels.SEPARABLE
-    rng = _sample_rng(config.master_seed, i)
-    build_family, params = sample_family_params(
-        config.family, requested, config.overlap, rng, convention=config.label_convention
-    )
-    rho = states.from_family(build_family, params)
+def _chunk(config: ExperimentConfig, obs: ObservableSet, start: int, rng, shot_rng) -> tuple:
+    """Features and labels of the chunk from row ``start``, built, validated and measured as one stack."""
+    u = rng.random((min(_CHUNK_ROWS, config.n_samples - start), ROW_UNIFORMS[config.family]))
+    n_entangled = min(max(config.n_entangled - start, 0), len(u))
+    parts = []
+    for label, block in ((labels.ENTANGLED, u[:n_entangled]), (labels.SEPARABLE, u[n_entangled:])):
+        if len(block):
+            name, params = sample_family_params(config.family, label, config.overlap, block, config.label_convention)
+            spec = states.FAMILIES[name]
+            parts.append((name, dict(zip(spec.params, params.T)), spec.stack(params)))
+    stack = np.concatenate([part[2] for part in parts])
+    qops.validate_states(stack)
+    y = np.concatenate([labels.assign_label(*part, config.label_convention) for part in parts])
     shots = config.effective_shots
-    values = exact_features(rho, obs) if shots == 0 else sampled_features(rho, obs, shots, rng)
-    return values, labels.assign_label(build_family, params, rho, config.label_convention)
+    return (exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng)), y
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """Build the labeled feature matrix for a configuration.
-
-    Row i's stream is seeded by (master_seed, i), so the rows come out the
-    same whatever order they are generated in.
-    """
+    """Build the labeled feature matrix for a configuration, ``_CHUNK_ROWS``
+    rows at a time (see the determinism contract above)."""
     obs = config.observable_set()
-    rows = [_row(config, obs, i) for i in range(config.n_samples)]
-    features = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows], dtype=int)
+    rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
+    chunks = [_chunk(config, obs, start, rng, shot_rng) for start in range(0, config.n_samples, _CHUNK_ROWS)]
+    features = np.concatenate([values for values, _ in chunks])
+    y = np.concatenate([labels_ for _, labels_ in chunks]).astype(int)
     return Dataset(features=features, labels=y, feature_names=obs.strings)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Delimited text: feature Pauli words + "label" header, repr-precision rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(dataset.feature_names) + ["label"])
-    for row, label in zip(dataset.features, dataset.labels):
-        writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-    flda.atomic_write(path, buf.getvalue())
+    """Delimited text: feature Pauli words + "label" header, repr-precision
+    rows, CRLF line ends (the bytes ``csv.writer`` gives), a row at a time."""
+    header = ",".join([*dataset.feature_names, "label"]) + "\r\n"
+    rows = zip(np.asarray(dataset.features, dtype=float), np.asarray(dataset.labels).astype(int).tolist())
+    flda.atomic_write(path, itertools.chain([header], (f"{','.join(map(repr, x.tolist()))},{y}\r\n" for x, y in rows)))
+
+
+def _plain_body(lines, width: int):
+    """``(features, labels)`` of the rest of a dataset file opened with
+    ``newline=""`` (so its lines are csv's), parsed a block of lines at a time,
+    when all are ``width`` plain cells, features finite and labels -1 or 1."""
+    blocks, y = [], []
+    while block := [line.rstrip("\r\n") for line in itertools.islice(lines, 1024)]:
+        if any('"' in line or line.count(",") != width - 1 for line in block):
+            return None
+        cells = ",".join(block).split(",")
+        y += cells[width - 1 :: width]
+        del cells[width - 1 :: width]
+        try:
+            blocks.append(np.array(cells, dtype=float).reshape(len(block), width - 1))  # float() semantics per cell
+        except ValueError:
+            return None
+    if not blocks or not set(y) <= {"-1", "1"} or not all(np.isfinite(b).all() for b in blocks):
+        return None
+    return np.concatenate(blocks), np.where(np.array(y) == "1", 1, -1)
 
 
 def _label_value(text: str) -> int:
@@ -270,11 +301,17 @@ def load_dataset(path: str) -> Dataset:
             raise ValueError(f"dataset file {path} is empty") from None
         if len(header) < 2 or header[-1] != "label":
             raise ValueError(f"dataset file {path} lacks the feature+label header")
+        try:
+            ObservableSet(len(header[0]), header[:-1])
+        except ValueError as exc:
+            raise ValueError(f"dataset file {path}, line 1: {exc}") from None
+        plain = _plain_body(fh, len(header))
+        if plain is not None:
+            return Dataset(features=plain[0], labels=plain[1], feature_names=tuple(header[:-1]))
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows = list(reader)
-    try:
-        ObservableSet(len(header[0]), header[:-1])
-    except ValueError as exc:
-        raise ValueError(f"dataset file {path}, line 1: {exc}") from None
     if not rows:
         raise ValueError(f"dataset file {path} has no samples")
     # rows[r] is line r + 2 of the file: the header is line 1.
@@ -344,12 +381,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         confusion=test_metrics["confusion"],
         wall_time_seconds=time.perf_counter() - t0,
     )
-
-
-def projections_by_class(model: flda.FldaModel, dataset: Dataset) -> dict:
-    """Projected scalars y = w^T x per class, for histogram-style exports."""
-    y = flda.project(model, dataset.features)
-    return {cls: y[dataset.labels == cls] for cls in flda.CLASS_ORDER}
 
 
 def _table_seed(seed: int, table: int) -> int:

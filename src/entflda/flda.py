@@ -2,10 +2,9 @@
 
 The discriminant direction is the closed form w ~ (S_W + eps I)^-1 (mu_+ -
 mu_-); because the between-class scatter has rank 1 for two classes this is
-exactly the top generalized eigenvector of (S_B, S_W + eps I), and
-:func:`discriminant_direction_eig` keeps the eigensolver route available as
-an independent check. Class order is fixed as (-1, +1) = (entangled,
-separable) everywhere.
+exactly the top generalized eigenvector of (S_B, S_W + eps I), which the
+tests compute through an eigensolver as an independent check. Class order
+is fixed as (-1, +1) = (entangled, separable) everywhere.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .measure import STANDARDIZER_MODES, Standardizer, apply_standardizer, fit_standardizer
+from .measure import MIN_SCALE, STANDARDIZER_MODES, Standardizer, apply_standardizer, fit_standardizer
 
 CLASS_ORDER = (-1, 1)
 
@@ -135,22 +133,6 @@ def fisher_criterion(scatter: ScatterPair, w: np.ndarray, epsilon: float = 0.0) 
     return numer / denom
 
 
-def discriminant_direction_eig(scatter: ScatterPair, epsilon: float) -> np.ndarray:
-    """Top generalized eigenvector of (S_B, S_W + eps I), unit norm.
-
-    Verification path for the closed form; two-class scatter only.
-    """
-    if scatter.class_means.shape[0] != 2:
-        raise ValueError("generalized eigensolver path supports two classes only")
-    regularized = scatter.s_within + epsilon * np.eye(scatter.s_within.shape[0])
-    vals, vecs = scipy.linalg.eigh(scatter.s_between, regularized)
-    w = vecs[:, -1]
-    w = w / np.linalg.norm(w)
-    if w @ (scatter.class_means[1] - scatter.class_means[0]) < 0:
-        w = -w
-    return w
-
-
 def fit(
     features: np.ndarray,
     labels: np.ndarray,
@@ -253,17 +235,18 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
     }
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` through a uniquely named temp file
-    beside it, so concurrent writers never share one. The file gets the mode
-    open() would give it; the temp file is removed if any step fails."""
+def atomic_write(path: str, text) -> None:
+    """Replace ``path`` with ``text`` (a string, or an iterable of strings
+    written in turn) through a uniquely named temp file beside it, so
+    concurrent writers never share one. The file gets the mode open() would
+    give it; the temp file is removed if any step fails."""
     try:
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         mask = os.umask(0)
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
@@ -325,8 +308,10 @@ def _check_document(doc, path: str) -> None:
             raise bad(key, f"has {len(value)} entries, 'w' has {n}")
     if not any(doc["w"]):
         raise bad("w", "is all zeros, so it projects every row to 0")
-    if min(std["scale"]) <= 0:
-        raise bad("standardizer.scale", f"expected positive numbers, got {min(std['scale'])!r}")
+    smallest = min(std["scale"])
+    if smallest < MIN_SCALE:
+        raise bad("standardizer.scale", f"expected positive numbers of at least {MIN_SCALE!r} "
+                  f"(a smaller spread is round-off), got {smallest!r}")
     means = doc["projected_means"]
     if not (isinstance(means, list) and len(means) == 2 and all(_is_finite_number(v) for v in means)):
         raise bad("projected_means", "expected two finite numbers")

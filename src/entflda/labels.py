@@ -6,7 +6,8 @@ labels by the sign of the minimum partial-transpose eigenvalue (with the
 bound-entangled family forced to -1, since it is PPT by construction).
 The conventions disagree for the diagonal ``ppt-alt`` state and for the
 four-qubit Werner boundary; experiments record which one produced the
-labels. Labelling reads the state its caller built and builds none.
+labels. Labelling reads the state, or stack of states, its caller built
+and builds none.
 """
 
 from __future__ import annotations
@@ -52,22 +53,32 @@ def _bipartitions(n: int):
     return cuts
 
 
+def _pt_minima(matrices: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of each cut's partial transpose of a state or an
+    (n, d, d) stack, shape (..., n_cuts), from one ``eigvalsh`` (transposes
+    permute the entries of validated states, so need no check)."""
+    cuts = _bipartitions(matrices.shape[-1].bit_length() - 1)
+    if not cuts:
+        return np.zeros(matrices.shape[:-2] + (0,))
+    transposes = np.stack([partial_transpose(matrices, subset) for _, subset in cuts], axis=-3)
+    return np.linalg.eigvalsh(transposes)[..., 0]
+
+
 def ppt_report(rho: DensityOperator) -> PptReport:
-    """Minimum eigenvalue of every partial transpose, from one ``eigvalsh``
-    over their stack (which a single qubit, having no cut, leaves empty). Each
-    transpose permutes the entries of a validated state, so needs no check."""
+    """Minimum eigenvalue of every partial transpose (none for one qubit)."""
     cuts = _bipartitions(rho.num_qubits)
-    stack = np.reshape([partial_transpose(rho.matrix, subset) for _, subset in cuts], (-1, rho.dim, rho.dim))
-    spectra = np.linalg.eigvalsh(stack)
-    minima = {descriptor: float(spectrum[0]) for (descriptor, _), spectrum in zip(cuts, spectra)}
+    minima = {descriptor: float(v) for (descriptor, _), v in zip(cuts, _pt_minima(rho.matrix))}
     return PptReport(min_eigenvalues=minima, is_ppt_all=all(v >= PPT_TOL for v in minima.values()))
 
 
-def concurrence_analytic(theta0: float, theta1: float) -> float:
-    """Closed-form concurrence of the two-rotation circuit state."""
-    if not (0 <= theta0 <= np.pi) or not (0 <= theta1 <= np.pi):
+def concurrence_analytic(theta0, theta1):
+    """Closed-form concurrence of the two-rotation circuit state, for scalar
+    angles or elementwise over arrays of them."""
+    theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
+    if not np.all((0 <= theta0) & (theta0 <= np.pi) & (0 <= theta1) & (theta1 <= np.pi)):
         raise ValueError(f"angles ({theta0}, {theta1}) outside [0, pi]")
-    return float(np.sin(theta0) * np.sin(theta1 / 2))
+    c = np.sin(theta0) * np.sin(theta1 / 2)
+    return float(c) if c.ndim == 0 else c
 
 
 def concurrence_wootters(rho: DensityOperator) -> float:
@@ -89,9 +100,11 @@ def concurrence_wootters(rho: DensityOperator) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def assign_label(family: str, params: dict, rho: DensityOperator, convention: str = "paper") -> int:
+def assign_label(family: str, params: dict, rho, convention: str = "paper"):
     """Ground-truth class of ``rho``, the state built from (family, parameters).
 
+    ``rho`` is a :class:`DensityOperator`, giving an int, or an (n, d, d)
+    stack whose scalar ``params`` are (n,) arrays, giving one label each.
     ``paper``: Werner families entangled above their published mixing
     threshold, the circuit family entangled for C > 0, both PPT families
     and the biseparable family always entangled, products always separable.
@@ -102,13 +115,16 @@ def assign_label(family: str, params: dict, rho: DensityOperator, convention: st
     if convention not in LABEL_CONVENTIONS:
         raise ValueError(f"unknown label convention {convention!r}; expected one of {LABEL_CONVENTIONS}")
     spec = states.family(family)
+    matrices = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    rows = matrices.shape[:-2]
     if spec.fixed_label is not None:
-        return spec.fixed_label
-    if spec.boundary is not None:
-        return ENTANGLED if params["p"] > spec.boundary[convention] else SEPARABLE
-    if convention == "paper":
-        if family == "concurrence":
-            return ENTANGLED if concurrence_analytic(params["theta0"], params["theta1"]) > 0 else SEPARABLE
-        return ENTANGLED  # ppt-alt, biseparable
-    return SEPARABLE if ppt_report(rho).is_ppt_all else ENTANGLED
-
+        y = np.full(rows, spec.fixed_label)
+    elif spec.boundary is not None:
+        y = np.where(np.asarray(params["p"]) > spec.boundary[convention], ENTANGLED, SEPARABLE)
+    elif convention == "paper" and family == "concurrence":
+        y = np.where(np.asarray(concurrence_analytic(params["theta0"], params["theta1"])) > 0, ENTANGLED, SEPARABLE)
+    elif convention == "paper":
+        y = np.full(rows, ENTANGLED)  # ppt-alt, biseparable
+    else:
+        y = np.where(np.all(_pt_minima(matrices) >= PPT_TOL, axis=-1), SEPARABLE, ENTANGLED)
+    return int(y) if y.ndim == 0 else y

@@ -9,6 +9,7 @@ outcomes at a fraction of the cost.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -17,6 +18,10 @@ import numpy as np
 from .qops import DensityOperator, pauli_string_operator
 
 STANDARDIZER_MODES = ("zscore", "minmax", "none")
+
+# Features lie in [-1, 1]; a column whose spread is below this is round-off
+# around a constant, and dividing by that spread would blow the round-off up.
+MIN_SCALE = 1e-12
 
 
 class ObservableSet:
@@ -44,10 +49,13 @@ class ObservableSet:
         self.num_qubits = num_qubits
         self.strings = strings
         self._stack = None
+        self._trace_form = None
 
     @classmethod
+    @functools.cache
     def full(cls, num_qubits: int) -> "ObservableSet":
-        """All 4^N - 1 non-identity Pauli words in base-4 counting order."""
+        """All 4^N - 1 non-identity Pauli words in base-4 counting order; one
+        shared instance per qubit count, so its operators are built once."""
         words = ("".join(w) for w in product("IXYZ", repeat=num_qubits))
         return cls(num_qubits, (w for w in words if w != "I" * num_qubits))
 
@@ -61,18 +69,39 @@ class ObservableSet:
             self._stack.setflags(write=False)
         return self._stack
 
+    def trace_form(self) -> tuple:
+        """``(index, weights)``: tr(O_k rho) = rho_flat[index] @ weights[:, k] for
+        Hermitian rho, ``rho_flat`` its entries' (re, im) pairs in row-major
+        order. ``index`` picks the d^2 independent reals (Re rho_ii, Re and Im
+        rho_ij for i < j). tr(O rho) = sum_ij Re O_ij Re rho_ij + Im O_ij Im
+        rho_ij, so ``weights`` holds the matching entries, doubled off the diagonal."""
+        if self._trace_form is None:
+            dim = 2**self.num_qubits
+            i, j = np.triu_indices(dim, 1)
+            ops, diag, upper = self.operators(), np.arange(dim), 2 * (i * dim + j)
+            index = np.concatenate([2 * diag * (dim + 1), upper, upper + 1])
+            weights = np.hstack([ops[:, diag, diag].real, 2 * ops[:, i, j].real, 2 * ops[:, i, j].imag])
+            self._trace_form = (index, np.ascontiguousarray(weights.T))
+        return self._trace_form
 
-def exact_features(rho: DensityOperator, obs: ObservableSet) -> np.ndarray:
-    """Exact expectation value per observable; entries lie in [-1, 1]."""
-    if obs.num_qubits != rho.num_qubits:
-        raise ValueError(f"observable set is for {obs.num_qubits} qubits, state has {rho.num_qubits}")
-    return np.einsum("kij,ji->k", obs.operators(), rho.matrix).real
+
+def exact_features(rho, obs: ObservableSet) -> np.ndarray:
+    """Exact expectation value per observable, in [-1, 1], of a
+    :class:`DensityOperator` or of each state of an (n, d, d) stack (one row
+    each): a real matmul (see :meth:`ObservableSet.trace_form`) in which each
+    state is its own 1-row product, so its bits do not depend on the stack."""
+    m = np.ascontiguousarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
+    n_qubits = m.shape[-1].bit_length() - 1
+    if obs.num_qubits != n_qubits:
+        raise ValueError(f"observable set is for {obs.num_qubits} qubits, state has {n_qubits}")
+    index, weights = obs.trace_form()
+    entries = np.take(m.view(float).reshape(*m.shape[:-2], 1, -1), index, axis=-1)
+    return (entries @ weights)[..., 0, :]
 
 
-def sampled_features(
-    rho: DensityOperator, obs: ObservableSet, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Mean of ``shots`` simulated +-1 outcomes per observable."""
+def sampled_features(rho, obs: ObservableSet, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of ``shots`` simulated +-1 outcomes per observable, for one state
+    or a stack; one ``binomial`` call draws every count, in row order."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     exact = exact_features(rho, obs)
@@ -82,21 +111,6 @@ def sampled_features(
     p_plus = np.clip(p_plus, 0.0, 1.0)
     counts = rng.binomial(shots, p_plus)
     return 2.0 * counts / shots - 1.0
-
-
-def reconstruct_density(values: np.ndarray, obs: ObservableSet) -> np.ndarray:
-    """Invert a full feature vector back to the density matrix.
-
-    (1/2^n)(I + sum_k x_k sigma_k); exact when ``obs`` is the complete
-    non-identity set and ``values`` are exact expectations.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(obs),):
-        raise ValueError(f"expected {len(obs)} feature values, got shape {values.shape}")
-    dim = 2**obs.num_qubits
-    m = np.eye(dim, dtype=complex)
-    m += np.einsum("k,kij->ij", values, obs.operators())
-    return m / dim
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,8 @@ class Standardizer:
 
 
 def fit_standardizer(train_values: np.ndarray, mode: str = "zscore") -> Standardizer:
-    """Fit shift/scale statistics; zero-variance features get scale 1."""
+    """Fit shift/scale statistics; a feature whose spread is below
+    ``MIN_SCALE`` (constant up to round-off) gets scale 1."""
     if mode not in STANDARDIZER_MODES:
         raise ValueError(f"unknown standardizer mode {mode!r}; expected one of {STANDARDIZER_MODES}")
     x = np.asarray(train_values, dtype=float)
@@ -125,7 +140,7 @@ def fit_standardizer(train_values: np.ndarray, mode: str = "zscore") -> Standard
     else:  # minmax
         shift = x.min(axis=0)
         scale = x.max(axis=0) - shift
-    scale = np.where(scale <= 0.0, 1.0, scale)
+    scale = np.where(scale < MIN_SCALE, 1.0, scale)
     return Standardizer(shift=shift, scale=scale, mode=mode)
 
 

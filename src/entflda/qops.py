@@ -1,9 +1,10 @@
 """Dense multi-qubit operator algebra: Pauli strings, tensor products,
-partial transposition and Hermitian spectra.
+partial transposition and density-matrix validation.
 
-Everything here works on plain complex ``numpy`` arrays; the only wrapper
-type is :class:`DensityOperator`, which validates the physical invariants
-(Hermitian, unit trace, positive semi-definite) once at construction time.
+Everything here works on plain complex ``numpy`` arrays or stacks of them;
+the only wrapper type is :class:`DensityOperator`, which validates the
+physical invariants (Hermitian, unit trace, positive semi-definite) once
+at construction time, as :func:`validate_states` does for a stack.
 Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of a
 computational-basis index.
 """
@@ -42,22 +43,23 @@ def pauli_matrix(letter: str) -> np.ndarray:
 def kron(*factors: np.ndarray) -> np.ndarray:
     """Tensor product ``F1 x F2 x ...`` of one or more matrices, left to right.
 
+    Stacks of matrices give one product per entry (leading axes broadcast).
     Refuses a product larger than the ``MAX_QUBITS`` register dimension
-    before computing it, so a runaway composition fails loudly instead of
-    allocating huge arrays.
+    before computing it, so a runaway composition fails loudly.
     """
     if not factors:
         raise ValueError("empty tensor product: kron needs at least one factor")
     factors = [np.asarray(f) for f in factors]
-    if any(f.ndim != 2 for f in factors):
-        raise ValueError("kron expects 2-D matrices")
+    if any(f.ndim < 2 for f in factors):
+        raise ValueError("kron expects matrices or stacks of matrices")
     out = factors[0]
     for f in factors[1:]:
-        rows, cols = out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        rows, cols = out.shape[-2] * f.shape[-2], out.shape[-1] * f.shape[-1]
         if (dim := max(rows, cols)) > 2**MAX_QUBITS:
             raise ValueError(f"tensor product dimension {dim} exceeds the supported maximum 2**{MAX_QUBITS}")
         # The broadcast product np.kron computes, without its generic-shape overhead.
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(rows, cols)
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], rows, cols)
     return out
 
 
@@ -70,13 +72,29 @@ def pauli_string_operator(letters: str) -> np.ndarray:
     return kron(*(pauli_matrix(letter) for letter in letters))
 
 
+def validate_states(matrices: np.ndarray) -> None:
+    """Check a density matrix, or each of an (n, d, d) stack: finite,
+    Hermitian, unit trace and positive semi-definite (one ``eigvalsh``)."""
+    m = np.asarray(matrices)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix contains non-finite entries")
+    herm_err = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+    if herm_err > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
+    tr_err = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
+    if tr_err > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
+    min_eig = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+    if min_eig < PSD_TOL:
+        raise ValueError(f"matrix is not positive semi-definite (min eigenvalue {min_eig:.3e})")
+
+
 class DensityOperator:
     """A validated density matrix together with its qubit count.
 
-    The stored matrix is an immutable complex array. Construction checks
-    Hermiticity, unit trace and positive semi-definiteness up to fixed
-    tolerances; anything failing those is a caller bug, not noise, because
-    all generators in this package produce exact convex mixtures.
+    The stored matrix is an immutable complex array. Construction runs
+    :func:`validate_states`; anything failing it is a caller bug, not noise,
+    because all generators in this package produce exact convex mixtures.
     """
 
     __slots__ = ("matrix", "num_qubits")
@@ -91,17 +109,7 @@ class DensityOperator:
             raise ValueError(f"dimension {dim} is not a power of two")
         if n < 1 or n > MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix contains non-finite entries")
-        herm_err = np.max(np.abs(m - m.conj().T))
-        if herm_err > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-        tr_err = abs(m.trace() - 1.0)
-        if tr_err > TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < PSD_TOL:
-            raise ValueError(f"matrix is not positive semi-definite (min eigenvalue {min_eig:.3e})")
+        validate_states(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "num_qubits", n)
@@ -118,51 +126,28 @@ class DensityOperator:
 
 
 def partial_transpose(matrix: np.ndarray, subsystems) -> np.ndarray:
-    """Transpose the selected qubits' indices of a 2^N x 2^N matrix, leaving
-    the rest untouched.
+    """Transpose the selected qubits' indices of a 2^N x 2^N matrix, or of
+    each matrix of a stack, leaving the rest untouched.
 
-    Takes and returns a plain array (the result is generally not a valid
+    Takes and returns plain arrays (the result is generally not a valid
     state, and the input is not checked to be one). Implemented as an axis
     permutation on the rank-2N tensor reshape, so it is exact (entry
     rearrangement only). Applying it twice over the same subsystems returns
     the input.
     """
     m = np.asarray(matrix)
-    dim = m.shape[0] if m.ndim == 2 else 0
+    dim = m.shape[-1] if m.ndim >= 2 else 0
     n = dim.bit_length() - 1
-    if m.shape != (dim, dim) or dim != 2**n:
-        raise ValueError(f"expected a 2^N x 2^N matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != dim or dim != 2**n:
+        raise ValueError(f"expected a 2^N x 2^N matrix or a stack of them, got shape {m.shape}")
     subs = sorted(set(int(q) for q in subsystems))
     if not subs:
         raise ValueError("subsystem set is empty; transposing nothing is a caller bug")
     if subs[0] < 0 or subs[-1] >= n:
         raise ValueError(f"qubit indices {subs} out of range for {n} qubits")
-    tensor = m.reshape([2] * (2 * n))
-    axes = list(range(2 * n))
+    lead = m.ndim - 2
+    tensor = m.reshape(m.shape[:lead] + (2,) * (2 * n))
+    axes = list(range(lead + 2 * n))
     for q in subs:
-        axes[q], axes[n + q] = axes[n + q], axes[q]
-    return tensor.transpose(axes).reshape(dim, dim)
-
-
-def hermitian_eigenvalues(m: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    herm_err = np.max(np.abs(m - m.conj().T))
-    if herm_err > herm_tol:
-        raise ValueError(f"matrix is not Hermitian within {herm_tol} (deviation {herm_err:.3e})")
-    return np.linalg.eigvalsh(m)
-
-
-def expectation(rho: DensityOperator, obs: np.ndarray, herm_tol: float = 1e-8) -> float:
-    """tr(rho O) for a Hermitian observable O."""
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != rho.matrix.shape:
-        raise ValueError(f"observable shape {obs.shape} does not match state dimension {rho.dim}")
-    herm_err = np.max(np.abs(obs - obs.conj().T))
-    if herm_err > herm_tol:
-        raise ValueError(f"observable is not Hermitian within {herm_tol} (deviation {herm_err:.3e})")
-    return float(np.trace(rho.matrix @ obs).real)
+        axes[lead + q], axes[lead + n + q] = axes[lead + n + q], axes[lead + q]
+    return tensor.transpose(axes).reshape(m.shape)

@@ -2,12 +2,10 @@
 
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
-``product-sep``) has one :class:`Family` record in :data:`FAMILIES`;
-:func:`from_family` builds a state from a plain parameter dict. Builders
-compose plain arrays and wrap the result in one :class:`DensityOperator`,
-so each state is validated once. Random sampling lives in the experiment
-harness; the constructors here are pure, except
-:func:`random_bloch_vector` which takes an explicit generator stream.
+``product-sep``) has one :class:`Family` record in :data:`FAMILIES`.
+:func:`from_family` builds one validated state from a parameter dict; a
+record's ``stack`` builds a dataset chunk as one (n, d, d) array from an
+(n, k) parameter array, with the same arithmetic. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -26,13 +24,15 @@ SEPARABLE = 1
 # Signs of <XX>, <YY>, <ZZ> in the singlet |psi-> = (|01> - |10>)/sqrt(2).
 _SINGLET_SIGNS = (-1, -1, -1)
 
+def _column(values) -> np.ndarray:
+    """Parameters broadcasting against a stack (the cores take scalars or arrays)."""
+    return np.asarray(values, dtype=float)[..., None, None]
 
-def _werner2_matrix(p: float) -> np.ndarray:
-    if not (-1 / 3 - 1e-12 <= p <= 1 + 1e-12):
-        raise ValueError(f"werner2 mixing parameter p={p} outside [-1/3, 1]")
+
+def _werner2_matrix(p) -> np.ndarray:
     m = pauli_string_operator("II").astype(complex)
     for letter, s in zip("XYZ", _SINGLET_SIGNS):
-        m += p * s * pauli_string_operator(letter * 2)
+        m = m + _column(p) * s * pauli_string_operator(letter * 2)
     return m / 4.0
 
 
@@ -43,18 +43,20 @@ def werner2(p: float) -> DensityOperator:
     p ZZ), which equals p |psi-><psi-| + (1-p) I/4. Valid mixing range is
     p in [-1/3, 1].
     """
+    if not (-1 / 3 - 1e-12 <= p <= 1 + 1e-12):
+        raise ValueError(f"werner2 mixing parameter p={p} outside [-1/3, 1]")
     return DensityOperator(_werner2_matrix(p))
 
 
 def _ghz_matrix(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(2**n_qubits, dtype=complex)
+    psi = np.zeros(2**n_qubits)  # real: real stacks build and validate faster
     psi[0] = psi[-1] = 1 / np.sqrt(2)
-    return np.outer(psi, psi.conj())
+    return np.outer(psi, psi)
 
 
-def _depolarized(m: np.ndarray, p: float) -> np.ndarray:
-    eye = np.eye(len(m), dtype=complex) / len(m)
-    return p * m + (1 - p) * eye
+def _depolarized(m: np.ndarray, p) -> np.ndarray:
+    eye = np.eye(m.shape[-1], dtype=m.dtype) / m.shape[-1]
+    return _column(p) * m + (1 - _column(p)) * eye
 
 
 def ghz_state(n_qubits: int) -> DensityOperator:
@@ -71,6 +73,15 @@ def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
     return DensityOperator(_depolarized(_ghz_matrix(n_qubits), p))
 
 
+def _concurrence_matrix(theta0, theta1) -> np.ndarray:
+    theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
+    psi = np.zeros(theta0.shape + (4,), dtype=complex)
+    psi[..., 0] = np.cos(theta0 / 2)
+    psi[..., 2] = -1j * np.sin(theta0 / 2) * np.cos(theta1 / 2)
+    psi[..., 3] = -1j * np.sin(theta0 / 2) * np.sin(theta1 / 2)
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
 def concurrence_state(theta0: float, theta1: float) -> DensityOperator:
     """Pure two-qubit state from the two-rotation preparation circuit.
 
@@ -80,16 +91,7 @@ def concurrence_state(theta0: float, theta1: float) -> DensityOperator:
     """
     if not (0 <= theta0 <= np.pi) or not (0 <= theta1 <= np.pi):
         raise ValueError(f"angles ({theta0}, {theta1}) outside [0, pi]")
-    psi = np.array(
-        [
-            np.cos(theta0 / 2),
-            0.0,
-            -1j * np.sin(theta0 / 2) * np.cos(theta1 / 2),
-            -1j * np.sin(theta0 / 2) * np.sin(theta1 / 2),
-        ],
-        dtype=complex,
-    )
-    return DensityOperator(np.outer(psi, psi.conj()))
+    return DensityOperator(_concurrence_matrix(theta0, theta1))
 
 
 def depolarize(rho: DensityOperator, p: float) -> DensityOperator:
@@ -99,6 +101,14 @@ def depolarize(rho: DensityOperator, p: float) -> DensityOperator:
     return DensityOperator(_depolarized(rho.matrix, p))
 
 
+def _pptes_matrix(a, b, c) -> np.ndarray:
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    diagonal = np.stack(np.broadcast_arrays(1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0), axis=-1)
+    m = diagonal[..., None] * np.eye(8)
+    m[..., 0, 7] = m[..., 7, 0] = 1.0
+    return m / _column(2 + a + 1 / a + b + 1 / b + c + 1 / c)
+
+
 def pptes_acin(a: float, b: float, c: float) -> DensityOperator:
     """Three-qubit bound-entangled family: diagonal (1, a, b, c, 1/c, 1/b,
     1/a, 1) plus unit corner couplings, normalized by
@@ -106,10 +116,11 @@ def pptes_acin(a: float, b: float, c: float) -> DensityOperator:
     positive parameters."""
     if a <= 0 or b <= 0 or c <= 0:
         raise ValueError(f"parameters must be positive, got a={a}, b={b}, c={c}")
-    norm = 2 + a + 1 / a + b + 1 / b + c + 1 / c
-    m = np.diag(np.array([1, a, b, c, 1 / c, 1 / b, 1 / a, 1], dtype=complex))
-    m[0, 7] = m[7, 0] = 1.0
-    return DensityOperator(m / norm)
+    return DensityOperator(_pptes_matrix(a, b, c))
+
+
+def _ppt_alternative_matrix() -> np.ndarray:
+    return sum(pauli_string_operator(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
 
 
 def ppt_alternative() -> DensityOperator:
@@ -117,38 +128,38 @@ def ppt_alternative() -> DensityOperator:
 
     Equals an equal mixture of |000> and |111|; PPT under every cut.
     """
-    m = sum(pauli_string_operator(s) for s in ("III", "IZZ", "ZIZ", "ZZI"))
-    return DensityOperator(m / 8.0)
+    return DensityOperator(_ppt_alternative_matrix())
 
 
 def _bloch_matrix(bloch) -> np.ndarray:
     b = np.asarray(bloch, dtype=float)
-    if b.shape != (3,):
+    if b.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {b.shape}")
-    r = float(np.linalg.norm(b))
+    r = float(np.max(np.linalg.norm(b, axis=-1)))
     if r > 1 + 1e-12:
         raise ValueError(f"Bloch vector length {r} exceeds 1")
     m = np.eye(2, dtype=complex)
-    for component, letter in zip(b, "XYZ"):
-        m += component * pauli_matrix(letter)
+    for k, letter in enumerate("XYZ"):
+        m = m + _column(b[..., k]) * pauli_matrix(letter)
     return m / 2.0
 
 
 def _weighted_kron_sum(components) -> np.ndarray:
     """sum_k w_k (F_k1 x F_k2 x ...) over ``(weight, factor matrices)`` pairs.
 
-    The weights must be nonnegative; that they sum to one is left to the
-    trace check of the state built from the result.
+    Weights may be arrays and factors stacks, one mixture per entry. The
+    weights must be nonnegative; that they sum to one is left to the trace
+    check of the state built from the result.
     """
     total = None
     for k, (weight, factors) in enumerate(components):
-        if weight < 0:
+        if np.any(np.asarray(weight) < 0):
             raise ValueError("mixture weights must be nonnegative")
-        term = weight * kron(*factors)
-        if total is not None and term.shape != total.shape:
+        term = _column(weight) * kron(*factors)
+        if total is not None and term.shape[-1] != total.shape[-1]:
             raise ValueError(
-                f"mixture component {k} acts on {term.shape[0].bit_length() - 1} qubits, "
-                f"the ones before it on {total.shape[0].bit_length() - 1}"
+                f"mixture component {k} acts on {term.shape[-1].bit_length() - 1} qubits, "
+                f"the ones before it on {total.shape[-1].bit_length() - 1}"
             )
         total = term if total is None else total + term
     if total is None:
@@ -164,17 +175,6 @@ def bloch_state(bloch: np.ndarray) -> DensityOperator:
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit Bloch states."""
     return DensityOperator(kron(*(_bloch_matrix(b) for b in blochs)))
-
-
-def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
-    """Vector distributed uniformly in the unit Bloch ball.
-
-    Direction uniform on the sphere, radius u**(1/3) so the volume density
-    is flat.
-    """
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return rng.random() ** (1 / 3) * direction
 
 
 def _biseparable(params: dict) -> DensityOperator:
@@ -196,19 +196,27 @@ def _product_mixture(params: dict) -> DensityOperator:
     )
 
 
+# Stacked parameter columns are the family's ``params`` in order, except for
+# biseparable (component weights, unused ones 0; their qubit-0 Bloch vectors;
+# their Werner-pair parameters) and product-sep (a Bloch vector per qubit).
+BISEPARABLE_COMPONENTS = 3
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one state family.
 
-    ``build`` maps a sampler's parameter dict to the state; ``params`` names
-    its scalar parameters. Werner families carry ``p_min``, the lower end of
-    the mixing range, and ``boundary``, the mixing parameter per label
-    convention above which the state is entangled. ``fixed_label`` is a
-    class that holds under every convention.
+    ``build`` maps a parameter dict to one validated state, ``stack`` an
+    (n, k) parameter array to an (n, d, d) stack of unvalidated matrices.
+    ``params`` names the scalar parameters. Werner families carry ``p_min``, the lower end of the mixing
+    range, and ``boundary``, the mixing parameter per label convention above
+    which the state is entangled. ``fixed_label`` is a class that holds
+    under every convention.
     """
 
     n_qubits: int
     build: Callable[[dict], DensityOperator]
+    stack: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
     p_min: float | None = None
     boundary: dict | None = None
@@ -216,15 +224,22 @@ class Family:
 
 
 FAMILIES = {
-    "werner2": Family(2, lambda q: werner2(q["p"]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
-    "werner3": Family(3, lambda q: werner_ghz(3, q["p"]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
-    "werner4": Family(4, lambda q: werner_ghz(4, q["p"]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
-    "concurrence": Family(2, lambda q: concurrence_state(q["theta0"], q["theta1"]), ("theta0", "theta1")),
+    "werner2": Family(2, lambda q: werner2(q["p"]), lambda q: _werner2_matrix(q[:, 0]),
+                      ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
+    "werner3": Family(3, lambda q: werner_ghz(3, q["p"]), lambda q: _depolarized(_ghz_matrix(3), q[:, 0]),
+                      ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
+    "werner4": Family(4, lambda q: werner_ghz(4, q["p"]), lambda q: _depolarized(_ghz_matrix(4), q[:, 0]),
+                      ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
+    "concurrence": Family(2, lambda q: concurrence_state(q["theta0"], q["theta1"]),
+                          lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1")),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it.
-    "pptes-acin": Family(3, lambda q: pptes_acin(q["a"], q["b"], q["c"]), ("a", "b", "c"), fixed_label=ENTANGLED),
-    "ppt-alt": Family(3, lambda q: ppt_alternative()),
-    "biseparable": Family(3, _biseparable),
-    "product-sep": Family(2, _product_mixture, fixed_label=SEPARABLE),
+    "pptes-acin": Family(3, lambda q: pptes_acin(q["a"], q["b"], q["c"]), lambda q: _pptes_matrix(*q.T),
+                         ("a", "b", "c"), fixed_label=ENTANGLED),
+    "ppt-alt": Family(3, lambda q: ppt_alternative(), lambda q: np.repeat(_ppt_alternative_matrix()[None], len(q), 0)),
+    "biseparable": Family(3, _biseparable, lambda q: _weighted_kron_sum(
+        (q[:, j], (_bloch_matrix(q[:, 3 + 3 * j : 6 + 3 * j]), _werner2_matrix(q[:, 12 + j]))) for j in range(3))),
+    "product-sep": Family(2, _product_mixture, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
+                          fixed_label=SEPARABLE),
 }
 
 
@@ -237,11 +252,18 @@ def family(name: str) -> Family:
 
 
 def from_family(name: str, params: dict) -> DensityOperator:
-    """Build a state from its canonical family name and parameter dict.
-
-    The dict layout matches what the experiment samplers record: scalar
-    parameters for the parametric families, explicit Bloch vectors and
-    component weights for the random ones, so the build is exact and
-    rng-free.
-    """
+    """Build one state from its canonical family name and parameter dict:
+    scalar parameters for the parametric families, explicit Bloch vectors
+    and component weights for the random ones (see :func:`row_params`)."""
     return family(name).build(params)
+
+
+def row_params(name: str, row) -> dict:
+    """The :func:`from_family` dict of one row of a ``stack`` parameter array."""
+    r, k = [float(v) for v in row], BISEPARABLE_COMPONENTS
+    if name == "biseparable":
+        comps = [{"weight": r[j], "a_bloch": r[k + 3 * j : k + 3 * j + 3], "bc_p": r[4 * k + j]} for j in range(k)]
+        return {"components": [c for c in comps if c["weight"] > 0]}
+    if name == "product-sep":
+        return {"components": [{"weight": 1.0, "blochs": [r[j : j + 3] for j in range(0, len(r), 3)]}]}
+    return dict(zip(family(name).params, r))

@@ -12,23 +12,36 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from entflda import labels
+from entflda import experiments, labels
 from entflda.experiments import (
-    Dataset,
     ExperimentConfig,
-    _row,
+    bloch_vectors,
     generate_dataset,
     reproduce_tables,
     run_experiment,
     sample_family_params,
     save_dataset,
 )
-from entflda.flda import compute_scatter, discriminant_direction_eig, fit
-from entflda.measure import ObservableSet, exact_features, reconstruct_density, sampled_features
-from entflda.qops import hermitian_eigenvalues, partial_transpose
-from entflda.states import FAMILIES, from_family, werner2, werner_ghz
+from entflda.flda import compute_scatter, fit
+from entflda.measure import ObservableSet, exact_features, sampled_features
+from entflda.qops import partial_transpose
+from entflda.states import FAMILIES, from_family, row_params, werner2, werner_ghz
+from oracles import discriminant_direction_eig, hermitian_eigenvalues, reconstruct_density
 
 SEEDS = (0, 1, 2, 3, 4)
+
+
+def sampled_state(family, label, overlap, rng):
+    """One state of ``family`` (a product for ``product-sep``) whose
+    parameters the dataset sampler draws from fresh uniforms of ``rng``."""
+    if family == "product-sep":
+        build_family, row = family, bloch_vectors(rng.random((FAMILIES[family].n_qubits, 3))).ravel()
+    else:
+        u = rng.random((1, experiments.ROW_UNIFORMS[family]))
+        build_family, params = sample_family_params(family, label, overlap, u)
+        row = params[0]
+    params = row_params(build_family, row)
+    return params, from_family(build_family, params)
 
 
 @contextmanager
@@ -167,8 +180,7 @@ def test_criterion_09_estimator_soundness():
             for i in range(20):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 overlap = str(rng.choice(["high", "medium", "low"]))
-                build_family, params = sample_family_params(family, label, overlap, rng)
-                rho = from_family(build_family, params)
+                params, rho = sampled_state(family, label, overlap, rng)
                 exact = exact_features(rho, obs)
                 sampled = sampled_features(rho, obs, shots, np.random.default_rng([909, i]))
                 se = np.sqrt(np.maximum(1 - exact**2, 0.0) / shots)
@@ -177,8 +189,8 @@ def test_criterion_09_estimator_soundness():
                 assert np.all(ok), (family, params)
 
 
-def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "byte-identical reruns, row generation order has no effect"):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    with criterion(10, "byte-identical reruns, chunk size has no effect"):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         reproduce_tables(range(1, 8), out_path=str(a), seed=20260810)
         reproduce_tables(range(1, 8), out_path=str(b), seed=20260810)
@@ -186,16 +198,12 @@ def test_criterion_10_determinism(tmp_path):
         assert len(a.read_text().splitlines()) == 18  # header + 17 rows
 
         cfg = ExperimentConfig(family="werner3", overlap="high", n_samples=60, master_seed=99)
-        obs = cfg.observable_set()
-        p1, p2 = tmp_path / "in_order.csv", tmp_path / "permuted.csv"
+        p1, p2 = tmp_path / "default_chunks.csv", tmp_path / "other_chunks.csv"
         save_dataset(generate_dataset(cfg), str(p1))
-        shuffled = np.random.default_rng(10).permutation(cfg.n_samples)
-        for order in (range(cfg.n_samples - 1, -1, -1), shuffled):
-            rows = {i: _row(cfg, obs, i) for i in order}
-            features = np.array([rows[i][0] for i in range(cfg.n_samples)])
-            y = np.array([rows[i][1] for i in range(cfg.n_samples)], dtype=int)
-            save_dataset(Dataset(features, y, obs.strings), str(p2))
-            assert p1.read_bytes() == p2.read_bytes()
+        for rows in (1, 7, cfg.n_samples):
+            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+            save_dataset(generate_dataset(cfg), str(p2))
+            assert p1.read_bytes() == p2.read_bytes(), rows
 
 
 def test_criterion_11_pauli_completeness():
@@ -206,8 +214,7 @@ def test_criterion_11_pauli_completeness():
             obs = ObservableSet.full(FAMILIES[family].n_qubits)
             for _ in range(5):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
-                build_family, params = sample_family_params(family, label, "medium", rng)
-                rho = from_family(build_family, params)
+                _, rho = sampled_state(family, label, "medium", rng)
                 rebuilt = reconstruct_density(exact_features(rho, obs), obs)
                 np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-10)
 

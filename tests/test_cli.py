@@ -7,9 +7,9 @@ import pytest
 
 from entflda import labels
 from entflda.cli import _parse_table_ids, main
-from entflda.experiments import load_dataset, product_params, sample_family_params
+from entflda.experiments import ROW_UNIFORMS, bloch_vectors, load_dataset, sample_family_params, save_dataset
 from entflda.flda import classify, load_model
-from entflda.states import FAMILIES, from_family
+from entflda.states import FAMILIES, from_family, row_params
 
 
 def run_cli(*argv):
@@ -244,6 +244,30 @@ def _edit_scale(doc, edit):
     doc["standardizer"]["scale"] = edit(doc["standardizer"]["scale"])
 
 
+class TestRoundOffColumns:
+    """A model fit on exact data keeps working on shot data, also when the
+    training data's constant columns carry round-off."""
+
+    @pytest.mark.parametrize("round_off", [0.0, 1e-17], ids=["as-generated", "round-off"])
+    def test_exact_fit_evaluates_shot_data(self, tmp_path, capsys, round_off):
+        train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "model.json"
+        gen = ("gen", "--family", "werner2", "--overlap", "low")
+        assert run_cli(*gen, "--shots", "0", "--n", "4000", "--seed", "7", "--out", str(train)) == 0
+        assert run_cli(*gen, "--shots", "100000", "--n", "1000", "--seed", "8", "--out", str(test)) == 0
+        data = load_dataset(str(train))
+        constant = np.flatnonzero(np.ptp(data.features, axis=0) == 0)
+        assert len(constant) > 0
+        noise = round_off * np.random.default_rng(0).standard_normal((len(data.labels), len(constant)))
+        data.features[:, constant] += noise
+        save_dataset(data, str(train))
+        assert run_cli("fit", "--train", str(train), "--model-out", str(model)) == 0
+        assert min(json.loads(model.read_text())["standardizer"]["scale"]) >= 1e-12
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--test", str(test)) == 0
+        accuracy = float(capsys.readouterr().out.split("test accuracy: ")[1].split()[0])
+        assert accuracy >= 0.99, accuracy
+
+
 class TestBadModel:
     """A malformed model document exits 1, naming the file and the key."""
 
@@ -259,9 +283,11 @@ class TestBadModel:
             (lambda doc: doc.update(projected_means=[0.1]), "key 'projected_means': expected two finite numbers"),
             (lambda doc: _edit_scale(doc, lambda s: [0] + s[1:]), "key 'standardizer.scale': expected positive"),
             (lambda doc: _edit_w(doc, lambda w: [0.0] * len(w)), "key 'w': is all zeros"),
+            (lambda doc: _edit_scale(doc, lambda s: [1.3e-17] + s[1:]),
+             "key 'standardizer.scale': expected positive numbers of at least 1e-12 (a smaller spread is round-off)"),
         ],
         ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
-             "zero-scale", "zero-w"],
+             "zero-scale", "zero-w", "round-off-scale"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
         model_path = tmp_path / "model.json"
@@ -289,10 +315,12 @@ def test_every_registered_family(name, capsys):
     spec = FAMILIES[name]
     rng = np.random.default_rng(0)
     if spec.fixed_label == labels.SEPARABLE:
-        params = product_params(spec.n_qubits, rng)
+        params = row_params(name, bloch_vectors(rng.random((spec.n_qubits, 3))).ravel())
     else:
-        build_family, params = sample_family_params(name, labels.ENTANGLED, "high", rng)
+        uniforms = rng.random((1, ROW_UNIFORMS[name]))
+        build_family, rows = sample_family_params(name, labels.ENTANGLED, "high", uniforms)
         assert build_family == name
+        params = row_params(name, rows[0])
     rho = from_family(name, params)
     assert rho.num_qubits == spec.n_qubits
     for convention in labels.LABEL_CONVENTIONS:

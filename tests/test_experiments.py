@@ -5,13 +5,11 @@ import pytest
 
 from entflda import experiments, labels, qops, states
 from entflda.experiments import (
-    Dataset,
     ExperimentConfig,
-    _row,
+    ROW_UNIFORMS,
     generate_dataset,
     load_dataset,
     profile_samples,
-    projections_by_class,
     render_report,
     reproduce_tables,
     run_experiment,
@@ -20,19 +18,30 @@ from entflda.experiments import (
     stratified_split,
 )
 from entflda.flda import fit
-from entflda.measure import fit_standardizer
+from entflda.measure import exact_features, fit_standardizer
+from oracles import expectation, projections_by_class
+
+HEAD_FAMILIES = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
 
 
-def dataset_in_order(config, order):
-    """The dataset of ``config`` with its rows generated in ``order``."""
-    obs = config.observable_set()
-    rows = {i: _row(config, obs, i) for i in order}
-    ordered = [rows[i] for i in range(config.n_samples)]
-    return Dataset(np.array([r[0] for r in ordered]), np.array([r[1] for r in ordered], dtype=int), obs.strings)
+def chunk_sizes(n):
+    """Chunk sizes that split a dataset of ``n`` rows in different ways."""
+    return (1, 7, n)
 
 
-def reversed_and_shuffled(n):
-    return [range(n - 1, -1, -1), np.random.default_rng(n).permutation(n)]
+def row_parameters(config, i):
+    """``(build_family, params row)`` of row ``i`` of ``config``'s dataset,
+    rebuilt from (master_seed, i) alone by advancing the parameter stream."""
+    label = labels.ENTANGLED if i < config.n_entangled else labels.SEPARABLE
+    u = experiments._sample_rng(config.master_seed, config.family, i).random((1, ROW_UNIFORMS[config.family]))
+    build_family, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
+    return build_family, params[0]
+
+
+def sample(family, label, overlap, n, seed, convention="paper"):
+    """``sample_family_params`` over ``n`` rows of fresh uniforms."""
+    u = np.random.default_rng(seed).random((n, ROW_UNIFORMS.get(family, 12)))
+    return sample_family_params(family, label, overlap, u, convention)
 
 
 class TestConfigValidation:
@@ -69,66 +78,62 @@ class TestConfigValidation:
 class TestSampleFamilyParams:
     def test_werner2_entangled_low_interval(self):
         lo, hi = 1 / 3 + 0.25, 1 / 3 + 0.65
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            fam, params = sample_family_params("werner2", -1, "low", rng)
-            assert fam == "werner2"
-            assert lo < params["p"] <= hi
+        fam, params = sample("werner2", -1, "low", 300, 1)
+        assert fam == "werner2" and params.shape == (300, 1)
+        assert np.all((lo < params[:, 0]) & (params[:, 0] <= hi))
 
     def test_werner2_separable_high_interval(self):
         lo, hi = -1 / 15, 1 / 3
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            _, params = sample_family_params("werner2", 1, "high", rng)
-            assert lo <= params["p"] < hi
+        _, params = sample("werner2", 1, "high", 300, 2)
+        assert np.all((lo <= params[:, 0]) & (params[:, 0] < hi))
 
     def test_same_stream_same_parameters(self):
-        a = sample_family_params("biseparable", -1, "high", np.random.default_rng(5))
-        b = sample_family_params("biseparable", -1, "high", np.random.default_rng(5))
-        assert a == b
+        a = sample("biseparable", -1, "high", 50, 5)
+        b = sample("biseparable", -1, "high", 50, 5)
+        assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
 
     def test_concurrence_respects_floor(self):
-        rng = np.random.default_rng(3)
-        for overlap, floor in (("high", 0.1), ("medium", 0.4), ("low", 0.8)):
-            for _ in range(50):
-                _, params = sample_family_params("concurrence", -1, overlap, rng)
-                assert labels.concurrence_analytic(params["theta0"], params["theta1"]) >= floor
+        for seed, (overlap, floor) in enumerate((("high", 0.1), ("medium", 0.4), ("low", 0.8))):
+            _, params = sample("concurrence", -1, overlap, 50, 3 + seed)
+            assert np.all(labels.concurrence_analytic(params[:, 0], params[:, 1]) >= floor)
+
+    def test_concurrence_without_accepted_pair_fails_loudly(self):
+        u = np.full((3, ROW_UNIFORMS["concurrence"]), 0.999)  # every candidate near (pi, pi): C = 0
+        with pytest.raises(RuntimeError, match="concurrence 0.8"):
+            sample_family_params("concurrence", -1, "low", u)
 
     def test_separable_class_is_product(self):
-        rng = np.random.default_rng(4)
-        for family in ("concurrence", "pptes-acin", "ppt-alt", "biseparable"):
-            fam, params = sample_family_params(family, 1, "high", rng)
+        for seed, family in enumerate(("concurrence", "pptes-acin", "ppt-alt", "biseparable")):
+            fam, params = sample(family, 1, "high", 40, 4 + seed)
             assert fam == "product-sep"
-            assert len(params["components"]) == 1
+            blochs = params.reshape(40, states.FAMILIES[family].n_qubits, 3)
+            assert np.all(np.linalg.norm(blochs, axis=-1) <= 1 + 1e-12)
 
     def test_acin_parameters_log_range(self):
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            _, params = sample_family_params("pptes-acin", -1, "medium", rng)
-            for key in ("a", "b", "c"):
-                assert 0.5 <= params[key] <= 2.0
+        _, params = sample("pptes-acin", -1, "medium", 200, 6)
+        assert params.shape == (200, 3)
+        assert np.all((0.5 <= params) & (params <= 2.0))
 
     def test_biseparable_components(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            _, params = sample_family_params("biseparable", -1, "high", rng)
-            comps = params["components"]
-            assert 1 <= len(comps) <= 3
-            assert abs(sum(c["weight"] for c in comps) - 1.0) < 1e-12
-            assert all(0.5 <= c["bc_p"] <= 1.0 for c in comps)
+        _, params = sample("biseparable", -1, "high", 100, 7)
+        weights, bc_p = params[:, :3], params[:, 12:]
+        used = np.count_nonzero(weights, axis=1)
+        assert np.all((1 <= used) & (used <= 3)) and set(used) == {1, 2, 3}
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all((0.5 <= bc_p) & (bc_p <= 1.0))
 
     def test_product_family_has_no_entangled_class(self):
         with pytest.raises(ValueError, match="no entangled class"):
-            sample_family_params("product-sep", -1, "high", np.random.default_rng(0))
+            sample("product-sep", -1, "high", 3, 0)
 
     def test_labels_match_request(self):
-        rng = np.random.default_rng(8)
-        for family in ("werner2", "werner3", "werner4", "concurrence", "biseparable"):
+        for seed, family in enumerate(("werner2", "werner3", "werner4", "concurrence", "biseparable")):
             for requested in (-1, 1):
                 for overlap in ("high", "low"):
-                    fam, params = sample_family_params(family, requested, overlap, rng)
-                    rho = states.from_family(fam, params)
-                    assert labels.assign_label(fam, params, rho, "paper") == requested
+                    fam, params = sample(family, requested, overlap, 20, 8 + seed)
+                    spec = states.FAMILIES[fam]
+                    y = labels.assign_label(fam, dict(zip(spec.params, params.T)), spec.stack(params), "paper")
+                    assert np.all(y == requested)
 
 
 class TestGenerateDataset:
@@ -150,36 +155,116 @@ class TestGenerateDataset:
         save_dataset(generate_dataset(cfg), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_row_order_does_not_change_output(self):
-        cfg = ExperimentConfig(family="concurrence", n_samples=60, master_seed=5, shots=32)
-        reference = generate_dataset(cfg)
-        for order in reversed_and_shuffled(cfg.n_samples):
-            ds = dataset_in_order(cfg, order)
-            assert ds.features.tobytes() == reference.features.tobytes()
-            assert ds.labels.tobytes() == reference.labels.tobytes()
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
+        """Exact features show every bit of the feature computation; shot
+        features also check that the shot stream runs on across chunks."""
+        for family in HEAD_FAMILIES:
+            for convention in labels.LABEL_CONVENTIONS:
+                for shots in (0, 32):
+                    cfg = ExperimentConfig(family=family, n_samples=30, master_seed=5, shots=shots,
+                                           label_convention=convention)
+                    reference = generate_dataset(cfg)
+                    for rows in chunk_sizes(cfg.n_samples):
+                        monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+                        ds = generate_dataset(cfg)
+                        assert ds.features.tobytes() == reference.features.tobytes(), (family, convention, shots, rows)
+                        assert ds.labels.tobytes() == reference.labels.tobytes(), (family, convention, shots, rows)
+                    monkeypatch.undo()
 
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
-    @pytest.mark.parametrize(
-        "family", [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
-    )
+    @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_one_state_per_row(self, family, convention, monkeypatch):
-        """Each row builds and validates exactly one state; labelling reuses it."""
-        counts = {"DensityOperator": 0, "from_family": 0}
-        init, build = qops.DensityOperator.__init__, states.from_family
+        """Each row's state is built and validated exactly once, in a stack;
+        no row goes through the per-state constructors."""
+        validated = []
+        validate = qops.validate_states
 
-        def counted_init(self, *args, **kwargs):
-            counts["DensityOperator"] += 1
-            init(self, *args, **kwargs)
+        def counted_validate(matrices):
+            validated.append(len(matrices))
+            validate(matrices)
 
-        def counted_build(*args, **kwargs):
-            counts["from_family"] += 1
-            return build(*args, **kwargs)
+        def per_state(*args, **kwargs):
+            raise AssertionError("per-state construction in the batched path")
 
-        monkeypatch.setattr(qops.DensityOperator, "__init__", counted_init)
-        monkeypatch.setattr(states, "from_family", counted_build)
+        monkeypatch.setattr(qops, "validate_states", counted_validate)
+        monkeypatch.setattr(qops.DensityOperator, "__init__", per_state)
+        monkeypatch.setattr(states, "from_family", per_state)
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 10)
         cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
-        assert counts == {"DensityOperator": 24, "from_family": 24}
+        assert validated == [10, 10, 4]
+
+    @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
+    @pytest.mark.parametrize("family", HEAD_FAMILIES)
+    def test_rows_match_the_per_state_reference(self, family, convention):
+        """Row i's state, exact features and label agree with the public
+        constructor's state built from row i's parameters; the features also
+        with tr(rho O) computed per Pauli word."""
+        cfg = ExperimentConfig(family=family, n_samples=24, shots=0, label_convention=convention, master_seed=3)
+        ds = generate_dataset(cfg)
+        obs = cfg.observable_set()
+        for i in range(cfg.n_samples):
+            build_family, row = row_parameters(cfg, i)
+            params = states.row_params(build_family, row)
+            rho = states.from_family(build_family, params)
+            stacked = states.FAMILIES[build_family].stack(row[None])[0]
+            np.testing.assert_allclose(stacked, rho.matrix, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ds.features[i], exact_features(rho, obs), rtol=0, atol=1e-12)
+            if i % 8 == 0:
+                per_word = [expectation(rho, op) for op in obs.operators()]
+                np.testing.assert_allclose(ds.features[i], per_word, rtol=0, atol=1e-12)
+            assert ds.labels[i] == labels.assign_label(build_family, params, rho, convention)
+
+    def test_rows_are_addressable(self, monkeypatch):
+        """Row i's parameters are rebuilt from (master_seed, i) alone: the
+        parameters the dataset used for a row equal ``row_parameters``."""
+        seen = []
+        sample_rows = experiments.sample_family_params
+
+        def recording(family, label, overlap, uniforms, convention="paper"):
+            result = sample_rows(family, label, overlap, uniforms, convention)
+            seen.extend((result[0], row) for row in result[1])
+            return result
+
+        monkeypatch.setattr(experiments, "sample_family_params", recording)
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 16)
+        for family in ("werner3", "concurrence", "biseparable"):
+            seen.clear()
+            cfg = ExperimentConfig(family=family, n_samples=40, master_seed=12, shots=8)
+            generate_dataset(cfg)
+            for i in (0, 5, 19, 20, 33, 39):
+                build_family, row = row_parameters(cfg, i)
+                assert build_family == seen[i][0] and row.tobytes() == seen[i][1].tobytes(), (family, i)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda m: m + np.triu(np.full(m.shape, 1e-3j), 1), "not Hermitian"),
+            (lambda m: 1.01 * m, "trace deviates"),
+            (lambda m: np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), "not positive semi-definite"),
+            (lambda m: np.full(m.shape, np.nan), "non-finite"),
+        ],
+        ids=["non-hermitian", "wrong-trace", "non-psd", "non-finite"],
+    )
+    @pytest.mark.parametrize("position", [0, 6, 11])
+    def test_invalid_row_anywhere_in_a_chunk_raises(self, corrupt, message, position, monkeypatch):
+        """A bad state at any position of a chunk raises the error a
+        DensityOperator of that state raises."""
+        with pytest.raises(ValueError, match=message):
+            qops.DensityOperator(corrupt(np.eye(4, dtype=complex) / 4))
+        spec = states.FAMILIES["werner2"]
+        build = spec.stack
+
+        def corrupted(params):
+            stack = build(params).copy()
+            if position < len(stack):
+                stack[position] = corrupt(stack[position])
+            return stack
+
+        monkeypatch.setitem(states.FAMILIES, "werner2", states.Family(**{**vars(spec), "stack": corrupted}))
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 12)
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(ExperimentConfig(family="werner2", n_samples=24, shots=4))
 
     def test_low_overlap_exact_zz_signature(self):
         # shots=0 with entangled p > 0.5833 forces the ZZ feature below -0.45
@@ -202,6 +287,44 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.feature_names == ds.feature_names
+
+    def test_save_matches_csv_writer(self, tmp_path):
+        """The saved bytes are what csv.writer writes for the repr cells."""
+        import csv
+        import io
+
+        ds = generate_dataset(ExperimentConfig(family="werner3", n_samples=30, master_seed=3, shots=8))
+        ds.features[0, :5] = [1e-05, -0.0, 1e16, 5e-324, 0.1]
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, str(path))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(list(ds.feature_names) + ["label"])
+        for row, label in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: text.replace("\r\n", "\n"),
+            lambda text: text.replace(",1\r\n", ",+1\r\n"),
+            lambda text: text.replace(",-1\r\n", ',"-1"\r\n'),
+            lambda text: text.replace("\r\n", "\r"),
+            lambda text: text.replace("\r\n", "\r", 1),
+        ],
+        ids=["lf-endings", "plus-labels", "quoted-labels", "cr-endings", "cr-after-header"],
+    )
+    def test_plain_and_per_cell_readers_agree(self, tmp_path, rewrite):
+        """Files the one-array parser leaves to the per-cell reader load to
+        the same arrays."""
+        ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=40, master_seed=4, shots=8))
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, str(path))
+        path.write_bytes(rewrite(path.read_bytes().decode()).encode())
+        back = load_dataset(str(path))
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
 
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -243,8 +366,8 @@ class TestRunExperiment:
     def test_report_deterministic_modulo_wall_time(self, monkeypatch):
         cfg = ExperimentConfig(family="concurrence", overlap="medium", n_samples=80, master_seed=21)
         a = run_experiment(cfg)
-        for order in reversed_and_shuffled(cfg.n_samples):
-            monkeypatch.setattr(experiments, "generate_dataset", lambda c, order=order: dataset_in_order(c, order))
+        for rows in chunk_sizes(cfg.n_samples):
+            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
             b = run_experiment(cfg)
             assert a.deterministic_fields() == b.deterministic_fields()
 

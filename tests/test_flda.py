@@ -7,7 +7,6 @@ from entflda.flda import (
     FldaModel,
     classify,
     compute_scatter,
-    discriminant_direction_eig,
     evaluate,
     fisher_criterion,
     fit,
@@ -16,6 +15,7 @@ from entflda.flda import (
     save_model,
 )
 from entflda.measure import STANDARDIZER_MODES, Standardizer
+from oracles import discriminant_direction_eig
 
 
 def two_gaussian_problem(rng, n_features=6, n_per_class=150, separation=3.0):

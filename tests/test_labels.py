@@ -5,13 +5,14 @@ import pytest
 from scipy.optimize import brentq
 
 from entflda import labels
-from entflda.experiments import product_params
-from entflda.qops import DensityOperator, hermitian_eigenvalues, partial_transpose
-from entflda.states import from_family, pptes_acin, werner2, werner_ghz
+from entflda.experiments import bloch_vectors
+from entflda.qops import DensityOperator, partial_transpose
+from entflda.states import from_family, pptes_acin, row_params, werner2, werner_ghz
+from oracles import hermitian_eigenvalues
 
 
 def random_product_state(n_qubits, rng):
-    return from_family("product-sep", product_params(n_qubits, rng))
+    return from_family("product-sep", row_params("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel()))
 
 
 class TestPptReport:

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from entflda.experiments import product_params
+from entflda.experiments import bloch_vectors
 from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
     ObservableSet,
     apply_standardizer,
     exact_features,
     fit_standardizer,
-    reconstruct_density,
     sampled_features,
 )
 from entflda.qops import DensityOperator
-from entflda.states import concurrence_state, from_family, pptes_acin, werner2, werner_ghz
+from entflda.states import concurrence_state, from_family, pptes_acin, row_params, werner2, werner_ghz
+from oracles import reconstruct_density
+
+
+def random_product_state(n_qubits, rng):
+    return from_family("product-sep", row_params("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel()))
 
 
 class TestObservableSet:
@@ -59,7 +63,7 @@ class TestExactFeatures:
         rng = np.random.default_rng(19)
         obs = ObservableSet.full(3)
         for _ in range(5):
-            values = exact_features(from_family("product-sep", product_params(3, rng)), obs)
+            values = exact_features(random_product_state(3, rng), obs)
             assert np.all(np.abs(values) <= 1 + 1e-10)
 
     def test_dimension_mismatch(self):
@@ -122,7 +126,7 @@ class TestReconstruction:
             (concurrence_state(1.1, 2.3), obs2),
             (werner_ghz(3, 0.37), obs3),
             (pptes_acin(1.4, 0.6, 2.1), obs3),
-            (from_family("product-sep", product_params(3, np.random.default_rng(8))), obs3),
+            (random_product_state(3, np.random.default_rng(8)), obs3),
         ]
         for rho, obs in cases:
             rebuilt = reconstruct_density(exact_features(rho, obs), obs)
@@ -140,6 +144,17 @@ class TestStandardizer:
         assert std.shift[0] == 2.0 and std.scale[0] == 1.0
         out = apply_standardizer(std, train)
         np.testing.assert_allclose(out[:, 0], 0.0)
+
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    def test_round_off_column_gets_unit_scale(self, mode):
+        """A column that is constant up to round-off (spread ~1e-17) is
+        treated as constant, so its round-off is not blown up to O(1)."""
+        rng = np.random.default_rng(46)
+        train = np.column_stack([rng.normal(size=50), 1e-17 * rng.normal(size=50), np.full(50, 0.3)])
+        std = fit_standardizer(train, mode)
+        assert std.scale[1] == 1.0 and std.scale[2] == 1.0
+        assert np.all(np.abs(apply_standardizer(std, train)[:, 1]) < 1e-15)
+        assert std.scale[0] > 0.1
 
     def test_minmax_midpoint(self):
         std = fit_standardizer(np.array([[0.0], [1.0]]), "minmax")

@@ -5,13 +5,13 @@ import pytest
 
 from entflda.qops import (
     DensityOperator,
-    expectation,
-    hermitian_eigenvalues,
     kron,
     partial_transpose,
     pauli_matrix,
     pauli_string_operator,
+    validate_states,
 )
+from oracles import expectation, hermitian_eigenvalues
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,6 +74,13 @@ class TestKron:
         with pytest.raises(ValueError, match="empty tensor product"):
             kron()
 
+    def test_stacks_give_one_product_per_entry(self):
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        b = rng.normal(size=(5, 4, 4))
+        np.testing.assert_array_equal(kron(a, b), [np.kron(x, y) for x, y in zip(a, b)])
+        np.testing.assert_array_equal(kron(a, Z), [np.kron(x, Z) for x in a])
+
 
 class TestPauliStringOperator:
     def test_identity_string(self):
@@ -116,6 +123,29 @@ class TestDensityOperator:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+            (np.eye(2, dtype=complex), "trace deviates"),
+            (np.diag([1.5, -0.5]).astype(complex), "not positive semi-definite"),
+            (np.array([[np.inf, 0], [0, 0]], dtype=complex), "non-finite"),
+        ],
+    )
+    def test_stack_check_matches_single_state_check(self, bad, message):
+        """validate_states raises for one bad matrix anywhere in a stack, with
+        the message DensityOperator gives that matrix."""
+        with pytest.raises(ValueError, match=message) as single:
+            DensityOperator(bad)
+        good = np.stack([random_density(np.random.default_rng(k), 1).matrix for k in range(5)])
+        validate_states(good)
+        for position in (0, 2, 4):
+            stack = good.copy()
+            stack[position] = bad
+            with pytest.raises(ValueError) as stacked:
+                validate_states(stack)
+            assert str(stacked.value) == str(single.value)
 
     def test_matrix_is_immutable(self):
         rho = DensityOperator(np.eye(2, dtype=complex) / 2)
@@ -167,6 +197,13 @@ class TestPartialTranspose:
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError, match="out of range"):
             partial_transpose(rho.matrix, {2})
+
+    def test_stack_transposes_each_matrix(self):
+        rng = np.random.default_rng(45)
+        stack = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+        for subset in ({0}, {1, 2}, {2}):
+            expected = [partial_transpose(m, subset) for m in stack]
+            np.testing.assert_array_equal(partial_transpose(stack, subset), expected)
 
     @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 3)])
     def test_non_qubit_shape_rejected(self, shape):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entflda import labels
-from entflda.experiments import product_params, sample_family_params
-from entflda.qops import DensityOperator, expectation, hermitian_eigenvalues, kron, partial_transpose, pauli_string_operator
+from entflda.experiments import ROW_UNIFORMS, bloch_vectors, sample_family_params
+from entflda.qops import DensityOperator, kron, partial_transpose, pauli_string_operator
 from entflda.states import (
     ENTANGLED,
     FAMILIES,
@@ -18,10 +18,11 @@ from entflda.states import (
     ppt_alternative,
     pptes_acin,
     product_state,
-    random_bloch_vector,
+    row_params,
     werner2,
     werner_ghz,
 )
+from oracles import expectation, hermitian_eigenvalues
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -166,6 +167,11 @@ def product_mixture(components):
     return {"components": [{"weight": w, "blochs": blochs} for w, blochs in components]}
 
 
+def random_bloch(rng):
+    """A Bloch-ball-uniform vector, as the dataset sampler draws them."""
+    return bloch_vectors(rng.random(3)).tolist()
+
+
 class TestSeparableMixture:
     def test_single_component_identity_factors(self):
         rho = from_family("product-sep", product_mixture([(1.0, [[0.0, 0.0, 0.0]] * 3)]))
@@ -185,7 +191,7 @@ class TestSeparableMixture:
 
     def test_two_equal_weight_products(self):
         rng = np.random.default_rng(23)
-        blochs = [[random_bloch_vector(rng).tolist() for _ in range(2)] for _ in range(2)]
+        blochs = [[random_bloch(rng) for _ in range(2)] for _ in range(2)]
         rho = from_family("product-sep", product_mixture([(0.5, blochs[0]), (0.5, blochs[1])]))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
 
@@ -206,7 +212,7 @@ class TestSeparableMixture:
 
 
 def random_product_state(n_qubits, rng):
-    return from_family("product-sep", product_params(n_qubits, rng))
+    return from_family("product-sep", product_mixture([(1.0, [random_bloch(rng) for _ in range(n_qubits)])]))
 
 
 class TestRandomProductState:
@@ -293,10 +299,12 @@ def sampled_params(name, rng, draw):
         raw = rng.random(1 + draw // 2 % 4)
         n_qubits = 2 + draw % 2
         return "product-sep", product_mixture(
-            [(float(w), [random_bloch_vector(rng).tolist() for _ in range(n_qubits)]) for w in raw / raw.sum()]
+            [(float(w), [random_bloch(rng) for _ in range(n_qubits)]) for w in raw / raw.sum()]
         )
     label = SEPARABLE if name.startswith("werner") and draw % 2 else ENTANGLED
-    return sample_family_params(name, label, ("high", "low")[draw % 2], rng)
+    u = rng.random((1, ROW_UNIFORMS[name]))
+    build_family, params = sample_family_params(name, label, ("high", "low")[draw % 2], u)
+    return build_family, row_params(build_family, params[0])
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
