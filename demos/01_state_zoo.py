@@ -10,25 +10,29 @@ import numpy as np
 
 from entflda import assign_label, concurrence_wootters, from_family, ppt_report
 
+# Each example is one parameter row, the layout the family's ``stack`` takes:
+# its scalar parameters in order; for biseparable three component weights,
+# their qubit-0 Bloch vectors and their Werner-pair p; for product-sep a
+# Bloch vector per qubit.
 EXAMPLES = [
-    ("werner2", {"p": 0.5}),
-    ("werner2", {"p": 0.2}),
-    ("concurrence", {"theta0": np.pi / 2, "theta1": np.pi / 2}),
-    ("werner3", {"p": 0.3}),
-    ("pptes-acin", {"a": 2.0, "b": 3.0, "c": 0.5}),
-    ("ppt-alt", {}),
-    ("biseparable", {"components": [{"weight": 1.0, "a_bloch": [0.0, 0.0, 0.4], "bc_p": 0.9}]}),
-    ("product-sep", {"components": [{"weight": 1.0, "blochs": [[0.3, 0.0, 0.4], [0.0, -0.5, 0.1]]}]}),
+    ("werner2", [0.5]),
+    ("werner2", [0.2]),
+    ("concurrence", [np.pi / 2, np.pi / 2]),
+    ("werner3", [0.3]),
+    ("pptes-acin", [2.0, 3.0, 0.5]),
+    ("ppt-alt", []),
+    ("biseparable", [1.0, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0]),
+    ("product-sep", [0.3, 0.0, 0.4, 0.0, -0.5, 0.1]),
 ]
 
-for family, params in EXAMPLES:
-    rho = from_family(family, params)
+for family, row in EXAMPLES:
+    rho = from_family(family, row)
     report = ppt_report(rho)
-    print(f"--- {family}  {params}")
+    print(f"--- {family}  {row}")
     print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4)}")
     for cut, value in sorted(report.min_eigenvalues.items()):
         print(f"    min PT eigenvalue {cut}: {value:+.4f}")
-    labels = {conv: assign_label(family, params, rho, conv) for conv in ("paper", "ppt-oracle")}
+    labels = {conv: assign_label(family, row, rho, conv) for conv in ("paper", "ppt-oracle")}
     print(f"    labels: paper={labels['paper']:+d}  ppt-oracle={labels['ppt-oracle']:+d}")
     if rho.num_qubits == 2:
         print(f"    concurrence: {concurrence_wootters(rho):.4f}")

@@ -187,30 +187,42 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _inspect_params(args) -> dict:
+def _inspect_row(args) -> np.ndarray:
+    """The family's parameter row, from its flags or, for the families
+    without scalar parameters, from the dataset sampler at ``--seed``."""
     names = states.FAMILIES[args.family].params
     if names:
         if any(getattr(args, name) is None for name in names):
             flags = [f"--{name}" for name in names]
             listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
             raise ValueError(f"{args.family} requires {listed}")
-        return {name: getattr(args, name) for name in names}
+        return np.array([getattr(args, name) for name in names])
     seed = args.seed if args.seed is not None else _default_seed()
     if args.family == "product-sep":
         if not 1 <= args.n_qubits <= qops.MAX_QUBITS:
             raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {args.n_qubits}")
-        blochs = experiments.bloch_vectors(np.random.default_rng(seed).random((args.n_qubits, 3)))
-        return states.row_params("product-sep", blochs.ravel())
+        return experiments.bloch_vectors(np.random.default_rng(seed).random((args.n_qubits, 3))).ravel()
     u = np.random.default_rng(seed).random((1, experiments.ROW_UNIFORMS[args.family]))
-    name, params = experiments.sample_family_params(args.family, labels.ENTANGLED, "high", u)
-    return states.row_params(name, params[0])
+    return experiments.sample_family_params(args.family, labels.ENTANGLED, "high", u)[1][0]
+
+
+def _params_json(family: str, row: np.ndarray) -> str:
+    """The ``params:`` line: the named parameters, or the components of a
+    biseparable (those of nonzero weight) or product row."""
+    r, k = row.tolist(), states.BISEPARABLE_COMPONENTS
+    if family == "biseparable":
+        parts = [{"weight": r[j], "a_bloch": r[k + 3 * j : k + 3 * j + 3], "bc_p": r[4 * k + j]} for j in range(k)]
+        return json.dumps({"components": [part for part in parts if part["weight"] > 0]})
+    if family == "product-sep":
+        return json.dumps({"components": [{"weight": 1.0, "blochs": [r[j : j + 3] for j in range(0, len(r), 3)]}]})
+    return json.dumps(dict(zip(states.FAMILIES[family].params, r)))
 
 
 def _cmd_inspect(args) -> int:
-    params = _inspect_params(args)
-    rho = states.from_family(args.family, params)
+    row = _inspect_row(args)
+    rho = states.from_family(args.family, row)
     print(f"family: {args.family}")
-    print(f"params: {json.dumps(params)}")
+    print(f"params: {_params_json(args.family, row)}")
     eigs = np.linalg.eigvalsh(rho.matrix)
     print("eigenvalues:", " ".join(f"{v:.6f}" for v in eigs))
     report = labels.ppt_report(rho)
@@ -218,7 +230,7 @@ def _cmd_inspect(args) -> int:
         print(f"min PT eigenvalue {cut}: {value:.6f}")
     print(f"PPT under all cuts: {report.is_ppt_all}")
     for convention in labels.LABEL_CONVENTIONS:
-        print(f"label ({convention}): {labels.assign_label(args.family, params, rho, convention):+d}")
+        print(f"label ({convention}): {labels.assign_label(args.family, row, rho, convention):+d}")
     if rho.num_qubits == 2:
         print(f"concurrence: {labels.concurrence_wootters(rho):.6f}")
     return EXIT_OK

@@ -235,8 +235,7 @@ def _chunk(config: ExperimentConfig, obs: ObservableSet, start: int, rng, shot_r
     for label, block in ((labels.ENTANGLED, u[:n_entangled]), (labels.SEPARABLE, u[n_entangled:])):
         if len(block):
             name, params = sample_family_params(config.family, label, config.overlap, block, config.label_convention)
-            spec = states.FAMILIES[name]
-            parts.append((name, dict(zip(spec.params, params.T)), spec.stack(params)))
+            parts.append((name, params, states.FAMILIES[name].stack(params)))
     stack = np.concatenate([part[2] for part in parts])
     qops.validate_states(stack)
     y = np.concatenate([labels.assign_label(*part, config.label_convention) for part in parts])
@@ -292,9 +291,19 @@ def _label_value(text: str) -> int:
     return value if value in flda.CLASS_ORDER else 0
 
 
+def _csv_rows(path: str, fh):
+    """The csv rows of ``fh``; a malformed one (say, a cell over csv's field
+    size limit) raises a ``ValueError`` naming the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"dataset file {path}, line {reader.line_num}: {exc}") from None
+
+
 def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -309,7 +318,7 @@ def load_dataset(path: str) -> Dataset:
         if plain is not None:
             return Dataset(features=plain[0], labels=plain[1], feature_names=tuple(header[:-1]))
         fh.seek(0)
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         next(reader)
         rows = list(reader)
     if not rows:

@@ -100,11 +100,12 @@ def concurrence_wootters(rho: DensityOperator) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def assign_label(family: str, params: dict, rho, convention: str = "paper"):
+def assign_label(family: str, row, rho, convention: str = "paper"):
     """Ground-truth class of ``rho``, the state built from (family, parameters).
 
-    ``rho`` is a :class:`DensityOperator`, giving an int, or an (n, d, d)
-    stack whose scalar ``params`` are (n,) arrays, giving one label each.
+    ``row`` is the family's parameter row, the layout its ``stack`` takes.
+    With a :class:`DensityOperator` it gives an int; an (n, k) array of rows
+    with the (n, d, d) stack built from them gives one label per row.
     ``paper``: Werner families entangled above their published mixing
     threshold, the circuit family entangled for C > 0, both PPT families
     and the biseparable family always entangled, products always separable.
@@ -116,13 +117,13 @@ def assign_label(family: str, params: dict, rho, convention: str = "paper"):
         raise ValueError(f"unknown label convention {convention!r}; expected one of {LABEL_CONVENTIONS}")
     spec = states.family(family)
     matrices = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    rows = matrices.shape[:-2]
+    rows, q = matrices.shape[:-2], np.asarray(row, dtype=float)
     if spec.fixed_label is not None:
         y = np.full(rows, spec.fixed_label)
     elif spec.boundary is not None:
-        y = np.where(np.asarray(params["p"]) > spec.boundary[convention], ENTANGLED, SEPARABLE)
+        y = np.where(q[..., 0] > spec.boundary[convention], ENTANGLED, SEPARABLE)
     elif convention == "paper" and family == "concurrence":
-        y = np.where(np.asarray(concurrence_analytic(params["theta0"], params["theta1"])) > 0, ENTANGLED, SEPARABLE)
+        y = np.where(np.asarray(concurrence_analytic(q[..., 0], q[..., 1])) > 0, ENTANGLED, SEPARABLE)
     elif convention == "paper":
         y = np.full(rows, ENTANGLED)  # ppt-alt, biseparable
     else:

@@ -3,9 +3,11 @@
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
 ``product-sep``) has one :class:`Family` record in :data:`FAMILIES`.
-:func:`from_family` builds one validated state from a parameter dict; a
-record's ``stack`` builds a dataset chunk as one (n, d, d) array from an
-(n, k) parameter array, with the same arithmetic. Everything here is pure.
+A record's ``stack`` builds a dataset chunk as one (n, d, d) array from an
+(n, k) parameter array, the one parameter layout; :func:`from_family`
+builds one validated state from one row of it. The array cores check the
+parameter ranges, so the stacks and the named constructors share one
+check. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -29,7 +31,18 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float)[..., None, None]
 
 
+def _require(ok, message: str, **values) -> None:
+    """Raise ``ValueError(message)``, formatted with the ``values`` at the
+    first entry where the (broadcast) condition ``ok`` fails, if any does."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(message.format(**{k: np.broadcast_to(v, ok.shape).flat[i] for k, v in values.items()}))
+
+
 def _werner2_matrix(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    _require((-1 / 3 - 1e-12 <= p) & (p <= 1 + 1e-12), "werner2 mixing parameter p={p} outside [-1/3, 1]", p=p)
     m = pauli_string_operator("II").astype(complex)
     for letter, s in zip("XYZ", _SINGLET_SIGNS):
         m = m + _column(p) * s * pauli_string_operator(letter * 2)
@@ -43,8 +56,6 @@ def werner2(p: float) -> DensityOperator:
     p ZZ), which equals p |psi-><psi-| + (1-p) I/4. Valid mixing range is
     p in [-1/3, 1].
     """
-    if not (-1 / 3 - 1e-12 <= p <= 1 + 1e-12):
-        raise ValueError(f"werner2 mixing parameter p={p} outside [-1/3, 1]")
     return DensityOperator(_werner2_matrix(p))
 
 
@@ -64,17 +75,23 @@ def ghz_state(n_qubits: int) -> DensityOperator:
     return DensityOperator(_ghz_matrix(n_qubits))
 
 
-def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
-    """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I / 2^n."""
+def _werner_ghz_matrix(n_qubits: int, p) -> np.ndarray:
     if n_qubits not in (3, 4):
         raise ValueError(f"werner_ghz supports 3 or 4 qubits, got {n_qubits}")
-    if not (0 <= p <= 1):
-        raise ValueError(f"werner_ghz mixing parameter p={p} outside [0, 1]")
-    return DensityOperator(_depolarized(_ghz_matrix(n_qubits), p))
+    p = np.asarray(p, dtype=float)
+    _require((0 <= p) & (p <= 1), "werner_ghz mixing parameter p={p} outside [0, 1]", p=p)
+    return _depolarized(_ghz_matrix(n_qubits), p)
+
+
+def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
+    """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I / 2^n."""
+    return DensityOperator(_werner_ghz_matrix(n_qubits, p))
 
 
 def _concurrence_matrix(theta0, theta1) -> np.ndarray:
     theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
+    ok = (0 <= theta0) & (theta0 <= np.pi) & (0 <= theta1) & (theta1 <= np.pi)
+    _require(ok, "angles ({theta0}, {theta1}) outside [0, pi]", theta0=theta0, theta1=theta1)
     psi = np.zeros(theta0.shape + (4,), dtype=complex)
     psi[..., 0] = np.cos(theta0 / 2)
     psi[..., 2] = -1j * np.sin(theta0 / 2) * np.cos(theta1 / 2)
@@ -89,8 +106,6 @@ def concurrence_state(theta0: float, theta1: float) -> DensityOperator:
     |10>, -i sin(theta0/2) sin(theta1/2) on |11>. Its concurrence is
     sin(theta0) sin(theta1/2).
     """
-    if not (0 <= theta0 <= np.pi) or not (0 <= theta1 <= np.pi):
-        raise ValueError(f"angles ({theta0}, {theta1}) outside [0, pi]")
     return DensityOperator(_concurrence_matrix(theta0, theta1))
 
 
@@ -103,6 +118,7 @@ def depolarize(rho: DensityOperator, p: float) -> DensityOperator:
 
 def _pptes_matrix(a, b, c) -> np.ndarray:
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    _require((a > 0) & (b > 0) & (c > 0), "parameters must be positive, got a={a}, b={b}, c={c}", a=a, b=b, c=c)
     diagonal = np.stack(np.broadcast_arrays(1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0), axis=-1)
     m = diagonal[..., None] * np.eye(8)
     m[..., 0, 7] = m[..., 7, 0] = 1.0
@@ -114,8 +130,6 @@ def pptes_acin(a: float, b: float, c: float) -> DensityOperator:
     1/a, 1) plus unit corner couplings, normalized by
     2 + a + 1/a + b + 1/b + c + 1/c. PPT across every bipartition for all
     positive parameters."""
-    if a <= 0 or b <= 0 or c <= 0:
-        raise ValueError(f"parameters must be positive, got a={a}, b={b}, c={c}")
     return DensityOperator(_pptes_matrix(a, b, c))
 
 
@@ -144,29 +158,6 @@ def _bloch_matrix(bloch) -> np.ndarray:
     return m / 2.0
 
 
-def _weighted_kron_sum(components) -> np.ndarray:
-    """sum_k w_k (F_k1 x F_k2 x ...) over ``(weight, factor matrices)`` pairs.
-
-    Weights may be arrays and factors stacks, one mixture per entry. The
-    weights must be nonnegative; that they sum to one is left to the trace
-    check of the state built from the result.
-    """
-    total = None
-    for k, (weight, factors) in enumerate(components):
-        if np.any(np.asarray(weight) < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        term = _column(weight) * kron(*factors)
-        if total is not None and term.shape[-1] != total.shape[-1]:
-            raise ValueError(
-                f"mixture component {k} acts on {term.shape[-1].bit_length() - 1} qubits, "
-                f"the ones before it on {total.shape[-1].bit_length() - 1}"
-            )
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("a mixture needs at least one component")
-    return total
-
-
 def bloch_state(bloch: np.ndarray) -> DensityOperator:
     """Single-qubit state (1/2)(I + b . sigma) for a Bloch vector b."""
     return DensityOperator(_bloch_matrix(bloch))
@@ -177,45 +168,37 @@ def product_state(blochs) -> DensityOperator:
     return DensityOperator(kron(*(_bloch_matrix(b) for b in blochs)))
 
 
-def _biseparable(params: dict) -> DensityOperator:
-    """Mixture of A|BC products: a Bloch state on qubit 0 times a Werner pair."""
-    return DensityOperator(
-        _weighted_kron_sum(
-            (comp["weight"], (_bloch_matrix(comp["a_bloch"]), _werner2_matrix(comp["bc_p"])))
-            for comp in params["components"]
-        )
-    )
-
-
-def _product_mixture(params: dict) -> DensityOperator:
-    """Mixture of fully separable products of single-qubit Bloch states."""
-    return DensityOperator(
-        _weighted_kron_sum(
-            (comp["weight"], [_bloch_matrix(b) for b in comp["blochs"]]) for comp in params["components"]
-        )
-    )
-
-
-# Stacked parameter columns are the family's ``params`` in order, except for
-# biseparable (component weights, unused ones 0; their qubit-0 Bloch vectors;
-# their Werner-pair parameters) and product-sep (a Bloch vector per qubit).
+# A biseparable row holds BISEPARABLE_COMPONENTS component weights (unused
+# ones 0), then their qubit-0 Bloch vectors, then their Werner-pair p.
 BISEPARABLE_COMPONENTS = 3
+
+
+def _biseparable_matrix(q: np.ndarray) -> np.ndarray:
+    """Mixtures of A|BC products, a Bloch state on qubit 0 times a Werner
+    pair, one per biseparable row of ``q``. The weights must be nonnegative;
+    that they sum to one is left to the trace check of the state built."""
+    k = BISEPARABLE_COMPONENTS
+    if np.any(q[:, :k] < 0):
+        raise ValueError("mixture weights must be nonnegative")
+    a = _bloch_matrix(q[:, k : 4 * k].reshape(len(q), k, 3))
+    terms = _column(q[:, :k]) * kron(a, _werner2_matrix(q[:, 4 * k :]))
+    return sum((terms[:, j] for j in range(1, k)), terms[:, 0])  # in order: .sum() can flip the sign of a zero
 
 
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one state family.
 
-    ``build`` maps a parameter dict to one validated state, ``stack`` an
-    (n, k) parameter array to an (n, d, d) stack of unvalidated matrices.
-    ``params`` names the scalar parameters. Werner families carry ``p_min``, the lower end of the mixing
-    range, and ``boundary``, the mixing parameter per label convention above
-    which the state is entangled. ``fixed_label`` is a class that holds
-    under every convention.
+    ``stack`` maps an (n, k) parameter array to an (n, d, d) stack of
+    unvalidated matrices; its columns are the scalar parameters ``params``
+    names, in order, the biseparable layout above, or a Bloch vector per
+    qubit for ``product-sep``. Werner families carry ``p_min``, the lower
+    end of the mixing range, and ``boundary``, the mixing parameter per
+    label convention above which the state is entangled. ``fixed_label``
+    is a class that holds under every convention.
     """
 
     n_qubits: int
-    build: Callable[[dict], DensityOperator]
     stack: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
     p_min: float | None = None
@@ -224,21 +207,15 @@ class Family:
 
 
 FAMILIES = {
-    "werner2": Family(2, lambda q: werner2(q["p"]), lambda q: _werner2_matrix(q[:, 0]),
-                      ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
-    "werner3": Family(3, lambda q: werner_ghz(3, q["p"]), lambda q: _depolarized(_ghz_matrix(3), q[:, 0]),
-                      ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
-    "werner4": Family(4, lambda q: werner_ghz(4, q["p"]), lambda q: _depolarized(_ghz_matrix(4), q[:, 0]),
-                      ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
-    "concurrence": Family(2, lambda q: concurrence_state(q["theta0"], q["theta1"]),
-                          lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1")),
+    "werner2": Family(2, lambda q: _werner2_matrix(q[:, 0]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
+    "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
+    "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
+    "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1")),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it.
-    "pptes-acin": Family(3, lambda q: pptes_acin(q["a"], q["b"], q["c"]), lambda q: _pptes_matrix(*q.T),
-                         ("a", "b", "c"), fixed_label=ENTANGLED),
-    "ppt-alt": Family(3, lambda q: ppt_alternative(), lambda q: np.repeat(_ppt_alternative_matrix()[None], len(q), 0)),
-    "biseparable": Family(3, _biseparable, lambda q: _weighted_kron_sum(
-        (q[:, j], (_bloch_matrix(q[:, 3 + 3 * j : 6 + 3 * j]), _werner2_matrix(q[:, 12 + j]))) for j in range(3))),
-    "product-sep": Family(2, _product_mixture, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
+    "pptes-acin": Family(3, lambda q: _pptes_matrix(*q.T), ("a", "b", "c"), fixed_label=ENTANGLED),
+    "ppt-alt": Family(3, lambda q: np.repeat(_ppt_alternative_matrix()[None], len(q), 0)),
+    "biseparable": Family(3, _biseparable_matrix),
+    "product-sep": Family(2, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
                           fixed_label=SEPARABLE),
 }
 
@@ -251,19 +228,7 @@ def family(name: str) -> Family:
         raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}") from None
 
 
-def from_family(name: str, params: dict) -> DensityOperator:
-    """Build one state from its canonical family name and parameter dict:
-    scalar parameters for the parametric families, explicit Bloch vectors
-    and component weights for the random ones (see :func:`row_params`)."""
-    return family(name).build(params)
-
-
-def row_params(name: str, row) -> dict:
-    """The :func:`from_family` dict of one row of a ``stack`` parameter array."""
-    r, k = [float(v) for v in row], BISEPARABLE_COMPONENTS
-    if name == "biseparable":
-        comps = [{"weight": r[j], "a_bloch": r[k + 3 * j : k + 3 * j + 3], "bc_p": r[4 * k + j]} for j in range(k)]
-        return {"components": [c for c in comps if c["weight"] > 0]}
-    if name == "product-sep":
-        return {"components": [{"weight": 1.0, "blochs": [r[j : j + 3] for j in range(0, len(r), 3)]}]}
-    return dict(zip(family(name).params, r))
+def from_family(name: str, row) -> DensityOperator:
+    """One validated state of a canonical family from one row of the
+    parameter array its ``stack`` takes (see :class:`Family`)."""
+    return DensityOperator(family(name).stack(np.asarray(row, dtype=float)[None])[0])

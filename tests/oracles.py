@@ -2,8 +2,11 @@
 
 Each one takes its own, plainer route to a quantity the package computes
 faster or in bulk (stacked spectra, batched features, the closed-form
-discriminant), so an oracle does not share the code path it checks.
+discriminant, the stacked family builders), so an oracle does not share
+the code path it checks.
 """
+
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -70,3 +73,60 @@ def projections_by_class(model: flda.FldaModel, dataset) -> dict:
     """Projected scalars y = w^T x per class, for histogram-style exports."""
     y = flda.project(model, dataset.features)
     return {cls: y[dataset.labels == cls] for cls in flda.CLASS_ORDER}
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def pauli_word(letters: str) -> np.ndarray:
+    """The operator of a Pauli word, e.g. ``"XZI"``, by ``np.kron``."""
+    return reduce(np.kron, (PAULI[c] for c in letters))
+
+
+def _bloch(b) -> np.ndarray:
+    """(I + b . sigma) / 2."""
+    return (PAULI["I"] + b[0] * PAULI["X"] + b[1] * PAULI["Y"] + b[2] * PAULI["Z"]) / 2
+
+
+def _werner2(p: float) -> np.ndarray:
+    """p |psi-><psi-| + (1-p) I/4, with the singlet (|01> - |10>)/sqrt(2)."""
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    return p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
+
+
+def family_state(name: str, row) -> np.ndarray:
+    """Density matrix of one parameter row of family ``name`` (the layout of
+    its ``stack``), from the family's textbook definition."""
+    r = [float(v) for v in row]
+    if name == "werner2":
+        return _werner2(r[0])
+    if name in ("werner3", "werner4"):
+        n = int(name[-1])
+        ghz = np.zeros(2**n)
+        ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+        return r[0] * np.outer(ghz, ghz) + (1 - r[0]) * np.eye(2**n) / 2**n
+    if name == "concurrence":
+        # RX(theta0) on qubit 0, then RY(theta1) on qubit 1 controlled by qubit 0, applied to |00>.
+        rx = np.cos(r[0] / 2) * PAULI["I"] - 1j * np.sin(r[0] / 2) * PAULI["X"]
+        ry = np.cos(r[1] / 2) * PAULI["I"] - 1j * np.sin(r[1] / 2) * PAULI["Y"]
+        cry = np.kron(np.diag([1, 0]), PAULI["I"]) + np.kron(np.diag([0, 1]), ry)
+        psi = cry @ np.kron(rx, PAULI["I"]) @ np.eye(4)[0]
+        return np.outer(psi, psi.conj())
+    if name == "pptes-acin":
+        a, b, c = r
+        m = np.diag([1, a, b, c, 1 / c, 1 / b, 1 / a, 1]).astype(complex)
+        m[0, 7] = m[7, 0] = 1
+        return m / np.trace(m)
+    if name == "ppt-alt":
+        return (np.diag(np.eye(8)[0]) + np.diag(np.eye(8)[7])) / 2
+    if name == "biseparable":
+        w, blochs, bc_p = r[:3], np.reshape(r[3:12], (3, 3)), r[12:]
+        return sum(w[j] * np.kron(_bloch(blochs[j]), _werner2(bc_p[j])) for j in range(3))
+    if name == "product-sep":
+        return reduce(np.kron, (_bloch(b) for b in np.reshape(r, (-1, 3))))
+    raise ValueError(f"no reference for family {name!r}")

@@ -25,23 +25,23 @@ from entflda.experiments import (
 from entflda.flda import compute_scatter, fit
 from entflda.measure import ObservableSet, exact_features, sampled_features
 from entflda.qops import partial_transpose
-from entflda.states import FAMILIES, from_family, row_params, werner2, werner_ghz
+from entflda.states import FAMILIES, from_family, werner2, werner_ghz
 from oracles import discriminant_direction_eig, hermitian_eigenvalues, reconstruct_density
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
 def sampled_state(family, label, overlap, rng):
-    """One state of ``family`` (a product for ``product-sep``) whose
-    parameters the dataset sampler draws from fresh uniforms of ``rng``."""
+    """``(parameter row, state)`` of one ``family`` state (a product for
+    ``product-sep``) whose row the dataset sampler draws from fresh
+    uniforms of ``rng``."""
     if family == "product-sep":
         build_family, row = family, bloch_vectors(rng.random((FAMILIES[family].n_qubits, 3))).ravel()
     else:
         u = rng.random((1, experiments.ROW_UNIFORMS[family]))
-        build_family, params = sample_family_params(family, label, overlap, u)
-        row = params[0]
-    params = row_params(build_family, row)
-    return params, from_family(build_family, params)
+        build_family, rows = sample_family_params(family, label, overlap, u)
+        row = rows[0]
+    return row, from_family(build_family, row)
 
 
 @contextmanager
@@ -180,13 +180,13 @@ def test_criterion_09_estimator_soundness():
             for i in range(20):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 overlap = str(rng.choice(["high", "medium", "low"]))
-                params, rho = sampled_state(family, label, overlap, rng)
+                row, rho = sampled_state(family, label, overlap, rng)
                 exact = exact_features(rho, obs)
                 sampled = sampled_features(rho, obs, shots, np.random.default_rng([909, i]))
                 se = np.sqrt(np.maximum(1 - exact**2, 0.0) / shots)
                 diff = np.abs(sampled - exact)
                 ok = (diff < 4 * se) | ((se == 0) & (diff == 0))
-                assert np.all(ok), (family, params)
+                assert np.all(ok), (family, row)
 
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from entflda import labels
 from entflda.cli import _parse_table_ids, main
 from entflda.experiments import ROW_UNIFORMS, bloch_vectors, load_dataset, sample_family_params, save_dataset
 from entflda.flda import classify, load_model
-from entflda.states import FAMILIES, from_family, row_params
+from entflda.states import FAMILIES, from_family
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -219,6 +225,13 @@ class TestBadDataset:
         err = capsys.readouterr().err
         assert f"{werner2_dataset}, line 3, column 2 (IY): 'abc' is not a number" in err
 
+    def test_cell_beyond_csv_field_limit(self, werner2_dataset, tmp_path, capsys):
+        self.corrupt(werner2_dataset, 3, lambda cells: cells[:1] + ["1" * 200_000] + cells[2:])
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(tmp_path / "m.json")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"dataset file {werner2_dataset}, line 3: field larger than field limit" in captured.err
+
     @pytest.mark.parametrize(
         "word, message",
         [
@@ -315,19 +328,19 @@ def test_every_registered_family(name, capsys):
     spec = FAMILIES[name]
     rng = np.random.default_rng(0)
     if spec.fixed_label == labels.SEPARABLE:
-        params = row_params(name, bloch_vectors(rng.random((spec.n_qubits, 3))).ravel())
+        row = bloch_vectors(rng.random((spec.n_qubits, 3))).ravel()
     else:
         uniforms = rng.random((1, ROW_UNIFORMS[name]))
         build_family, rows = sample_family_params(name, labels.ENTANGLED, "high", uniforms)
         assert build_family == name
-        params = row_params(name, rows[0])
-    rho = from_family(name, params)
+        row = rows[0]
+    rho = from_family(name, row)
     assert rho.num_qubits == spec.n_qubits
     for convention in labels.LABEL_CONVENTIONS:
-        label = labels.assign_label(name, params, rho, convention)
+        label = labels.assign_label(name, row, rho, convention)
         assert label in (-1, 1)
         assert spec.fixed_label in (None, label)
-    flags = [arg for key in spec.params for arg in (f"--{key}", repr(params[key]))]
+    flags = [arg for key, value in zip(spec.params, row.tolist()) for arg in (f"--{key}", repr(value))]
     assert run_cli("inspect", "--family", name, "--seed", "0", *flags) == 0
     assert f"family: {name}\n" in capsys.readouterr().out
 
@@ -363,6 +376,22 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --n-qubits must lie in 1..6, got {n_qubits}\n" == captured.err
+
+    @pytest.mark.parametrize(
+        "argv, value, valid",
+        [
+            (["werner2", "--p", "2"], "p=2.0", "[-1/3, 1]"),
+            (["werner3", "--p", "-0.5"], "p=-0.5", "[0, 1]"),
+            (["concurrence", "--theta0", "4", "--theta1", "1"], "(4.0, 1.0)", "[0, pi]"),
+            (["pptes-acin", "--a", "0", "--b", "1", "--c", "1"], "a=0.0", "positive"),
+        ],
+        ids=["werner2", "werner3", "concurrence", "pptes-acin"],
+    )
+    def test_out_of_range_parameter_exits_one(self, capsys, argv, value, valid):
+        assert run_cli("inspect", "--family", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and value in captured.err and valid in captured.err
 
     def test_missing_parameter_exits_one(self, capsys):
         code = run_cli("inspect", "--family", "werner2")
@@ -436,3 +465,9 @@ class TestParser:
         assert run_cli("gen", "--family", "werner2", "--n", "20", "--shots", "2", "--seed", "11", "--out", str(b)) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test and benchmark dependency only; the package runs on numpy."""
+    code = "import entflda, entflda.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})

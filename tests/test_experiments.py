@@ -18,8 +18,8 @@ from entflda.experiments import (
     stratified_split,
 )
 from entflda.flda import fit
-from entflda.measure import exact_features, fit_standardizer
-from oracles import expectation, projections_by_class
+from entflda.measure import fit_standardizer
+from oracles import family_state, pauli_word, projections_by_class
 
 HEAD_FAMILIES = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
 
@@ -131,8 +131,7 @@ class TestSampleFamilyParams:
             for requested in (-1, 1):
                 for overlap in ("high", "low"):
                     fam, params = sample(family, requested, overlap, 20, 8 + seed)
-                    spec = states.FAMILIES[fam]
-                    y = labels.assign_label(fam, dict(zip(spec.params, params.T)), spec.stack(params), "paper")
+                    y = labels.assign_label(fam, params, states.FAMILIES[fam].stack(params), "paper")
                     assert np.all(y == requested)
 
 
@@ -197,23 +196,21 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
     @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_rows_match_the_per_state_reference(self, family, convention):
-        """Row i's state, exact features and label agree with the public
-        constructor's state built from row i's parameters; the features also
-        with tr(rho O) computed per Pauli word."""
+        """Row i's state, exact features and label agree with the state the
+        family's textbook definition gives for row i's parameters: the
+        features with tr(rho O) per Pauli word, the label with the one
+        ``from_family`` gives."""
         cfg = ExperimentConfig(family=family, n_samples=24, shots=0, label_convention=convention, master_seed=3)
         ds = generate_dataset(cfg)
-        obs = cfg.observable_set()
+        words = [pauli_word(word) for word in cfg.observable_set().strings]
         for i in range(cfg.n_samples):
             build_family, row = row_parameters(cfg, i)
-            params = states.row_params(build_family, row)
-            rho = states.from_family(build_family, params)
-            stacked = states.FAMILIES[build_family].stack(row[None])[0]
-            np.testing.assert_allclose(stacked, rho.matrix, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ds.features[i], exact_features(rho, obs), rtol=0, atol=1e-12)
-            if i % 8 == 0:
-                per_word = [expectation(rho, op) for op in obs.operators()]
-                np.testing.assert_allclose(ds.features[i], per_word, rtol=0, atol=1e-12)
-            assert ds.labels[i] == labels.assign_label(build_family, params, rho, convention)
+            reference = family_state(build_family, row)
+            rho = states.from_family(build_family, row)
+            np.testing.assert_allclose(rho.matrix, reference, rtol=0, atol=1e-12)
+            per_word = [np.trace(reference @ op).real for op in words]
+            np.testing.assert_allclose(ds.features[i], per_word, rtol=0, atol=1e-12)
+            assert ds.labels[i] == labels.assign_label(build_family, row, rho, convention)
 
     def test_rows_are_addressable(self, monkeypatch):
         """Row i's parameters are rebuilt from (master_seed, i) alone: the

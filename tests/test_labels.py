@@ -7,12 +7,12 @@ from scipy.optimize import brentq
 from entflda import labels
 from entflda.experiments import bloch_vectors
 from entflda.qops import DensityOperator, partial_transpose
-from entflda.states import from_family, pptes_acin, row_params, werner2, werner_ghz
+from entflda.states import from_family, werner2, werner_ghz
 from oracles import hermitian_eigenvalues
 
 
 def random_product_state(n_qubits, rng):
-    return from_family("product-sep", row_params("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel()))
+    return from_family("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel())
 
 
 class TestPptReport:
@@ -114,57 +114,57 @@ class TestConcurrenceWootters:
         assert worst < 1e-9, worst
 
 
-def label(family, params, convention):
-    """The label of the state that ``family`` builds from ``params``."""
-    return labels.assign_label(family, params, from_family(family, params), convention)
+def label(family, row, convention):
+    """The label of the state that ``family`` builds from the parameter ``row``."""
+    return labels.assign_label(family, row, from_family(family, row), convention)
 
 
 class TestAssignLabel:
     def test_werner2_paper_boundary(self):
-        assert label("werner2", {"p": 0.5}, "paper") == -1
-        assert label("werner2", {"p": 0.2}, "paper") == 1
-        assert label("werner2", {"p": 1 / 3}, "paper") == 1  # boundary is separable
+        assert label("werner2", [0.5], "paper") == -1
+        assert label("werner2", [0.2], "paper") == 1
+        assert label("werner2", [1 / 3], "paper") == 1  # boundary is separable
 
     def test_werner3_boundary_one_fifth(self):
-        assert label("werner3", {"p": 0.21}, "paper") == -1
-        assert label("werner3", {"p": 0.19}, "paper") == 1
+        assert label("werner3", [0.21], "paper") == -1
+        assert label("werner3", [0.19], "paper") == 1
 
     def test_werner4_conventions_differ(self):
         # p = 0.125 sits between the 1/9 transpose threshold and the
         # published 1/7 boundary
-        assert label("werner4", {"p": 0.125}, "paper") == 1
-        assert label("werner4", {"p": 0.125}, "ppt-oracle") == -1
+        assert label("werner4", [0.125], "paper") == 1
+        assert label("werner4", [0.125], "ppt-oracle") == -1
 
     def test_ppt_alt_divergence(self):
-        assert label("ppt-alt", {}, "paper") == -1
-        assert label("ppt-alt", {}, "ppt-oracle") == 1
+        assert label("ppt-alt", [], "paper") == -1
+        assert label("ppt-alt", [], "ppt-oracle") == 1
 
     def test_bound_entangled_forced(self):
-        params = {"a": 1.2, "b": 0.7, "c": 1.5}
-        assert label("pptes-acin", params, "paper") == -1
-        assert label("pptes-acin", params, "ppt-oracle") == -1
+        row = [1.2, 0.7, 1.5]  # a, b, c
+        assert label("pptes-acin", row, "paper") == -1
+        assert label("pptes-acin", row, "ppt-oracle") == -1
 
     def test_product_always_separable(self):
-        params = {"components": [{"weight": 1.0, "blochs": [[0, 0, 0.5], [0.5, 0, 0]]}]}
-        assert label("product-sep", params, "paper") == 1
-        assert label("product-sep", params, "ppt-oracle") == 1
+        row = [0, 0, 0.5, 0.5, 0, 0]  # a Bloch vector per qubit
+        assert label("product-sep", row, "paper") == 1
+        assert label("product-sep", row, "ppt-oracle") == 1
 
     def test_biseparable_entangled_both_conventions(self):
-        params = {"components": [{"weight": 1.0, "a_bloch": [0, 0, 0.2], "bc_p": 0.9}]}
-        assert label("biseparable", params, "paper") == -1
-        assert label("biseparable", params, "ppt-oracle") == -1
+        row = [1, 0, 0, 0, 0, 0.2, 0, 0, 0, 0, 0, 0, 0.9, 0, 0]  # one component: weights, Bloch vectors, Werner p
+        assert label("biseparable", row, "paper") == -1
+        assert label("biseparable", row, "ppt-oracle") == -1
 
     def test_concurrence_label(self):
-        assert label("concurrence", {"theta0": np.pi / 2, "theta1": np.pi}, "paper") == -1
-        assert label("concurrence", {"theta0": 0.0, "theta1": np.pi}, "paper") == 1
+        assert label("concurrence", [np.pi / 2, np.pi], "paper") == -1
+        assert label("concurrence", [0.0, np.pi], "paper") == 1
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            labels.assign_label("ghz-mixed", {}, werner2(0.5), "paper")
+            labels.assign_label("ghz-mixed", [], werner2(0.5), "paper")
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
-            labels.assign_label("werner2", {"p": 0.5}, werner2(0.5), "majority-vote")
+            labels.assign_label("werner2", [0.5], werner2(0.5), "majority-vote")
 
 
 def test_werner2_pt_sign_matches_boundary():

@@ -13,12 +13,12 @@ from entflda.measure import (
     sampled_features,
 )
 from entflda.qops import DensityOperator
-from entflda.states import concurrence_state, from_family, pptes_acin, row_params, werner2, werner_ghz
+from entflda.states import concurrence_state, from_family, pptes_acin, werner2, werner_ghz
 from oracles import reconstruct_density
 
 
 def random_product_state(n_qubits, rng):
-    return from_family("product-sep", row_params("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel()))
+    return from_family("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel())
 
 
 class TestObservableSet:

@@ -18,7 +18,6 @@ from entflda.states import (
     ppt_alternative,
     pptes_acin,
     product_state,
-    row_params,
     werner2,
     werner_ghz,
 )
@@ -163,18 +162,22 @@ class TestPptAlternative:
         assert abs(expectation(rho, pauli_string_operator("ZZI")) - 1.0) < 1e-12
 
 
-def product_mixture(components):
-    return {"components": [{"weight": w, "blochs": blochs} for w, blochs in components]}
+def biseparable_row(components):
+    """The biseparable parameter row of up to three (weight, qubit-0 Bloch
+    vector, Werner-pair p) components; the rest get weight 0."""
+    padded = list(components) + [(0.0, [0.0, 0.0, 0.0], 0.0)] * (3 - len(components))
+    weights, blochs, bc_p = zip(*padded)
+    return np.concatenate([weights, np.ravel(blochs), bc_p])
 
 
-def random_bloch(rng):
-    """A Bloch-ball-uniform vector, as the dataset sampler draws them."""
-    return bloch_vectors(rng.random(3)).tolist()
+def random_product_state(n_qubits, rng):
+    """A product of Bloch-ball-uniform qubits, as the dataset sampler draws them."""
+    return from_family("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel())
 
 
 class TestSeparableMixture:
     def test_single_component_identity_factors(self):
-        rho = from_family("product-sep", product_mixture([(1.0, [[0.0, 0.0, 0.0]] * 3)]))
+        rho = from_family("product-sep", np.zeros(9))
         np.testing.assert_allclose(rho.matrix, np.eye(8) / 8, atol=1e-15)
 
     def test_biseparable_cut_structure(self):
@@ -183,36 +186,27 @@ class TestSeparableMixture:
         bc_pt = hermitian_eigenvalues(partial_transpose(werner2(1.0).matrix, {0}))
         assert bc_pt[0] < -0.4  # the singlet marginal is NPT
 
-        params = {"components": [{"weight": 1.0, "a_bloch": [0.0, 0.0, 0.3], "bc_p": 1.0}]}
-        report = labels.ppt_report(from_family("biseparable", params))
+        report = labels.ppt_report(from_family("biseparable", biseparable_row([(1.0, [0.0, 0.0, 0.3], 1.0)])))
         assert report.min_eigenvalues["0|12"] >= -1e-9
         assert report.min_eigenvalues["01|2"] < -1e-9
         assert not report.is_ppt_all
 
     def test_two_equal_weight_products(self):
-        rng = np.random.default_rng(23)
-        blochs = [[random_bloch(rng) for _ in range(2)] for _ in range(2)]
-        rho = from_family("product-sep", product_mixture([(0.5, blochs[0]), (0.5, blochs[1])]))
+        # A Werner pair at p = 0 is I/4, so each component is a full product.
+        blochs = bloch_vectors(np.random.default_rng(23).random((2, 3)))
+        rho = from_family("biseparable", biseparable_row([(0.5, blochs[0], 0.0), (0.5, blochs[1], 0.0)]))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
+        assert labels.ppt_report(rho).is_ppt_all
 
     def test_weight_violation(self):
-        params = product_mixture([(0.6, [[0.0, 0.0, 0.0]]), (0.6, [[0.0, 0.0, 0.0]])])
+        row = biseparable_row([(0.6, [0.0, 0.0, 0.0], 0.0), (0.6, [0.0, 0.0, 0.0], 0.0)])
         with pytest.raises(ValueError, match="trace"):
-            from_family("product-sep", params)
+            from_family("biseparable", row)
 
     def test_negative_weight(self):
-        params = product_mixture([(1.5, [[0.0, 0.0, 0.1]]), (-0.5, [[0.0, 0.0, 0.0]])])
+        row = biseparable_row([(1.5, [0.0, 0.0, 0.1], 0.0), (-0.5, [0.0, 0.0, 0.0], 0.0)])
         with pytest.raises(ValueError, match="nonnegative"):
-            from_family("product-sep", params)
-
-    def test_component_size_mismatch(self):
-        params = product_mixture([(0.5, [[0.0, 0.0, 0.0]] * 2), (0.5, [[0.0, 0.0, 0.0]] * 3)])
-        with pytest.raises(ValueError, match="mixture component 1 acts on 3 qubits, the ones before it on 2"):
-            from_family("product-sep", params)
-
-
-def random_product_state(n_qubits, rng):
-    return from_family("product-sep", product_mixture([(1.0, [random_bloch(rng) for _ in range(n_qubits)])]))
+            from_family("biseparable", row)
 
 
 class TestRandomProductState:
@@ -235,76 +229,79 @@ class TestRandomProductState:
 
 class TestFromFamily:
     def test_parametric_families(self):
-        np.testing.assert_array_equal(from_family("werner2", {"p": 0.4}).matrix, werner2(0.4).matrix)
-        np.testing.assert_array_equal(from_family("werner3", {"p": 0.4}).matrix, werner_ghz(3, 0.4).matrix)
-        np.testing.assert_array_equal(from_family("ppt-alt", {}).matrix, ppt_alternative().matrix)
-        np.testing.assert_array_equal(
-            from_family("pptes-acin", {"a": 1.0, "b": 2.0, "c": 3.0}).matrix, pptes_acin(1, 2, 3).matrix
-        )
+        np.testing.assert_array_equal(from_family("werner2", [0.4]).matrix, werner2(0.4).matrix)
+        np.testing.assert_array_equal(from_family("werner3", [0.4]).matrix, werner_ghz(3, 0.4).matrix)
+        np.testing.assert_array_equal(from_family("ppt-alt", []).matrix, ppt_alternative().matrix)
+        np.testing.assert_array_equal(from_family("pptes-acin", [1.0, 2.0, 3.0]).matrix, pptes_acin(1, 2, 3).matrix)
 
     def test_biseparable_reconstruction(self):
-        params = {
-            "components": [
-                {"weight": 0.5, "a_bloch": [0.1, 0.0, 0.2], "bc_p": 0.8},
-                {"weight": 0.5, "a_bloch": [0.0, 0.3, 0.0], "bc_p": 0.6},
-            ]
-        }
-        rho = from_family("biseparable", params)
+        components = [(0.5, [0.1, 0.0, 0.2], 0.8), (0.5, [0.0, 0.3, 0.0], 0.6)]
+        rho = from_family("biseparable", biseparable_row(components))
         assert rho.num_qubits == 3
+        expected = sum(w * kron(bloch_state(b).matrix, werner2(p).matrix) for w, b, p in components)
+        np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
 
     def test_product_reconstruction(self):
-        params = {"components": [{"weight": 1.0, "blochs": [[0.1, 0.2, 0.3], [0.0, 0.0, -0.4]]}]}
-        rho = from_family("product-sep", params)
+        rho = from_family("product-sep", [0.1, 0.2, 0.3, 0.0, 0.0, -0.4])
         np.testing.assert_allclose(
             rho.matrix, product_state([np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.0, -0.4])]).matrix, atol=1e-15
         )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            from_family("w-state", {})
+            from_family("w-state", [])
 
 
-def composed(name, params):
-    """The state matrix of (name, params) composed from the public
+@pytest.mark.parametrize(
+    "name,rows,message",
+    [
+        ("werner2", [[0.2], [2.0]], r"werner2 mixing parameter p=2.0 outside \[-1/3, 1\]"),
+        ("werner3", [[0.2], [-0.5]], r"werner_ghz mixing parameter p=-0.5 outside \[0, 1\]"),
+        ("werner4", [[1.5]], r"werner_ghz mixing parameter p=1.5 outside \[0, 1\]"),
+        ("concurrence", [[1.0, 1.0], [4.0, 1.0]], r"angles \(4.0, 1.0\) outside \[0, pi\]"),
+        ("pptes-acin", [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "parameters must be positive, got a=0.0, b=1.0, c=1.0"),
+    ],
+)
+def test_stack_refuses_out_of_range_rows(name, rows, message):
+    """The range check lives in the array core, so a stack refuses an
+    out-of-range row with the message the named constructors give,
+    naming the first bad row's values."""
+    with pytest.raises(ValueError, match=message):
+        FAMILIES[name].stack(np.array(rows))
+    with pytest.raises(ValueError, match=message):
+        from_family(name, rows[-1])
+
+
+def composed(name, row):
+    """The state matrix of (name, row) composed from the public
     constructors: depolarized GHZ projectors, and weighted sums of Kronecker
     products of Bloch and Werner-pair states."""
     if name in ("werner3", "werner4"):
-        return depolarize(ghz_state(FAMILIES[name].n_qubits), params["p"]).matrix
+        return depolarize(ghz_state(FAMILIES[name].n_qubits), row[0]).matrix
     if name == "werner2":
-        return werner2(params["p"]).matrix
+        return werner2(row[0]).matrix
     if name == "concurrence":
-        return concurrence_state(params["theta0"], params["theta1"]).matrix
+        return concurrence_state(*row).matrix
     if name == "pptes-acin":
-        return pptes_acin(params["a"], params["b"], params["c"]).matrix
+        return pptes_acin(*row).matrix
     if name == "ppt-alt":
         return ppt_alternative().matrix
-    if name == "biseparable":
-        terms = [(c["weight"], [bloch_state(c["a_bloch"]).matrix, werner2(c["bc_p"]).matrix])
-                 for c in params["components"]]
-    else:
-        terms = [(c["weight"], [bloch_state(b).matrix for b in c["blochs"]]) for c in params["components"]]
+    if name == "product-sep":
+        return kron(*(bloch_state(b).matrix for b in row.reshape(-1, 3)))
     total = None
-    for weight, factors in terms:
-        term = factors[0]
-        for factor in factors[1:]:
-            term = kron(term, factor)
-        term = weight * term
+    for j in range(3):  # biseparable: every component, unused ones of weight 0
+        term = row[j] * kron(bloch_state(row[3 + 3 * j : 6 + 3 * j]).matrix, werner2(row[12 + j]).matrix)
         total = term if total is None else total + term
     return total
 
 
-def sampled_params(name, rng, draw):
+def sampled_row(name, rng, draw):
     if name == "product-sep":
-        # Mixtures of 1 to 4 random products on 2 or 3 qubits.
-        raw = rng.random(1 + draw // 2 % 4)
-        n_qubits = 2 + draw % 2
-        return "product-sep", product_mixture(
-            [(float(w), [random_bloch(rng) for _ in range(n_qubits)]) for w in raw / raw.sum()]
-        )
+        return "product-sep", bloch_vectors(rng.random((1 + draw % 4, 3))).ravel()  # 1 to 4 qubits
     label = SEPARABLE if name.startswith("werner") and draw % 2 else ENTANGLED
     u = rng.random((1, ROW_UNIFORMS[name]))
-    build_family, params = sample_family_params(name, label, ("high", "low")[draw % 2], u)
-    return build_family, row_params(build_family, params[0])
+    build_family, rows = sample_family_params(name, label, ("high", "low")[draw % 2], u)
+    return build_family, rows[0]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -313,9 +310,9 @@ def test_from_family_matches_composition_bit_for_bit(name):
     as composing the public constructors, so its bytes are unchanged."""
     rng = np.random.default_rng(sorted(FAMILIES).index(name))
     for draw in range(200):
-        build_family, params = sampled_params(name, rng, draw)
+        build_family, row = sampled_row(name, rng, draw)
         assert build_family == name
-        assert from_family(name, params).matrix.tobytes() == composed(name, params).tobytes(), params
+        assert from_family(name, row).matrix.tobytes() == composed(name, row).tobytes(), row
 
 
 def test_constructor_grid_validity():
