@@ -22,7 +22,9 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -262,50 +264,57 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     flda.atomic_write(path, itertools.chain([header], (f"{','.join(map(repr, x.tolist()))},{y}\r\n" for x, y in rows)))
 
 
-def _plain_body(lines, width: int):
-    """``(features, labels)`` of the rest of a dataset file opened with
-    ``newline=""`` (so its lines are csv's), parsed a block of lines at a time,
-    when all are ``width`` plain cells, features finite and labels -1 or 1."""
-    blocks, y = [], []
-    while block := [line.rstrip("\r\n") for line in itertools.islice(lines, 1024)]:
-        if any('"' in line or line.count(",") != width - 1 for line in block):
-            return None
-        cells = ",".join(block).split(",")
-        y += cells[width - 1 :: width]
-        del cells[width - 1 :: width]
-        try:
-            blocks.append(np.array(cells, dtype=float).reshape(len(block), width - 1))  # float() semantics per cell
-        except ValueError:
-            return None
-    if not blocks or not set(y) <= {"-1", "1"} or not all(np.isfinite(b).all() for b in blocks):
-        return None
-    return np.concatenate(blocks), np.where(np.array(y) == "1", 1, -1)
-
-
-def _label_value(text: str) -> int:
-    """The class a label cell names, or 0 when it names none."""
-    try:
-        value = int(text)
-    except ValueError:
-        return 0
-    return value if value in flda.CLASS_ORDER else 0
-
-
 def _csv_rows(path: str, fh):
-    """The csv rows of ``fh``; a malformed one (say, a cell over csv's field
-    size limit) raises a ``ValueError`` naming the file and line."""
+    """``(line, row)`` for the csv rows of ``fh``, ``line`` being where the row
+    ends; a malformed row (say, a cell over csv's field size limit) raises a
+    ``ValueError`` naming the file and line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"dataset file {path}, line {reader.line_num}: {exc}") from None
 
 
-def load_dataset(path: str) -> Dataset:
+def _refusal(path: str, header: list, error) -> ValueError:
+    """The first defect, in line order, of a dataset file whose body loadtxt
+    or the finite/label check refused, or ``error`` when none is found.
+
+    Cells are read as loadtxt reads them: blank lines are skipped, and a cell
+    with ``_`` digit separators (which ``float`` takes) is not a number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(path, fh)
+        rows = _csv_rows(path, fh)
+        next(rows)
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) != len(header):
+                return ValueError(f"dataset file {path}, line {line}: {len(row)} columns, the header has {len(header)}")
+            for c, text in enumerate(row[:-1]):
+                try:
+                    value = float("_" if "_" in text else text)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    problem = f"{text!r} is not a number" if value is None else f"non-finite feature {text!r}"
+                    return ValueError(f"dataset file {path}, line {line}, column {c + 1} ({header[c]}): {problem}")
+            try:
+                label = int(row[-1])
+            except ValueError:
+                label = 0
+            if label not in flda.CLASS_ORDER:
+                return ValueError(
+                    f"dataset file {path}, line {line}, column {len(header)} (label): {row[-1]!r} is not -1 or +1"
+                )
+    return ValueError(f"dataset file {path}: {error}")
+
+
+def load_dataset(path: str) -> Dataset:
+    """The dataset in ``path``; README, "Dataset files", gives the grammar and the refusals."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise ValueError(f"dataset file {path} is empty") from None
         if len(header) < 2 or header[-1] != "label":
@@ -314,45 +323,20 @@ def load_dataset(path: str) -> Dataset:
             ObservableSet(len(header[0]), header[:-1])
         except ValueError as exc:
             raise ValueError(f"dataset file {path}, line 1: {exc}") from None
-        plain = _plain_body(fh, len(header))
-        if plain is not None:
-            return Dataset(features=plain[0], labels=plain[1], feature_names=tuple(header[:-1]))
-        fh.seek(0)
-        reader = _csv_rows(path, fh)
-        next(reader)
-        rows = list(reader)
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, converters={len(header) - 1: int}
+                )
+        except ValueError as exc:
+            raise _refusal(path, header, exc) from None
+    if not len(body):
         raise ValueError(f"dataset file {path} has no samples")
-    # rows[r] is line r + 2 of the file: the header is line 1.
-    ragged = [r for r, row in enumerate(rows) if len(row) != len(header)]
-    if ragged:
-        r = ragged[0]
-        raise ValueError(f"dataset file {path}, line {r + 2}: {len(rows[r])} columns, the header has {len(header)}")
-    try:
-        features = np.array([[float(v) for v in r[:-1]] for r in rows])
-    except ValueError:
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row[:-1]):
-                try:
-                    float(v)
-                except ValueError:
-                    raise ValueError(
-                        f"dataset file {path}, line {r + 2}, column {c + 1} ({header[c]}): {v!r} is not a number"
-                    ) from None
-    y = np.array([_label_value(r[-1]) for r in rows], dtype=int)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(
-            f"dataset file {path}, line {r + 2}, column {c + 1} ({header[c]}): non-finite feature {rows[r][c]!r}"
-        )
-    bad = np.flatnonzero(y == 0)
-    if bad.size:
-        r = bad[0]
-        raise ValueError(
-            f"dataset file {path}, line {r + 2}, column {len(header)} (label): {rows[r][-1]!r} is not -1 or +1"
-        )
-    return Dataset(features=features, labels=y, feature_names=tuple(header[:-1]))
+    features, y = body[:, :-1], body[:, -1]
+    if body.shape[1] != len(header) or not np.isfinite(features).all() or not np.isin(y, flda.CLASS_ORDER).all():
+        raise _refusal(path, header, "a feature is not finite or a label is not -1 or +1")
+    return Dataset(features=features, labels=y.astype(int), feature_names=tuple(header[:-1]))
 
 
 def stratified_split(dataset: Dataset, split: float, master_seed: int):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .labels import LABEL_CONVENTIONS
 from .measure import MIN_SCALE, STANDARDIZER_MODES, Standardizer, apply_standardizer, fit_standardizer
 
 CLASS_ORDER = (-1, 1)
@@ -315,11 +316,16 @@ def _check_document(doc, path: str) -> None:
     means = doc["projected_means"]
     if not (isinstance(means, list) and len(means) == 2 and all(_is_finite_number(v) for v in means)):
         raise bad("projected_means", "expected two finite numbers")
-    if not _is_finite_number(doc["threshold"]):
-        raise bad("threshold", "expected a finite number")
-    for key in ("epsilon", "fisher_j"):
-        if type(doc[key]) not in (int, float):
-            raise bad(key, "expected a number")
+    for key in ("threshold", "fisher_j"):
+        if not _is_finite_number(doc[key]):
+            raise bad(key, "expected a finite number")
+    if not (_is_finite_number(doc["epsilon"]) and doc["epsilon"] >= 0):
+        raise bad("epsilon", "expected a finite number of at least 0")
+    accuracy = doc.get("train_accuracy")
+    if accuracy is not None and not (_is_finite_number(accuracy) and 0 <= accuracy <= 1):
+        raise bad("train_accuracy", "expected null or a finite number in [0, 1]")
+    if doc.get("label_convention") not in (None, *LABEL_CONVENTIONS):
+        raise bad("label_convention", f"expected null or one of {LABEL_CONVENTIONS}")
     names = doc.get("feature_names")
     if names is not None and not (isinstance(names, list) and len(names) == n):
         raise bad("feature_names", f"expected a list of {n} names, one per entry of 'w'")

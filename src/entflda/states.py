@@ -230,5 +230,13 @@ def family(name: str) -> Family:
 
 def from_family(name: str, row) -> DensityOperator:
     """One validated state of a canonical family from one row of the
-    parameter array its ``stack`` takes (see :class:`Family`)."""
-    return DensityOperator(family(name).stack(np.asarray(row, dtype=float)[None])[0])
+    parameter array its ``stack`` takes (see :class:`Family`); a row of
+    another width is refused."""
+    spec, row = family(name), np.asarray(row, dtype=float)
+    if name == "product-sep":
+        width = row.size if row.size and row.size % 3 == 0 else "a nonzero multiple of 3"
+    else:
+        width = 5 * BISEPARABLE_COMPONENTS if name == "biseparable" else len(spec.params)
+    if row.shape != (width,):
+        raise ValueError(f"{name} row width {row.size}, expected {width}")
+    return DensityOperator(spec.stack(row[None])[0])

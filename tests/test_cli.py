@@ -298,9 +298,18 @@ class TestBadModel:
             (lambda doc: _edit_w(doc, lambda w: [0.0] * len(w)), "key 'w': is all zeros"),
             (lambda doc: _edit_scale(doc, lambda s: [1.3e-17] + s[1:]),
              "key 'standardizer.scale': expected positive numbers of at least 1e-12 (a smaller spread is round-off)"),
+            (lambda doc: doc.update(train_accuracy="abc"), "key 'train_accuracy': expected null or a finite number"),
+            (lambda doc: doc.update(train_accuracy=float("nan")), "key 'train_accuracy': expected null or a finite"),
+            (lambda doc: doc.update(train_accuracy=7.5), "key 'train_accuracy': expected null or a finite number in"),
+            (lambda doc: doc.update(epsilon=float("inf")), "key 'epsilon': expected a finite number of at least 0"),
+            (lambda doc: doc.update(epsilon=-1e-3), "key 'epsilon': expected a finite number of at least 0"),
+            (lambda doc: doc.update(fisher_j=float("nan")), "key 'fisher_j': expected a finite number"),
+            (lambda doc: doc.update(label_convention="majority"), "key 'label_convention': expected null or one of"),
         ],
         ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
-             "zero-scale", "zero-w", "round-off-scale"],
+             "zero-scale", "zero-w", "round-off-scale", "string-train-accuracy", "nan-train-accuracy",
+             "train-accuracy-above-one", "infinite-epsilon", "negative-epsilon", "nan-fisher-j",
+             "unknown-label-convention"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
         model_path = tmp_path / "model.json"

@@ -1,10 +1,13 @@
 """Tests for dataset generation, presets and the benchmark harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from entflda import experiments, labels, qops, states
 from entflda.experiments import (
+    Dataset,
     ExperimentConfig,
     ROW_UNIFORMS,
     generate_dataset,
@@ -18,7 +21,7 @@ from entflda.experiments import (
     stratified_split,
 )
 from entflda.flda import fit
-from entflda.measure import fit_standardizer
+from entflda.measure import ObservableSet, fit_standardizer
 from oracles import family_state, pauli_word, projections_by_class
 
 HEAD_FAMILIES = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
@@ -309,12 +312,13 @@ class TestGenerateDataset:
             lambda text: text.replace(",-1\r\n", ',"-1"\r\n'),
             lambda text: text.replace("\r\n", "\r"),
             lambda text: text.replace("\r\n", "\r", 1),
+            lambda text: text.replace("\r\n", "\r\n\r\n"),
         ],
-        ids=["lf-endings", "plus-labels", "quoted-labels", "cr-endings", "cr-after-header"],
+        ids=["lf-endings", "plus-labels", "quoted-labels", "cr-endings", "cr-after-header", "blank-lines"],
     )
-    def test_plain_and_per_cell_readers_agree(self, tmp_path, rewrite):
-        """Files the one-array parser leaves to the per-cell reader load to
-        the same arrays."""
+    def test_file_variants_load_the_same_arrays(self, tmp_path, rewrite):
+        """Other line ends, quoted or ``+1`` labels and blank lines (here
+        after every line, the last included) load to the arrays saved."""
         ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=40, master_seed=4, shots=8))
         path = tmp_path / "ds.csv"
         save_dataset(ds, str(path))
@@ -328,6 +332,59 @@ class TestGenerateDataset:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "{path} has no samples"),
+            ("\r\n\r\n", "{path} has no samples"),
+            ("0.1,0.2,0.3,1\r\n1_0,0.2,0.3,-1\r\n", "{path}, line 3, column 1 (X): '1_0' is not a number"),
+            ("0.1,0.5#x,0.3,1\r\n", "{path}, line 2, column 2 (Y): '0.5#x' is not a number"),
+            ("0.1,0.2,0.3,-1#x\r\n", "{path}, line 2, column 4 (label): '-1#x' is not -1 or +1"),
+            ("0.1,0.2,0.3,1.0\r\n", "{path}, line 2, column 4 (label): '1.0' is not -1 or +1"),
+            ("0.1,0.2,0.3,1\r\n\r\n0.1,0.2,0.3\r\n", "{path}, line 4: 3 columns, the header has 4"),
+            ("0.1,0.2,0.3,1,1\r\n", "{path}, line 2: 5 columns, the header has 4"),
+            ("0.1,0.2,inf,-1\r\n", "{path}, line 2, column 3 (Z): non-finite feature 'inf'"),
+            ("\u0661,0.2,0.3,1\r\n", "{path}: could not convert string '\u0661' to float64"),
+        ],
+        ids=["header-only", "blank-lines-only", "digit-separator", "comment-mark", "comment-mark-in-label", "float-label",
+             "ragged-after-blank", "every-row-too-wide", "infinite-feature", "non-ascii-digit"],
+    )
+    def test_load_refusals(self, tmp_path, body, message):
+        """The reader's grammar: no comments, no ``_`` digit separators,
+        integer labels, blank lines skipped but counted in line numbers; what
+        the scan cannot place keeps loadtxt's message. No warning escapes."""
+        path = tmp_path / "ds.csv"
+        path.write_bytes(("X,Y,Z,label\r\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as excinfo:
+                load_dataset(str(path))
+        assert str(excinfo.value).startswith(f"dataset file {message.format(path=path)}")
+
+    def test_round_trip_keeps_every_double(self, tmp_path):
+        """Property: save then load gives back the feature bytes (-0.0,
+        subnormals and +-1e308 included) and the labels."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra.numpy import arrays
+
+        edges = st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308])
+        doubles = st.one_of(edges, st.floats(allow_nan=False, allow_infinity=False))
+        path = str(tmp_path / "ds.csv")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(data=st.data(), n_rows=st.integers(1, 40), n_qubits=st.integers(1, 2))
+        def round_trip(data, n_rows, n_qubits):
+            names = ObservableSet.full(n_qubits).strings
+            features = data.draw(arrays(np.float64, (n_rows, len(names)), elements=doubles))
+            y = data.draw(arrays(np.int64, n_rows, elements=st.sampled_from([-1, 1])))
+            save_dataset(Dataset(features, y, names), path)
+            back = load_dataset(path)
+            assert back.features.tobytes() == features.tobytes()
+            assert back.labels.tobytes() == y.tobytes()
+
+        round_trip()
 
 
 class TestSplitAndLeakage:

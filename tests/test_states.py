@@ -272,6 +272,23 @@ def test_stack_refuses_out_of_range_rows(name, rows, message):
         from_family(name, rows[-1])
 
 
+@pytest.mark.parametrize(
+    "name,row,message",
+    [
+        ("werner2", [0.2, 0.9], "werner2 row width 2, expected 1"),
+        ("ppt-alt", [5.0], "ppt-alt row width 1, expected 0"),
+        ("biseparable", [], "biseparable row width 0, expected 15"),
+        ("product-sep", [0.1, 0.1], "product-sep row width 2, expected a nonzero multiple of 3"),
+        ("concurrence", [1.0], "concurrence row width 1, expected 2"),
+    ],
+)
+def test_from_family_refuses_a_row_of_another_width(name, row, message):
+    """Too wide a row is not cut to size and too short a one does not reach
+    the builders' reshapes: both are refused naming the two widths."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_family(name, row)
+
+
 def composed(name, row):
     """The state matrix of (name, row) composed from the public
     constructors: depolarized GHZ projectors, and weighted sums of Kronecker
