@@ -180,8 +180,10 @@ def _cmd_eval(args) -> int:
         if args.format == "json":
             text = json.dumps(payload, indent=2) + "\n"
         else:
+            # A model without a train accuracy gets an empty cell, JSON's null.
             keys = ["fld_threshold", "train_accuracy", "test_accuracy", "fisher_criterion"]
-            text = ",".join(keys) + "\n" + ",".join(repr(float(payload[k])) for k in keys) + "\n"
+            cells = ("" if payload[k] is None else repr(float(payload[k])) for k in keys)
+            text = ",".join(keys) + "\n" + ",".join(cells) + "\n"
         flda.atomic_write(args.report_out, text)
         print(f"wrote report to {args.report_out}")
     return EXIT_OK

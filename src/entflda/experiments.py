@@ -124,7 +124,7 @@ class ExperimentReport:
         return d
 
 
-# Rows per generation chunk; the bytes do not depend on it.
+# Rows per generation chunk and per written block; the bytes do not depend on it.
 _CHUNK_ROWS = 256
 
 # Candidate angle pairs per concurrence row; the first reaching the preset's
@@ -256,12 +256,48 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     return Dataset(features=features, labels=y, feature_names=obs.strings)
 
 
+def _check_writable(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise what :func:`load_dataset` would refuse in the file of ``x`` and
+    ``y``: its first defect, named by line (the header is line 1) and column."""
+    where = f"dataset file {path}"
+    if x.ndim != 2:
+        raise ValueError(f"{where}: features of shape {x.shape}, not (rows, {len(names)})")
+    if x.shape[1] != len(names):
+        raise ValueError(f"{where}, line 2: {x.shape[1] + 1} columns, the header has {len(names) + 1}")
+    if len(y) != len(x):
+        raise ValueError(f"{where}, line {min(len(x), len(y)) + 2}: {len(x)} feature rows, {len(y)} labels")
+    bad = np.column_stack([~np.isfinite(x), ~np.isin(y, flda.CLASS_ORDER)])
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        if c < len(names):
+            problem = f"non-finite feature {repr(x[r, c].item())!r}"
+        else:
+            problem = f"{str(y[r].item())!r} is not -1 or +1"
+        raise ValueError(f"{where}, line {r + 2}, column {c + 1} ({[*names, 'label'][c]}): {problem}")
+
+
+def _row_texts(x: np.ndarray, y: list):
+    """The CRLF-ended text of each row, ``_CHUNK_ROWS`` rows at a time: each
+    block calls ``repr`` once per distinct double (keyed on its bit pattern,
+    so ``-0.0`` keeps its sign) and indexes the table with the cells."""
+    for start in range(0, len(x), _CHUNK_ROWS):
+        block = x[start : start + _CHUNK_ROWS]
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        # numpy 1.x returns a flat inverse, 2.x one of the block's shape.
+        for cells, label in zip(table[inverse.reshape(block.shape)].tolist(), y[start : start + _CHUNK_ROWS]):
+            yield f"{','.join(cells)},{label}\r\n"
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Delimited text: feature Pauli words + "label" header, repr-precision
-    rows, CRLF line ends (the bytes ``csv.writer`` gives), a row at a time."""
+    rows, CRLF line ends (the bytes ``csv.writer`` gives), written in
+    ``_CHUNK_ROWS``-row blocks through a per-block ``repr`` table. A dataset
+    :func:`load_dataset` would refuse raises ``ValueError`` before any write."""
+    x, y = np.ascontiguousarray(dataset.features, dtype=np.float64), np.asarray(dataset.labels)
+    _check_writable(path, dataset.feature_names, x, y)
     header = ",".join([*dataset.feature_names, "label"]) + "\r\n"
-    rows = zip(np.asarray(dataset.features, dtype=float), np.asarray(dataset.labels).astype(int).tolist())
-    flda.atomic_write(path, itertools.chain([header], (f"{','.join(map(repr, x.tolist()))},{y}\r\n" for x, y in rows)))
+    flda.atomic_write(path, itertools.chain([header], _row_texts(x, y.astype(int).tolist())))
 
 
 def _csv_rows(path: str, fh):

@@ -12,7 +12,7 @@ import pytest
 from entflda import labels
 from entflda.cli import _parse_table_ids, main
 from entflda.experiments import ROW_UNIFORMS, bloch_vectors, load_dataset, sample_family_params, save_dataset
-from entflda.flda import classify, load_model
+from entflda.flda import classify, evaluate, load_model
 from entflda.states import FAMILIES, from_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,6 +161,29 @@ class TestEval:
         acc = float(out.split("test accuracy: ")[1].splitlines()[0])
         assert acc >= 0.99
         assert report.exists()
+
+    def test_csv_report_without_train_accuracy(self, werner2_dataset, tmp_path, capsys):
+        """A model whose train accuracy is null gets an empty report cell;
+        stdout is what eval prints without a report, plus the wrote line."""
+        model_path, report = tmp_path / "model.json", tmp_path / "report.csv"
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        doc["train_accuracy"] = None
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 0
+        plain = capsys.readouterr().out
+        assert "train accuracy: None\n" in plain
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset),
+                       "--report-out", str(report)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain + f"wrote report to {report}\n" and captured.err == ""
+        ds = load_dataset(str(werner2_dataset))
+        metrics = evaluate(load_model(str(model_path)), ds.features, ds.labels)
+        assert report.read_bytes() == (
+            "fld_threshold,train_accuracy,test_accuracy,fisher_criterion\n"
+            f"{metrics['threshold']!r},,{metrics['accuracy']!r},{metrics['fisher_j']!r}\n"
+        ).encode()
 
     def test_empty_dataset_exits_one(self, werner2_dataset, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -1,5 +1,7 @@
 """Tests for dataset generation, presets and the benchmark harness."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -45,6 +47,17 @@ def sample(family, label, overlap, n, seed, convention="paper"):
     """``sample_family_params`` over ``n`` rows of fresh uniforms."""
     u = np.random.default_rng(seed).random((n, ROW_UNIFORMS.get(family, 12)))
     return sample_family_params(family, label, overlap, u, convention)
+
+
+def csv_writer_bytes(dataset):
+    """The reference bytes of a dataset file: ``csv.writer`` over the header
+    and the per-cell ``repr`` of every feature, then the label."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(dataset.feature_names) + ["label"])
+    for row, label in zip(dataset.features, dataset.labels):
+        writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+    return buf.getvalue().encode()
 
 
 class TestConfigValidation:
@@ -290,19 +303,104 @@ class TestGenerateDataset:
 
     def test_save_matches_csv_writer(self, tmp_path):
         """The saved bytes are what csv.writer writes for the repr cells."""
-        import csv
-        import io
-
         ds = generate_dataset(ExperimentConfig(family="werner3", n_samples=30, master_seed=3, shots=8))
         ds.features[0, :5] = [1e-05, -0.0, 1e16, 5e-324, 0.1]
         path = tmp_path / "ds.csv"
         save_dataset(ds, str(path))
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(ds.feature_names) + ["label"])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes() == csv_writer_bytes(ds)
+
+    def test_save_keeps_the_sign_of_zero(self, tmp_path):
+        """A column alternating 0.0 and -0.0 over three write blocks keeps
+        each cell's sign: the repr table is keyed on bit patterns."""
+        ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=600, master_seed=3, shots=8))
+        ds.features[:, 2] = np.where(np.arange(600) % 2, -0.0, 0.0)
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, str(path))
+        assert path.read_bytes() == csv_writer_bytes(ds)
+        assert [line.split(",")[2] for line in path.read_text().splitlines()[1:5]] == ["0.0", "-0.0", "0.0", "-0.0"]
+
+    def test_save_matches_csv_writer_property(self, tmp_path):
+        """Property: over 1 to 2 * _CHUNK_ROWS + 1 rows, so that write blocks
+        are crossed, with cells from a small pool (0.0, -0.0, subnormals,
+        +-1e308 and arbitrary finite doubles) so that values repeat, the
+        saved bytes are the csv.writer reference."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        edges = [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308]
+        doubles = st.floats(allow_nan=False, allow_infinity=False)
+        path = str(tmp_path / "ds.csv")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            n_rows=st.integers(1, 2 * experiments._CHUNK_ROWS + 1),
+            n_qubits=st.integers(1, 2),
+            pool=st.lists(doubles, max_size=6).map(lambda drawn: edges + drawn),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def matches(n_rows, n_qubits, pool, seed):
+            names = ObservableSet.full(n_qubits).strings
+            rng = np.random.default_rng(seed)
+            features = np.array(pool)[rng.integers(len(pool), size=(n_rows, len(names)))]
+            ds = Dataset(features, rng.choice([-1, 1], size=n_rows), names)
+            save_dataset(ds, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == csv_writer_bytes(ds)
+
+        matches()
+
+    @pytest.mark.parametrize(
+        "cells, labels_, message",
+        [
+            ({(2, 3): np.nan}, {}, ", line 4, column 4 (XI): non-finite feature 'nan'"),
+            ({(0, 0): -np.inf}, {}, ", line 2, column 1 (IX): non-finite feature '-inf'"),
+            ({}, {5: 0}, ", line 7, column 16 (label): '0' is not -1 or +1"),
+            ({(4, 14): np.inf}, {4: 2}, ", line 6, column 15 (ZZ): non-finite feature 'inf'"),
+            ({(4, 14): np.inf}, {1: 2}, ", line 3, column 16 (label): '2' is not -1 or +1"),
+        ],
+        ids=["nan-feature", "infinite-feature", "zero-label", "feature-before-label", "earlier-label-first"],
+    )
+    def test_save_refusals(self, tmp_path, cells, labels_, message):
+        """save_dataset refuses what load_dataset would, naming the first
+        defect by line and column, before it writes anything."""
+        ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=20, master_seed=3, shots=8))
+        for (r, c), value in cells.items():
+            ds.features[r, c] = value
+        for r, value in labels_.items():
+            ds.labels[r] = value
+        self.assert_refused(tmp_path, ds, message)
+
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            (lambda ds: Dataset(ds.features[:, :-1], ds.labels, ds.feature_names),
+             ", line 2: 15 columns, the header has 16"),
+            (lambda ds: Dataset(ds.features, ds.labels[:-1], ds.feature_names),
+             ", line 21: 20 feature rows, 19 labels"),
+            (lambda ds: Dataset(ds.features[:-2], ds.labels, ds.feature_names),
+             ", line 20: 18 feature rows, 20 labels"),
+            (lambda ds: Dataset(ds.features, ds.labels * 0.5, ds.feature_names),
+             ", line 2, column 16 (label): '-0.5' is not -1 or +1"),
+            (lambda ds: Dataset(ds.features[0], ds.labels[:1], ds.feature_names),
+             ": features of shape (15,), not (rows, 15)"),
+        ],
+        ids=["short-rows", "missing-label", "missing-rows", "half-labels", "one-dimensional"],
+    )
+    def test_save_refuses_bad_arrays(self, tmp_path, dataset, message):
+        ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=20, master_seed=3, shots=8))
+        self.assert_refused(tmp_path, dataset(ds), message)
+
+    @staticmethod
+    def assert_refused(tmp_path, dataset, message):
+        """Saving over an existing file raises the message and leaves the
+        file as it was, with no temp file beside it."""
+        path = tmp_path / "ds.csv"
+        path.write_bytes(b"earlier contents\r\n")
+        with pytest.raises(ValueError) as excinfo:
+            save_dataset(dataset, str(path))
+        assert str(excinfo.value) == f"dataset file {path}{message}"
+        assert path.read_bytes() == b"earlier contents\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]
 
     @pytest.mark.parametrize(
         "rewrite",
