@@ -181,7 +181,7 @@ def _cmd_eval(args) -> int:
             text = json.dumps(payload, indent=2) + "\n"
         else:
             # A model without a train accuracy gets an empty cell, JSON's null.
-            keys = ["fld_threshold", "train_accuracy", "test_accuracy", "fisher_criterion"]
+            keys = [key for key in payload if key != "confusion"]
             cells = ("" if payload[k] is None else repr(float(payload[k])) for k in keys)
             text = ",".join(keys) + "\n" + ",".join(cells) + "\n"
         flda.atomic_write(args.report_out, text)

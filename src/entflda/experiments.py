@@ -26,6 +26,7 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,7 +53,8 @@ TABLE_FAMILIES = {
 }
 SINGLE_OVERLAP_TABLES = (6, 7)
 
-REPORT_COLUMNS = ("table", "family", "overlap", "fld_threshold", "train_acc", "test_acc", "fisher_j", "seed")
+REPORT_METRICS = ("fld_threshold", "train_acc", "test_acc", "fisher_j")  # written at repr precision
+REPORT_COLUMNS = ("table", "family", "overlap", *REPORT_METRICS, "seed")
 
 
 @dataclass
@@ -64,7 +66,7 @@ class ExperimentConfig:
     n_samples: int = 10000
     balance: float = 0.5
     shots: int | None = None  # None = overlap preset; 0 = exact expectations
-    split: float = 0.8
+    split: ClassVar[float] = 0.8  # train fraction of every split
     label_convention: str = "paper"
     master_seed: int = 0
 
@@ -75,8 +77,6 @@ class ExperimentConfig:
             raise ValueError(f"overlap {self.overlap!r} not one of {OVERLAP_LEVELS}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples={self.n_samples} is below the minimum of 20")
-        if not (0.0 < self.split < 1.0):
-            raise ValueError(f"split={self.split} must lie strictly inside (0, 1)")
         if not (0.0 < self.balance < 1.0):
             raise ValueError(f"balance={self.balance} must lie strictly inside (0, 1)")
         if min(self.n_entangled, self.n_samples - self.n_entangled) < 10:
@@ -256,24 +256,24 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     return Dataset(features=features, labels=y, feature_names=obs.strings)
 
 
-def _check_writable(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
+def _check_writable(path: str, header: list, x: np.ndarray, y: np.ndarray) -> None:
     """Raise what :func:`load_dataset` would refuse in the file of ``x`` and
-    ``y``: its first defect, named by line (the header is line 1) and column."""
+    ``y`` under ``header``, with its message; the row texts go through the
+    reader's check only when a cheap array test finds a defect."""
     where = f"dataset file {path}"
     if x.ndim != 2:
-        raise ValueError(f"{where}: features of shape {x.shape}, not (rows, {len(names)})")
-    if x.shape[1] != len(names):
-        raise ValueError(f"{where}, line 2: {x.shape[1] + 1} columns, the header has {len(names) + 1}")
+        raise ValueError(f"{where}: features of shape {x.shape}, not (rows, {len(header) - 1})")
+    _check_header(path, header)
     if len(y) != len(x):
         raise ValueError(f"{where}, line {min(len(x), len(y)) + 2}: {len(x)} feature rows, {len(y)} labels")
-    bad = np.column_stack([~np.isfinite(x), ~np.isin(y, flda.CLASS_ORDER)])
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        if c < len(names):
-            problem = f"non-finite feature {repr(x[r, c].item())!r}"
-        else:
-            problem = f"{str(y[r].item())!r} is not -1 or +1"
-        raise ValueError(f"{where}, line {r + 2}, column {c + 1} ({[*names, 'label'][c]}): {problem}")
+    if not len(x):
+        raise ValueError(f"{where} has no samples")
+    if x.shape[1] != len(header) - 1 or not np.isfinite(x).all() or not np.isin(y, flda.CLASS_ORDER).all():
+        # A valid label is written as an int (1.0 as "1"), any other one as given.
+        texts = (str(int(v)) if v in flda.CLASS_ORDER else str(v) for v in y.tolist())
+        defect = _first_defect(path, header, enumerate(([*map(repr, r), t] for r, t in zip(x.tolist(), texts)), 2))
+        if defect:  # labels given as text, say "1", are read as the reader reads them
+            raise defect
 
 
 def _row_texts(x: np.ndarray, y: list):
@@ -293,11 +293,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     """Delimited text: feature Pauli words + "label" header, repr-precision
     rows, CRLF line ends (the bytes ``csv.writer`` gives), written in
     ``_CHUNK_ROWS``-row blocks through a per-block ``repr`` table. A dataset
-    :func:`load_dataset` would refuse raises ``ValueError`` before any write."""
+    :func:`load_dataset` would refuse (bad header words included) raises its
+    ``ValueError``, with the reader's message, before any write."""
     x, y = np.ascontiguousarray(dataset.features, dtype=np.float64), np.asarray(dataset.labels)
-    _check_writable(path, dataset.feature_names, x, y)
-    header = ",".join([*dataset.feature_names, "label"]) + "\r\n"
-    flda.atomic_write(path, itertools.chain([header], _row_texts(x, y.astype(int).tolist())))
+    header = [*dataset.feature_names, "label"]
+    _check_writable(path, header, x, y)
+    flda.atomic_write(path, itertools.chain([",".join(header) + "\r\n"], _row_texts(x, y.astype(int).tolist())))
 
 
 def _csv_rows(path: str, fh):
@@ -312,37 +313,53 @@ def _csv_rows(path: str, fh):
         raise ValueError(f"dataset file {path}, line {reader.line_num}: {exc}") from None
 
 
+def _check_header(path: str, header: list) -> None:
+    """Refuse a header row that is not distinct non-identity Pauli words of
+    one length followed by ``label``."""
+    if len(header) < 2 or header[-1] != "label":
+        raise ValueError(f"dataset file {path} lacks the feature+label header")
+    try:
+        ObservableSet(len(header[0]), header[:-1])
+    except ValueError as exc:
+        raise ValueError(f"dataset file {path}, line 1: {exc}") from None
+
+
+def _first_defect(path: str, header: list, rows) -> ValueError | None:
+    """The first defect of the ``(line, row)`` text rows of a dataset file
+    under ``header``, or None.
+
+    Cells are read as loadtxt reads them: blank rows are skipped, and a cell
+    with ``_`` digit separators (which ``float`` takes) is not a number."""
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            return ValueError(f"dataset file {path}, line {line}: {len(row)} columns, the header has {len(header)}")
+        for c, text in enumerate(row[:-1]):
+            try:
+                value = float("_" if "_" in text else text)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                problem = f"{text!r} is not a number" if value is None else f"non-finite feature {text!r}"
+                return ValueError(f"dataset file {path}, line {line}, column {c + 1} ({header[c]}): {problem}")
+        try:
+            label = int(row[-1])
+        except ValueError:
+            label = 0
+        if label not in flda.CLASS_ORDER:
+            return ValueError(
+                f"dataset file {path}, line {line}, column {len(header)} (label): {row[-1]!r} is not -1 or +1"
+            )
+
+
 def _refusal(path: str, header: list, error) -> ValueError:
     """The first defect, in line order, of a dataset file whose body loadtxt
-    or the finite/label check refused, or ``error`` when none is found.
-
-    Cells are read as loadtxt reads them: blank lines are skipped, and a cell
-    with ``_`` digit separators (which ``float`` takes) is not a number."""
+    or the finite/label check refused, or ``error`` when none is found."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = _csv_rows(path, fh)
         next(rows)
-        for line, row in rows:
-            if not row:
-                continue
-            if len(row) != len(header):
-                return ValueError(f"dataset file {path}, line {line}: {len(row)} columns, the header has {len(header)}")
-            for c, text in enumerate(row[:-1]):
-                try:
-                    value = float("_" if "_" in text else text)
-                except ValueError:
-                    value = None
-                if value is None or not math.isfinite(value):
-                    problem = f"{text!r} is not a number" if value is None else f"non-finite feature {text!r}"
-                    return ValueError(f"dataset file {path}, line {line}, column {c + 1} ({header[c]}): {problem}")
-            try:
-                label = int(row[-1])
-            except ValueError:
-                label = 0
-            if label not in flda.CLASS_ORDER:
-                return ValueError(
-                    f"dataset file {path}, line {line}, column {len(header)} (label): {row[-1]!r} is not -1 or +1"
-                )
-    return ValueError(f"dataset file {path}: {error}")
+        return _first_defect(path, header, rows) or ValueError(f"dataset file {path}: {error}")
 
 
 def load_dataset(path: str) -> Dataset:
@@ -353,12 +370,7 @@ def load_dataset(path: str) -> Dataset:
             _, header = next(rows)
         except StopIteration:
             raise ValueError(f"dataset file {path} is empty") from None
-        if len(header) < 2 or header[-1] != "label":
-            raise ValueError(f"dataset file {path} lacks the feature+label header")
-        try:
-            ObservableSet(len(header[0]), header[:-1])
-        except ValueError as exc:
-            raise ValueError(f"dataset file {path}, line 1: {exc}") from None
+        _check_header(path, header)
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -457,18 +469,8 @@ def reproduce_tables(
                 master_seed=row_seed,
             )
             report = run_experiment(config)
-            rows.append(
-                {
-                    "table": table,
-                    "family": family,
-                    "overlap": overlap,
-                    "fld_threshold": report.fld_threshold,
-                    "train_acc": report.train_accuracy,
-                    "test_acc": report.test_accuracy,
-                    "fisher_j": report.fisher_criterion,
-                    "seed": row_seed,
-                }
-            )
+            metrics = (report.fld_threshold, report.train_accuracy, report.test_accuracy, report.fisher_criterion)
+            rows.append(dict(zip(REPORT_COLUMNS, (table, family, overlap, *metrics, row_seed))))
 
     if out_path is not None:
         flda.atomic_write(out_path, render_report(rows, fmt))
@@ -484,16 +486,5 @@ def render_report(rows, fmt: str = "csv") -> str:
     writer = csv.writer(buf)
     writer.writerow(REPORT_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row["table"],
-                row["family"],
-                row["overlap"],
-                repr(float(row["fld_threshold"])),
-                repr(float(row["train_acc"])),
-                repr(float(row["test_acc"])),
-                repr(float(row["fisher_j"])),
-                row["seed"],
-            ]
-        )
+        writer.writerow(repr(float(row[key])) if key in REPORT_METRICS else row[key] for key in REPORT_COLUMNS)
     return buf.getvalue()

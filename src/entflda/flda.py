@@ -58,12 +58,12 @@ class FldaModel:
     train_accuracy: float | None = None
 
 
-def _check_labels(labels: np.ndarray) -> None:
-    present = set(np.unique(labels).tolist())
-    if not present.issubset({-1, 1}):
-        raise ValueError(f"labels must be -1 or +1, got {sorted(present)}")
-    if len(present) < 2:
-        raise ValueError("need both classes present to fit a discriminant")
+def _check_labels(labels: np.ndarray) -> list:
+    """The classes present in ``labels``, sorted; any label other than -1 or +1 is refused."""
+    present = np.unique(labels).tolist()
+    if not set(present).issubset(CLASS_ORDER):
+        raise ValueError(f"labels must be -1 or +1, got {present}")
+    return present
 
 
 def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
@@ -79,7 +79,8 @@ def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
         raise ValueError("feature matrix must be 2-D and nonempty")
     if y.shape != (x.shape[0],):
         raise ValueError(f"label vector shape {y.shape} does not match {x.shape[0]} rows")
-    _check_labels(y)
+    if len(_check_labels(y)) < 2:
+        raise ValueError("need both classes present to fit a discriminant")
 
     n_features = x.shape[1]
     overall_mean = x.mean(axis=0)
@@ -213,6 +214,7 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
     """Accuracy, threshold, Fisher value and confusion counts on a set.
 
     Confusion keys treat +1 (separable) as the positive class: tp/tn/fp/fn.
+    Labels are checked as :func:`fit` checks them, but one class may be absent.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -220,6 +222,7 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
         raise ValueError("evaluation set is empty")
     if y.shape != (x.shape[0],):
         raise ValueError(f"label vector shape {y.shape} does not match {x.shape[0]} rows")
+    _check_labels(y)
     pred = classify(model, x)
     accuracy = float(np.mean(pred == y))
     confusion = {

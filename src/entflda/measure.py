@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .qops import DensityOperator, pauli_string_operator
+from .qops import PAULI_LETTERS, DensityOperator, pauli_string_operator
 
 STANDARDIZER_MODES = ("zscore", "minmax", "none")
 
@@ -28,8 +28,8 @@ class ObservableSet:
     """An ordered, duplicate-free list of non-identity Pauli words.
 
     Feature names serialize as the words themselves, most-significant qubit
-    first (e.g. ``"XZI"``). Operator matrices are built lazily and cached as
-    one stacked array for vectorized trace evaluation.
+    first (e.g. ``"XZI"``). :meth:`operators` builds the stacked matrices on
+    each call; the trace form that feature evaluation reads is cached.
     """
 
     def __init__(self, num_qubits: int, strings):
@@ -39,7 +39,7 @@ class ObservableSet:
         seen = set()
         identity = "I" * num_qubits
         for s in strings:
-            if len(s) != num_qubits or any(ch not in "IXYZ" for ch in s):
+            if len(s) != num_qubits or any(ch not in PAULI_LETTERS for ch in s):
                 raise ValueError(f"bad Pauli word {s!r} for {num_qubits} qubits")
             if s == identity:
                 raise ValueError("identity string carries no information and is excluded")
@@ -48,15 +48,14 @@ class ObservableSet:
             seen.add(s)
         self.num_qubits = num_qubits
         self.strings = strings
-        self._stack = None
         self._trace_form = None
 
     @classmethod
     @functools.cache
     def full(cls, num_qubits: int) -> "ObservableSet":
         """All 4^N - 1 non-identity Pauli words in base-4 counting order; one
-        shared instance per qubit count, so its operators are built once."""
-        words = ("".join(w) for w in product("IXYZ", repeat=num_qubits))
+        shared instance per qubit count, so its trace form is built once."""
+        words = ("".join(w) for w in product(PAULI_LETTERS, repeat=num_qubits))
         return cls(num_qubits, (w for w in words if w != "I" * num_qubits))
 
     def __len__(self) -> int:
@@ -64,10 +63,7 @@ class ObservableSet:
 
     def operators(self) -> np.ndarray:
         """Stacked (n_obs, dim, dim) array of the observable matrices."""
-        if self._stack is None:
-            self._stack = np.stack([pauli_string_operator(s) for s in self.strings])
-            self._stack.setflags(write=False)
-        return self._stack
+        return np.stack([pauli_string_operator(s) for s in self.strings])
 
     def trace_form(self) -> tuple:
         """``(index, weights)``: tr(O_k rho) = rho_flat[index] @ weights[:, k] for

@@ -76,7 +76,7 @@ class TestConfigValidation:
             ({"family": "product-sep"}, "cannot head a dataset"),
             ({"family": "werner2", "overlap": "tiny"}, "overlap"),
             ({"family": "werner2", "n_samples": 5}, "minimum"),
-            ({"family": "werner2", "split": 1.0}, "split"),
+            ({"family": "werner5"}, "unknown family"),
             ({"family": "werner2", "n_samples": 30, "balance": 0.1}, "fewer than 10"),
             ({"family": "werner2", "shots": -1}, "shots"),
             ({"family": "werner2", "balance": float("nan")}, "balance"),
@@ -383,12 +383,37 @@ class TestGenerateDataset:
              ", line 2, column 16 (label): '-0.5' is not -1 or +1"),
             (lambda ds: Dataset(ds.features[0], ds.labels[:1], ds.feature_names),
              ": features of shape (15,), not (rows, 15)"),
+            (lambda ds: Dataset(ds.features[:0], ds.labels[:0], ds.feature_names), " has no samples"),
+            (lambda ds: Dataset(np.where(np.arange(20)[:, None] == 3, np.nan, ds.features), 1.0 * ds.labels,
+                                ds.feature_names),
+             ", line 5, column 1 (IX): non-finite feature 'nan'"),
         ],
-        ids=["short-rows", "missing-label", "missing-rows", "half-labels", "one-dimensional"],
+        ids=["short-rows", "missing-label", "missing-rows", "half-labels", "one-dimensional", "no-rows",
+             "float-labels-read-as-written"],
     )
     def test_save_refuses_bad_arrays(self, tmp_path, dataset, message):
         ds = generate_dataset(ExperimentConfig(family="werner2", n_samples=20, master_seed=3, shots=8))
         self.assert_refused(tmp_path, dataset(ds), message)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("XX", "XX"), ", line 1: duplicate Pauli word 'XX'"),
+            (("II", "XX"), ", line 1: identity string carries no information and is excluded"),
+            (("XX", "XA"), ", line 1: bad Pauli word 'XA' for 2 qubits"),
+            (("X", "XX"), ", line 1: bad Pauli word 'XX' for 1 qubits"),
+        ],
+        ids=["duplicate-word", "identity-word", "non-pauli-letter", "mixed-lengths"],
+    )
+    def test_save_refuses_bad_header_words(self, tmp_path, names, message):
+        """save_dataset refuses a header load_dataset would refuse, with the
+        reader's message, before it writes anything."""
+        self.assert_refused(tmp_path, Dataset(np.full((3, 2), 0.5), np.array([-1, 1, 1]), names), message)
+        path = tmp_path / "ds.csv"
+        path.write_text(",".join([*names, "label"]) + "\r\n0.5,0.5,1\r\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_dataset(str(path))
+        assert str(excinfo.value) == f"dataset file {path}{message}"
 
     @staticmethod
     def assert_refused(tmp_path, dataset, message):
@@ -602,3 +627,32 @@ class TestReproduceTables:
         assert '"table": 1' in json_text
         with pytest.raises(ValueError, match="format"):
             render_report(rows, "tsv")
+
+    def test_render_csv_bytes(self):
+        """Each metric cell is ``repr(float(value))``, whatever the value's
+        type, and the other cells are written as given: the reference below
+        spells the row out column by column."""
+        metrics = [
+            (0.25, 0.5, 0.875, 1.0),
+            (np.float64(-0.1), np.float64(1.0), np.float64(0.9), np.float64(123.456)),
+            (np.float32(0.1), np.float32(0.75), np.float32(0.3), np.float32(2.5)),
+            (0, 1, np.int64(1), 7),
+        ]
+        rows = [dict(zip(experiments.REPORT_COLUMNS, (i + 1, "werner2", "high", *m, 3 + i)))
+                for i, m in enumerate(metrics)]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["table", "family", "overlap", "fld_threshold", "train_acc", "test_acc", "fisher_j", "seed"])
+        for row in rows:
+            writer.writerow([
+                row["table"],
+                row["family"],
+                row["overlap"],
+                repr(float(row["fld_threshold"])),
+                repr(float(row["train_acc"])),
+                repr(float(row["test_acc"])),
+                repr(float(row["fisher_j"])),
+                row["seed"],
+            ])
+        assert render_report(rows, "csv") == buf.getvalue()
+        assert "0.10000000149011612" in buf.getvalue()

@@ -253,6 +253,33 @@ class TestAffineInvariance:
             mapped_model = fit(x @ a + b, y, epsilon=0.0, standardizer="none")
             np.testing.assert_array_equal(classify(mapped_model, x_eval @ a + b), base)
 
+    def test_zscore_decisions_invariant_under_positive_column_scaling(self):
+        """Property: z-scoring makes a fit on x * a + b (a > 0 per column)
+        classify x_test * a + b as the raw fit classifies x_test, on every
+        row farther than 1e-9 from the raw threshold."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra.numpy import arrays
+
+        n_features = 6
+
+        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            a=arrays(np.float64, n_features, elements=st.floats(0.1, 10.0)),
+            b=arrays(np.float64, n_features, elements=st.floats(-10.0, 10.0)),
+        )
+        def invariant(seed, a, b):
+            rng = np.random.default_rng(seed)
+            x, y = two_gaussian_problem(rng, n_features=n_features, n_per_class=60, separation=1.0)
+            x_test = rng.normal(size=(100, n_features)) + x.mean(axis=0)
+            raw = fit(x, y)
+            decided = np.abs(project(raw, x_test) - raw.threshold) > 1e-9
+            mapped = fit(x * a + b, y)
+            np.testing.assert_array_equal(classify(mapped, x_test * a + b)[decided], classify(raw, x_test)[decided])
+
+        invariant()
+
 
 class TestEvaluate:
     def test_perfect_separation(self):
@@ -277,6 +304,28 @@ class TestEvaluate:
         model = fit(x, y)
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, np.empty((0, x.shape[1])), np.array([]))
+
+    @pytest.mark.parametrize("bad, shown", [([0, 2], "[0, 2]"), ([-1, 0.5], "[-1.0, 0.5]")], ids=["zero-two", "half"])
+    def test_bad_labels_refused_as_fit_refuses_them(self, bad, shown):
+        rng = np.random.default_rng(73)
+        x, y = two_gaussian_problem(rng)
+        model = fit(x, y)
+        labels = np.resize(bad, len(x))
+        with pytest.raises(ValueError) as fit_error:
+            fit(x, labels)
+        with pytest.raises(ValueError) as eval_error:
+            evaluate(model, x, labels)
+        assert str(eval_error.value) == str(fit_error.value) == f"labels must be -1 or +1, got {shown}"
+
+    def test_one_class_set_is_scored(self):
+        rng = np.random.default_rng(74)
+        x, y = two_gaussian_problem(rng)
+        model = fit(x, y)
+        metrics = evaluate(model, x[y == 1], y[y == 1])
+        confusion = metrics["confusion"]
+        assert confusion["tn"] == confusion["fp"] == 0
+        assert confusion["tp"] + confusion["fn"] == np.sum(y == 1)
+        assert metrics["accuracy"] == confusion["tp"] / np.sum(y == 1)
 
     def test_accuracy_beats_random_direction_with_best_threshold(self):
         rng = np.random.default_rng(72)

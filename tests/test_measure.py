@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entflda.experiments import bloch_vectors
+from entflda.experiments import OVERLAP_LEVELS, ROW_UNIFORMS, bloch_vectors, sample_family_params
 from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
     ObservableSet,
@@ -13,7 +13,7 @@ from entflda.measure import (
     sampled_features,
 )
 from entflda.qops import DensityOperator
-from entflda.states import concurrence_state, from_family, pptes_acin, werner2, werner_ghz
+from entflda.states import FAMILIES, concurrence_state, from_family, pptes_acin, werner2, werner_ghz
 from oracles import reconstruct_density
 
 
@@ -131,6 +131,33 @@ class TestReconstruction:
         for rho, obs in cases:
             rebuilt = reconstruct_density(exact_features(rho, obs), obs)
             np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-10)
+
+    def test_sampled_rows_reconstruct_their_state(self):
+        """Property: the exact features of a sampled row of every family (and
+        of a product state of 1 to 4 qubits) rebuild its state within 1e-12."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        heads = [name for name in FAMILIES if name != "product-sep"]
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            family=st.sampled_from(heads),
+            label=st.sampled_from([-1, 1]),
+            overlap=st.sampled_from(OVERLAP_LEVELS),
+            n_qubits=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def rebuilds(family, label, overlap, n_qubits, seed):
+            rng = np.random.default_rng(seed)
+            name, params = sample_family_params(family, label, overlap, rng.random((1, ROW_UNIFORMS[family])))
+            built = [from_family(name, params[0]), random_product_state(n_qubits, rng)]
+            for rho in built:
+                obs = ObservableSet.full(rho.num_qubits)
+                np.testing.assert_allclose(reconstruct_density(exact_features(rho, obs), obs), rho.matrix,
+                                           rtol=0, atol=1e-12)
+
+        rebuilds()
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="feature values"):
