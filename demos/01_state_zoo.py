@@ -30,9 +30,9 @@ for family, row in EXAMPLES:
     report = ppt_report(rho)
     print(f"--- {family}  {row}")
     print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4)}")
-    for cut, value in sorted(report.min_eigenvalues.items()):
+    for cut, value in sorted(report["min_eigenvalues"].items()):
         print(f"    min PT eigenvalue {cut}: {value:+.4f}")
-    labels = {conv: assign_label(family, row, rho, conv) for conv in ("paper", "ppt-oracle")}
+    labels = {conv: assign_label(family, row, rho.matrix, conv) for conv in ("paper", "ppt-oracle")}
     print(f"    labels: paper={labels['paper']:+d}  ppt-oracle={labels['ppt-oracle']:+d}")
     if rho.num_qubits == 2:
         print(f"    concurrence: {concurrence_wootters(rho):.4f}")

@@ -10,9 +10,9 @@ counts and compares against the exact expectations. The error shrinks like
 
 import numpy as np
 
-from entflda import ObservableSet, exact_features, sampled_features, werner2
+from entflda import ObservableSet, exact_features, from_family, sampled_features
 
-rho = werner2(0.5)
+rho = from_family("werner2", [0.5]).matrix
 obs = ObservableSet.full(2)
 exact = exact_features(rho, obs)
 

@@ -228,11 +228,11 @@ def _cmd_inspect(args) -> int:
     eigs = np.linalg.eigvalsh(rho.matrix)
     print("eigenvalues:", " ".join(f"{v:.6f}" for v in eigs))
     report = labels.ppt_report(rho)
-    for cut, value in sorted(report.min_eigenvalues.items()):
+    for cut, value in sorted(report["min_eigenvalues"].items()):
         print(f"min PT eigenvalue {cut}: {value:.6f}")
-    print(f"PPT under all cuts: {report.is_ppt_all}")
+    print(f"PPT under all cuts: {report['is_ppt_all']}")
     for convention in labels.LABEL_CONVENTIONS:
-        print(f"label ({convention}): {labels.assign_label(args.family, row, rho, convention):+d}")
+        print(f"label ({convention}): {labels.assign_label(args.family, row, rho.matrix, convention):+d}")
     if rho.num_qubits == 2:
         print(f"concurrence: {labels.concurrence_wootters(rho):.6f}")
     return EXIT_OK

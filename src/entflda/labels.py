@@ -12,8 +12,6 @@ and builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import states
@@ -24,19 +22,6 @@ LABEL_CONVENTIONS = ("paper", "ppt-oracle")
 
 # Eigenvalues above this are treated as nonnegative; absorbs eigensolver noise.
 PPT_TOL = -1e-9
-
-
-@dataclass(frozen=True)
-class PptReport:
-    """Minimum partial-transpose eigenvalue per bipartition.
-
-    Keys are cut descriptors like ``"0|12"``: the block containing qubit 0,
-    a bar, then the complement. Complementary cuts share a spectrum and are
-    reported once.
-    """
-
-    min_eigenvalues: dict
-    is_ppt_all: bool
 
 
 def _bipartitions(n: int):
@@ -64,19 +49,21 @@ def _pt_minima(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(transposes)[..., 0]
 
 
-def ppt_report(rho: DensityOperator) -> PptReport:
-    """Minimum eigenvalue of every partial transpose (none for one qubit)."""
+def ppt_report(rho: DensityOperator) -> dict:
+    """``{"min_eigenvalues": {cut: minimum eigenvalue of its partial
+    transpose}, "is_ppt_all": all of them >= PPT_TOL}``, with no cut for one
+    qubit. A cut reads like ``"0|12"``: the block holding qubit 0, a bar,
+    then the complement; complementary cuts share a spectrum, so appear once.
+    """
     cuts = _bipartitions(rho.num_qubits)
     minima = {descriptor: float(v) for (descriptor, _), v in zip(cuts, _pt_minima(rho.matrix))}
-    return PptReport(min_eigenvalues=minima, is_ppt_all=all(v >= PPT_TOL for v in minima.values()))
+    return {"min_eigenvalues": minima, "is_ppt_all": all(v >= PPT_TOL for v in minima.values())}
 
 
 def concurrence_analytic(theta0, theta1):
     """Closed-form concurrence of the two-rotation circuit state, for scalar
     angles or elementwise over arrays of them."""
-    theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
-    if not np.all((0 <= theta0) & (theta0 <= np.pi) & (0 <= theta1) & (theta1 <= np.pi)):
-        raise ValueError(f"angles ({theta0}, {theta1}) outside [0, pi]")
+    theta0, theta1 = states.checked_angles(theta0, theta1)
     c = np.sin(theta0) * np.sin(theta1 / 2)
     return float(c) if c.ndim == 0 else c
 
@@ -103,9 +90,10 @@ def concurrence_wootters(rho: DensityOperator) -> float:
 def assign_label(family: str, row, rho, convention: str = "paper"):
     """Ground-truth class of ``rho``, the state built from (family, parameters).
 
-    ``row`` is the family's parameter row, the layout its ``stack`` takes.
-    With a :class:`DensityOperator` it gives an int; an (n, k) array of rows
-    with the (n, d, d) stack built from them gives one label per row.
+    ``row`` is the family's parameter row, the layout its ``stack`` takes,
+    and ``rho`` the (d, d) matrix built from it, giving an int; an (n, k)
+    array of rows with the (n, d, d) stack built from them gives one label
+    per row.
     ``paper``: Werner families entangled above their published mixing
     threshold, the circuit family entangled for C > 0, both PPT families
     and the biseparable family always entangled, products always separable.
@@ -116,7 +104,7 @@ def assign_label(family: str, row, rho, convention: str = "paper"):
     if convention not in LABEL_CONVENTIONS:
         raise ValueError(f"unknown label convention {convention!r}; expected one of {LABEL_CONVENTIONS}")
     spec = states.family(family)
-    matrices = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    matrices = np.asarray(rho)
     rows, q = matrices.shape[:-2], np.asarray(row, dtype=float)
     if spec.fixed_label is not None:
         y = np.full(rows, spec.fixed_label)

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .qops import PAULI_LETTERS, DensityOperator, pauli_string_operator
+from .qops import PAULI_LETTERS, pauli_string_operator
 
 STANDARDIZER_MODES = ("zscore", "minmax", "none")
 
@@ -82,11 +82,11 @@ class ObservableSet:
 
 
 def exact_features(rho, obs: ObservableSet) -> np.ndarray:
-    """Exact expectation value per observable, in [-1, 1], of a
-    :class:`DensityOperator` or of each state of an (n, d, d) stack (one row
-    each): a real matmul (see :meth:`ObservableSet.trace_form`) in which each
+    """Exact expectation value per observable, in [-1, 1], of a (d, d)
+    density matrix or of each state of an (n, d, d) stack (one row each): a
+    real matmul (see :meth:`ObservableSet.trace_form`) in which each
     state is its own 1-row product, so its bits do not depend on the stack."""
-    m = np.ascontiguousarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
+    m = np.ascontiguousarray(rho, dtype=complex)
     n_qubits = m.shape[-1].bit_length() - 1
     if obs.num_qubits != n_qubits:
         raise ValueError(f"observable set is for {obs.num_qubits} qubits, state has {n_qubits}")

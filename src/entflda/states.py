@@ -1,13 +1,13 @@
-"""Constructors for every state family used in the experiments.
+"""Every state family used in the experiments.
 
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
 ``product-sep``) has one :class:`Family` record in :data:`FAMILIES`.
 A record's ``stack`` builds a dataset chunk as one (n, d, d) array from an
-(n, k) parameter array, the one parameter layout; :func:`from_family`
-builds one validated state from one row of it. The array cores check the
-parameter ranges, so the stacks and the named constructors share one
-check. Everything here is pure.
+(n, k) parameter array, the one parameter layout; :func:`from_family`, the
+one way to build a single state, builds a validated state from one row of
+it. The array cores check the parameter ranges, so both refuse a bad row
+with one message. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ def _require(ok, message: str, **values) -> None:
 
 
 def _werner2_matrix(p) -> np.ndarray:
+    """Two-qubit Werner state p |psi-><psi-| + (1-p) I/4, a valid state for
+    p in [-1/3, 1], built from its diagonal Pauli expansion (1/4)(II - p XX
+    - p YY - p ZZ)."""
     p = np.asarray(p, dtype=float)
     _require((-1 / 3 - 1e-12 <= p) & (p <= 1 + 1e-12), "werner2 mixing parameter p={p} outside [-1/3, 1]", p=p)
     m = pauli_string_operator("II").astype(complex)
@@ -49,49 +52,31 @@ def _werner2_matrix(p) -> np.ndarray:
     return m / 4.0
 
 
-def werner2(p: float) -> DensityOperator:
-    """Two-qubit Werner state: singlet projector mixed with white noise.
-
-    Built from its diagonal Pauli expansion, (1/4) (II - p XX - p YY -
-    p ZZ), which equals p |psi-><psi-| + (1-p) I/4. Valid mixing range is
-    p in [-1/3, 1].
-    """
-    return DensityOperator(_werner2_matrix(p))
-
-
-def _ghz_matrix(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(2**n_qubits)  # real: real stacks build and validate faster
-    psi[0] = psi[-1] = 1 / np.sqrt(2)
-    return np.outer(psi, psi)
-
-
-def _depolarized(m: np.ndarray, p) -> np.ndarray:
-    eye = np.eye(m.shape[-1], dtype=m.dtype) / m.shape[-1]
-    return _column(p) * m + (1 - _column(p)) * eye
-
-
-def ghz_state(n_qubits: int) -> DensityOperator:
-    """Projector onto (|0...0> + |1...1>)/sqrt(2)."""
-    return DensityOperator(_ghz_matrix(n_qubits))
-
-
 def _werner_ghz_matrix(n_qubits: int, p) -> np.ndarray:
-    if n_qubits not in (3, 4):
-        raise ValueError(f"werner_ghz supports 3 or 4 qubits, got {n_qubits}")
+    """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I/2^n, with
+    |GHZ> = (|0...0> + |1...1>)/sqrt(2)."""
     p = np.asarray(p, dtype=float)
     _require((0 <= p) & (p <= 1), "werner_ghz mixing parameter p={p} outside [0, 1]", p=p)
-    return _depolarized(_ghz_matrix(n_qubits), p)
+    ghz = np.zeros(2**n_qubits)  # real: real stacks build and validate faster
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    return _column(p) * np.outer(ghz, ghz) + (1 - _column(p)) * (np.eye(2**n_qubits) / 2**n_qubits)
 
 
-def werner_ghz(n_qubits: int, p: float) -> DensityOperator:
-    """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I / 2^n."""
-    return DensityOperator(_werner_ghz_matrix(n_qubits, p))
-
-
-def _concurrence_matrix(theta0, theta1) -> np.ndarray:
+def checked_angles(theta0, theta1) -> tuple:
+    """The concurrence family's two angles as float arrays, refused (naming
+    the first bad pair) outside [0, pi]."""
     theta0, theta1 = np.asarray(theta0, dtype=float), np.asarray(theta1, dtype=float)
     ok = (0 <= theta0) & (theta0 <= np.pi) & (0 <= theta1) & (theta1 <= np.pi)
     _require(ok, "angles ({theta0}, {theta1}) outside [0, pi]", theta0=theta0, theta1=theta1)
+    return theta0, theta1
+
+
+def _concurrence_matrix(theta0, theta1) -> np.ndarray:
+    """Pure two-qubit state of the two-rotation preparation circuit:
+    cos(theta0/2) on |00>, -i sin(theta0/2) cos(theta1/2) on |10> and
+    -i sin(theta0/2) sin(theta1/2) on |11>. Its concurrence is
+    C = sin(theta0) sin(theta1/2)."""
+    theta0, theta1 = checked_angles(theta0, theta1)
     psi = np.zeros(theta0.shape + (4,), dtype=complex)
     psi[..., 0] = np.cos(theta0 / 2)
     psi[..., 2] = -1j * np.sin(theta0 / 2) * np.cos(theta1 / 2)
@@ -99,24 +84,10 @@ def _concurrence_matrix(theta0, theta1) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def concurrence_state(theta0: float, theta1: float) -> DensityOperator:
-    """Pure two-qubit state from the two-rotation preparation circuit.
-
-    Amplitudes: cos(theta0/2) on |00>, -i sin(theta0/2) cos(theta1/2) on
-    |10>, -i sin(theta0/2) sin(theta1/2) on |11>. Its concurrence is
-    sin(theta0) sin(theta1/2).
-    """
-    return DensityOperator(_concurrence_matrix(theta0, theta1))
-
-
-def depolarize(rho: DensityOperator, p: float) -> DensityOperator:
-    """Depolarizing channel with survival weight p: p rho + (1-p) I / 2^n."""
-    if not (0 <= p <= 1):
-        raise ValueError(f"depolarizing weight p={p} outside [0, 1]")
-    return DensityOperator(_depolarized(rho.matrix, p))
-
-
 def _pptes_matrix(a, b, c) -> np.ndarray:
+    """Three-qubit bound-entangled state: diagonal (1, a, b, c, 1/c, 1/b,
+    1/a, 1) plus unit corner couplings, normalized by 2 + a + 1/a + b + 1/b
+    + c + 1/c. PPT under every cut for all positive parameters."""
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     _require((a > 0) & (b > 0) & (c > 0), "parameters must be positive, got a={a}, b={b}, c={c}", a=a, b=b, c=c)
     diagonal = np.stack(np.broadcast_arrays(1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0), axis=-1)
@@ -125,30 +96,15 @@ def _pptes_matrix(a, b, c) -> np.ndarray:
     return m / _column(2 + a + 1 / a + b + 1 / b + c + 1 / c)
 
 
-def pptes_acin(a: float, b: float, c: float) -> DensityOperator:
-    """Three-qubit bound-entangled family: diagonal (1, a, b, c, 1/c, 1/b,
-    1/a, 1) plus unit corner couplings, normalized by
-    2 + a + 1/a + b + 1/b + c + 1/c. PPT across every bipartition for all
-    positive parameters."""
-    return DensityOperator(_pptes_matrix(a, b, c))
-
-
 def _ppt_alternative_matrix() -> np.ndarray:
+    """Three-qubit diagonal state (1/8)(III + IZZ + ZIZ + ZZI), the equal
+    mixture of |000> and |111>; PPT under every cut."""
     return sum(pauli_string_operator(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
 
 
-def ppt_alternative() -> DensityOperator:
-    """Three-qubit diagonal state (1/8)(III + IZZ + ZIZ + ZZI).
-
-    Equals an equal mixture of |000> and |111|; PPT under every cut.
-    """
-    return DensityOperator(_ppt_alternative_matrix())
-
-
 def _bloch_matrix(bloch) -> np.ndarray:
+    """Single-qubit state (1/2)(I + b . sigma) per Bloch vector b (last axis)."""
     b = np.asarray(bloch, dtype=float)
-    if b.shape[-1:] != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {b.shape}")
     r = float(np.max(np.linalg.norm(b, axis=-1)))
     if r > 1 + 1e-12:
         raise ValueError(f"Bloch vector length {r} exceeds 1")
@@ -156,16 +112,6 @@ def _bloch_matrix(bloch) -> np.ndarray:
     for k, letter in enumerate("XYZ"):
         m = m + _column(b[..., k]) * pauli_matrix(letter)
     return m / 2.0
-
-
-def bloch_state(bloch: np.ndarray) -> DensityOperator:
-    """Single-qubit state (1/2)(I + b . sigma) for a Bloch vector b."""
-    return DensityOperator(_bloch_matrix(bloch))
-
-
-def product_state(blochs) -> DensityOperator:
-    """Tensor product of single-qubit Bloch states."""
-    return DensityOperator(kron(*(_bloch_matrix(b) for b in blochs)))
 
 
 # A biseparable row holds BISEPARABLE_COMPONENTS component weights (unused

@@ -25,14 +25,14 @@ from entflda.experiments import (
 from entflda.flda import compute_scatter, fit
 from entflda.measure import ObservableSet, exact_features, sampled_features
 from entflda.qops import partial_transpose
-from entflda.states import FAMILIES, from_family, werner2, werner_ghz
+from entflda.states import FAMILIES, from_family
 from oracles import discriminant_direction_eig, hermitian_eigenvalues, reconstruct_density
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
 def sampled_state(family, label, overlap, rng):
-    """``(parameter row, state)`` of one ``family`` state (a product for
+    """``(parameter row, density matrix)`` of one ``family`` state (a product for
     ``product-sep``) whose row the dataset sampler draws from fresh
     uniforms of ``rng``."""
     if family == "product-sep":
@@ -41,7 +41,7 @@ def sampled_state(family, label, overlap, rng):
         u = rng.random((1, experiments.ROW_UNIFORMS[family]))
         build_family, rows = sample_family_params(family, label, overlap, u)
         row = rows[0]
-    return row, from_family(build_family, row)
+    return row, from_family(build_family, row).matrix
 
 
 @contextmanager
@@ -124,14 +124,14 @@ def test_criterion_06_ppt_oracle_exactness():
     with criterion(6, "PPT critical eigenvalue exact, three-qubit crossing at 1/5"):
         rng = np.random.default_rng(606)
         for p in rng.uniform(-1 / 3, 1.0, size=100):
-            eigs = hermitian_eigenvalues(partial_transpose(werner2(float(p)).matrix, {1}))
+            eigs = hermitian_eigenvalues(partial_transpose(from_family("werner2", [p]).matrix, {1}))
             critical = (1 - 3 * p) / 4
             assert np.min(np.abs(eigs - critical)) < 1e-10, p
             if p >= 0:
                 assert abs(eigs[0] - critical) < 1e-10, p
 
         def worst_cut(p):
-            return min(labels.ppt_report(werner_ghz(3, p)).min_eigenvalues.values())
+            return min(labels.ppt_report(from_family("werner3", [p]))["min_eigenvalues"].values())
 
         root = brentq(worst_cut, 0.01, 0.99, xtol=1e-9)
         assert abs(root - 0.2) < 1e-6, root
@@ -139,17 +139,15 @@ def test_criterion_06_ppt_oracle_exactness():
 
 def test_criterion_07_concurrence_oracle_agreement():
     with criterion(7, "analytic concurrence matches spin-flip spectrum within 1e-9"):
-        from entflda.states import concurrence_state
-
         assert labels.concurrence_analytic(np.pi / 2, np.pi) == 1.0
         assert labels.concurrence_analytic(0.0, np.pi) == 0.0
-        assert abs(labels.concurrence_wootters(concurrence_state(np.pi / 2, np.pi)) - 1.0) < 1e-9
-        assert abs(labels.concurrence_wootters(concurrence_state(0.0, np.pi))) < 1e-9
+        assert abs(labels.concurrence_wootters(from_family("concurrence", [np.pi / 2, np.pi])) - 1.0) < 1e-9
+        assert abs(labels.concurrence_wootters(from_family("concurrence", [0.0, np.pi]))) < 1e-9
         rng = np.random.default_rng(707)
         for _ in range(500):
             t0, t1 = rng.uniform(0, np.pi, size=2)
             analytic = labels.concurrence_analytic(t0, t1)
-            spectral = labels.concurrence_wootters(concurrence_state(t0, t1))
+            spectral = labels.concurrence_wootters(from_family("concurrence", [t0, t1]))
             assert abs(analytic - spectral) < 1e-9, (t0, t1)
 
 
@@ -216,7 +214,7 @@ def test_criterion_11_pauli_completeness():
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 _, rho = sampled_state(family, label, "medium", rng)
                 rebuilt = reconstruct_density(exact_features(rho, obs), obs)
-                np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-10)
+                np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
 
 
 if __name__ == "__main__":

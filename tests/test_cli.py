@@ -353,10 +353,120 @@ class TestBadModel:
         assert f"model file {model_path}: expected a JSON object, got list" in capsys.readouterr().err
 
 
+# Full ``inspect`` stdout of the rows ``test_every_registered_family`` draws,
+# and of a one-qubit product (no cut, so an empty PPT report).
+INSPECT_STDOUT = {
+    "biseparable": (
+        "family: biseparable\n"
+        'params: {"components": [{"weight": 0.8681506867177103, "a_bloch": [0.5631048495991696, -0.343828'
+        '49087640555, 0.5303857011955266], "bc_p": 0.5167927876527322}, {"weight": 0.13184931328228972, "'
+        'a_bloch": [-0.8363467343927091, -0.235165169867133, 0.4488362523363896], "bc_p": 0.8648277232149'
+        "72}]}\n"
+        "eigenvalues: 0.010623 0.010623 0.010623 0.098706 0.098706 0.098706 0.105220 0.566791\n"
+        "min PT eigenvalue 01|2: -0.138345\n"
+        "min PT eigenvalue 02|1: -0.138345\n"
+        "min PT eigenvalue 0|12: 0.010623\n"
+        "PPT under all cuts: False\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+    ),
+    "concurrence": (
+        "family: concurrence\n"
+        'params: {"theta0": 2.0010741575072397, "theta1": 0.8475599579967072}\n'
+        "eigenvalues: 0.000000 0.000000 0.000000 1.000000\n"
+        "min PT eigenvalue 0|1: -0.186864\n"
+        "PPT under all cuts: False\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+        "concurrence: 0.373727\n"
+    ),
+    "ppt-alt": (
+        "family: ppt-alt\n"
+        "params: {}\n"
+        "eigenvalues: 0.000000 0.000000 0.000000 0.000000 0.000000 0.000000 0.500000 0.500000\n"
+        "min PT eigenvalue 01|2: 0.000000\n"
+        "min PT eigenvalue 02|1: 0.000000\n"
+        "min PT eigenvalue 0|12: 0.000000\n"
+        "PPT under all cuts: True\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): +1\n"
+    ),
+    "pptes-acin": (
+        "family: pptes-acin\n"
+        'params: {"a": 1.2090914560763366, "b": 0.7267713369512937, "c": 0.5292227726906258}\n'
+        "eigenvalues: 0.000000 0.061842 0.084926 0.096646 0.141288 0.160786 0.220804 0.233709\n"
+        "min PT eigenvalue 01|2: 0.000000\n"
+        "min PT eigenvalue 02|1: 0.000000\n"
+        "min PT eigenvalue 0|12: 0.000000\n"
+        "PPT under all cuts: True\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+    ),
+    "product-sep": (
+        "family: product-sep\n"
+        'params: {"components": [{"weight": 1.0, "blochs": [[-0.041114799918593535, 0.329002350040393, 0.'
+        "0944343942990697], [0.0957592303811544, -0.22805524238041477, -0.9379646739118588]]}]}\n"
+        "eigenvalues: 0.004910 0.010076 0.322717 0.662298\n"
+        "min PT eigenvalue 0|1: 0.004910\n"
+        "PPT under all cuts: True\n"
+        "label (paper): +1\n"
+        "label (ppt-oracle): +1\n"
+        "concurrence: 0.000000\n"
+    ),
+    "werner2": (
+        "family: werner2\n"
+        'params: {"p": 0.47854865840475164}\n'
+        "eigenvalues: 0.130363 0.130363 0.130363 0.608911\n"
+        "min PT eigenvalue 0|1: -0.108911\n"
+        "PPT under all cuts: False\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+        "concurrence: 0.217823\n"
+    ),
+    "werner3": (
+        "family: werner3\n"
+        'params: {"p": 0.2726076625357091}\n'
+        "eigenvalues: 0.090924 0.090924 0.090924 0.090924 0.090924 0.090924 0.090924 0.363532\n"
+        "min PT eigenvalue 01|2: -0.045380\n"
+        "min PT eigenvalue 02|1: -0.045380\n"
+        "min PT eigenvalue 0|12: -0.045380\n"
+        "PPT under all cuts: False\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+    ),
+    "werner4": (
+        "family: werner4\n"
+        'params: {"p": 0.19471975895407795}\n'
+        "eigenvalues: 0.050330 0.050330 0.050330 0.050330 0.050330 0.050330 0.050330 0.050330 0.050330 0."
+        "050330 0.050330 0.050330 0.050330 0.050330 0.050330 0.245050\n"
+        "min PT eigenvalue 012|3: -0.047030\n"
+        "min PT eigenvalue 013|2: -0.047030\n"
+        "min PT eigenvalue 01|23: -0.047030\n"
+        "min PT eigenvalue 023|1: -0.047030\n"
+        "min PT eigenvalue 02|13: -0.047030\n"
+        "min PT eigenvalue 03|12: -0.047030\n"
+        "min PT eigenvalue 0|123: -0.047030\n"
+        "PPT under all cuts: False\n"
+        "label (paper): -1\n"
+        "label (ppt-oracle): -1\n"
+    ),
+    "one-qubit": (
+        "family: product-sep\n"
+        'params: {"components": [{"weight": 1.0, "blochs": [[-0.041114799918593535, 0.329002350040393, 0.'
+        "0944343942990697]]}]}\n"
+        "eigenvalues: 0.327626 0.672374\n"
+        "PPT under all cuts: True\n"
+        "label (paper): +1\n"
+        "label (ppt-oracle): +1\n"
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_registered_family(name, capsys):
     """Each registry record builds its state, labels it under both
-    conventions and can be inspected from the command line."""
+    conventions and can be inspected from the command line, whose stdout
+    keeps its bytes."""
     spec = FAMILIES[name]
     rng = np.random.default_rng(0)
     if spec.fixed_label == labels.SEPARABLE:
@@ -369,12 +479,15 @@ def test_every_registered_family(name, capsys):
     rho = from_family(name, row)
     assert rho.num_qubits == spec.n_qubits
     for convention in labels.LABEL_CONVENTIONS:
-        label = labels.assign_label(name, row, rho, convention)
+        label = labels.assign_label(name, row, rho.matrix, convention)
         assert label in (-1, 1)
         assert spec.fixed_label in (None, label)
     flags = [arg for key, value in zip(spec.params, row.tolist()) for arg in (f"--{key}", repr(value))]
     assert run_cli("inspect", "--family", name, "--seed", "0", *flags) == 0
-    assert f"family: {name}\n" in capsys.readouterr().out
+    assert capsys.readouterr().out == INSPECT_STDOUT[name]
+    if name == "product-sep":
+        assert run_cli("inspect", "--family", name, "--seed", "0", "--n-qubits", "1") == 0
+        assert capsys.readouterr().out == INSPECT_STDOUT["one-qubit"]
 
 
 class TestInspect:

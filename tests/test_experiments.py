@@ -186,11 +186,44 @@ class TestGenerateDataset:
                         assert ds.labels.tobytes() == reference.labels.tobytes(), (family, convention, shots, rows)
                     monkeypatch.undo()
 
+    def test_chunk_size_does_not_change_output_property(self, monkeypatch):
+        """Property: for any family, convention, row count, class balance,
+        seed and shot count, a dataset built in chunks of any size has the
+        bytes of the one built in a single chunk, so the class boundary may
+        fall at any offset inside a chunk and the last chunk may be short."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        whole = experiments._CHUNK_ROWS
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            family=st.sampled_from(HEAD_FAMILIES),
+            convention=st.sampled_from(labels.LABEL_CONVENTIONS),
+            n_samples=st.integers(50, 120),
+            balance=st.floats(0.2, 0.8),
+            seed=st.integers(0, 2**32 - 1),
+            shots=st.sampled_from([0, 16]),
+            rows=st.integers(1, 125),
+        )
+        def invariant(family, convention, n_samples, balance, seed, shots, rows):
+            cfg = ExperimentConfig(family=family, n_samples=n_samples, balance=balance, shots=shots,
+                                   label_convention=convention, master_seed=seed)
+            monkeypatch.setattr(experiments, "_CHUNK_ROWS", whole)
+            reference = generate_dataset(cfg)
+            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+            ds = generate_dataset(cfg)
+            assert ds.features.tobytes() == reference.features.tobytes()
+            assert ds.labels.tobytes() == reference.labels.tobytes()
+
+        invariant()
+
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
     @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_one_state_per_row(self, family, convention, monkeypatch):
         """Each row's state is built and validated exactly once, in a stack;
-        no row goes through the per-state constructors."""
+        no row goes through ``from_family`` or ``DensityOperator``, the
+        single-state path ``inspect`` takes."""
         validated = []
         validate = qops.validate_states
 
@@ -226,7 +259,7 @@ class TestGenerateDataset:
             np.testing.assert_allclose(rho.matrix, reference, rtol=0, atol=1e-12)
             per_word = [np.trace(reference @ op).real for op in words]
             np.testing.assert_allclose(ds.features[i], per_word, rtol=0, atol=1e-12)
-            assert ds.labels[i] == labels.assign_label(build_family, row, rho, convention)
+            assert ds.labels[i] == labels.assign_label(build_family, row, rho.matrix, convention)
 
     def test_rows_are_addressable(self, monkeypatch):
         """Row i's parameters are rebuilt from (master_seed, i) alone: the

@@ -7,8 +7,12 @@ from scipy.optimize import brentq
 from entflda import labels
 from entflda.experiments import bloch_vectors
 from entflda.qops import DensityOperator, partial_transpose
-from entflda.states import from_family, werner2, werner_ghz
+from entflda.states import FAMILIES, from_family
 from oracles import hermitian_eigenvalues
+
+
+def two_qubit_werner(p):
+    return from_family("werner2", [p])
 
 
 def random_product_state(n_qubits, rng):
@@ -17,10 +21,10 @@ def random_product_state(n_qubits, rng):
 
 class TestPptReport:
     def test_werner2_boundary(self):
-        report = labels.ppt_report(werner2(1 / 3))
-        assert set(report.min_eigenvalues) == {"0|1"}
-        assert abs(report.min_eigenvalues["0|1"]) < 1e-10
-        assert report.is_ppt_all
+        report = labels.ppt_report(two_qubit_werner(1 / 3))
+        assert set(report["min_eigenvalues"]) == {"0|1"}
+        assert abs(report["min_eigenvalues"]["0|1"]) < 1e-10
+        assert report["is_ppt_all"]
 
     def test_matches_per_cut_eigenvalues(self):
         # one stacked eigvalsh gives the same bits as a call per cut
@@ -32,22 +36,22 @@ class TestPptReport:
                 descriptor: float(hermitian_eigenvalues(partial_transpose(rho.matrix, subset))[0])
                 for descriptor, subset in labels._bipartitions(n)
             }
-            assert labels.ppt_report(rho).min_eigenvalues == expected
+            assert labels.ppt_report(rho)["min_eigenvalues"] == expected
 
     def test_single_qubit_has_no_cut(self):
         report = labels.ppt_report(DensityOperator(np.eye(2, dtype=complex) / 2))
-        assert report.min_eigenvalues == {} and report.is_ppt_all
+        assert report == {"min_eigenvalues": {}, "is_ppt_all": True}
 
     def test_product_states_always_ppt(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4):
-            assert labels.ppt_report(random_product_state(n, rng)).is_ppt_all
+            assert labels.ppt_report(random_product_state(n, rng))["is_ppt_all"]
 
     def test_cut_enumeration(self):
         rng = np.random.default_rng(6)
-        assert len(labels.ppt_report(random_product_state(2, rng)).min_eigenvalues) == 1
-        assert len(labels.ppt_report(random_product_state(3, rng)).min_eigenvalues) == 3
-        assert len(labels.ppt_report(random_product_state(4, rng)).min_eigenvalues) == 7
+        assert len(labels.ppt_report(random_product_state(2, rng))["min_eigenvalues"]) == 1
+        assert len(labels.ppt_report(random_product_state(3, rng))["min_eigenvalues"]) == 3
+        assert len(labels.ppt_report(random_product_state(4, rng))["min_eigenvalues"]) == 7
 
     def test_complement_symmetry(self):
         # a cut and its complement expose identical minimum eigenvalues
@@ -62,7 +66,7 @@ class TestPptReport:
 
     def test_ghz_werner_crossing_at_one_fifth(self):
         def worst_cut(p):
-            return min(labels.ppt_report(werner_ghz(3, p)).min_eigenvalues.values())
+            return min(labels.ppt_report(from_family("werner3", [p]))["min_eigenvalues"].values())
 
         root = brentq(worst_cut, 0.05, 0.95, xtol=1e-9)
         assert abs(root - 0.2) < 1e-6
@@ -83,6 +87,18 @@ class TestConcurrenceAnalytic:
         with pytest.raises(ValueError, match="outside"):
             labels.concurrence_analytic(4.0, 1.0)
 
+    def test_array_refusal_names_one_pair_as_the_stack_does(self):
+        """The closed form and the concurrence stack share one angle check:
+        an out-of-range array is refused naming its first bad pair."""
+        theta0, theta1 = np.linspace(0, 3.3, 40), np.linspace(0.1, 3.3, 40)
+        first = int(np.argmax(theta0 > np.pi))
+        expected = f"angles ({theta0[first]}, {theta1[first]}) outside [0, pi]"
+        with pytest.raises(ValueError) as analytic:
+            labels.concurrence_analytic(theta0, theta1)
+        with pytest.raises(ValueError) as stack:
+            FAMILIES["concurrence"].stack(np.column_stack([theta0, theta1]))
+        assert str(analytic.value) == str(stack.value) == expected
+
 
 class TestConcurrenceWootters:
     def test_maximally_mixed(self):
@@ -90,33 +106,31 @@ class TestConcurrenceWootters:
         assert labels.concurrence_wootters(rho) == 0.0
 
     def test_singlet(self):
-        assert abs(labels.concurrence_wootters(werner2(1.0)) - 1.0) < 1e-9
+        assert abs(labels.concurrence_wootters(two_qubit_werner(1.0)) - 1.0) < 1e-9
 
     def test_werner_closed_form(self):
         # Werner concurrence max(0, (3p-1)/2)
-        assert abs(labels.concurrence_wootters(werner2(0.5)) - 0.25) < 1e-9
-        assert labels.concurrence_wootters(werner2(0.2)) == 0.0
+        assert abs(labels.concurrence_wootters(two_qubit_werner(0.5)) - 0.25) < 1e-9
+        assert labels.concurrence_wootters(two_qubit_werner(0.2)) == 0.0
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            labels.concurrence_wootters(werner_ghz(3, 0.5))
+            labels.concurrence_wootters(from_family("werner3", [0.5]))
 
     def test_agrees_with_analytic_on_circuit_states(self):
-        from entflda.states import concurrence_state
-
         rng = np.random.default_rng(12)
         worst = 0.0
         for _ in range(500):
             t0, t1 = rng.uniform(0, np.pi, size=2)
             analytic = labels.concurrence_analytic(t0, t1)
-            wootters = labels.concurrence_wootters(concurrence_state(t0, t1))
+            wootters = labels.concurrence_wootters(from_family("concurrence", [t0, t1]))
             worst = max(worst, abs(analytic - wootters))
         assert worst < 1e-9, worst
 
 
 def label(family, row, convention):
     """The label of the state that ``family`` builds from the parameter ``row``."""
-    return labels.assign_label(family, row, from_family(family, row), convention)
+    return labels.assign_label(family, row, from_family(family, row).matrix, convention)
 
 
 class TestAssignLabel:
@@ -160,11 +174,11 @@ class TestAssignLabel:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            labels.assign_label("ghz-mixed", [], werner2(0.5), "paper")
+            labels.assign_label("ghz-mixed", [], two_qubit_werner(0.5).matrix, "paper")
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
-            labels.assign_label("werner2", [0.5], werner2(0.5), "majority-vote")
+            labels.assign_label("werner2", [0.5], two_qubit_werner(0.5).matrix, "majority-vote")
 
 
 def test_werner2_pt_sign_matches_boundary():
@@ -175,6 +189,6 @@ def test_werner2_pt_sign_matches_boundary():
         p = rng.uniform(-1 / 3, 1.0)
         if abs(p - 1 / 3) < 1e-8:
             continue
-        min_eig = labels.ppt_report(werner2(p)).min_eigenvalues["0|1"]
+        min_eig = labels.ppt_report(two_qubit_werner(p))["min_eigenvalues"]["0|1"]
         assert np.sign(1 / 3 - p) == np.sign(min_eig), p
         checked += 1

@@ -1,136 +1,108 @@
-"""Tests for the state-family constructors."""
+"""Tests for the state families, built one state at a time through
+``from_family`` and as stacks."""
 
 import numpy as np
 import pytest
 
 from entflda import labels
 from entflda.experiments import ROW_UNIFORMS, bloch_vectors, sample_family_params
-from entflda.qops import DensityOperator, kron, partial_transpose, pauli_string_operator
-from entflda.states import (
-    ENTANGLED,
-    FAMILIES,
-    SEPARABLE,
-    bloch_state,
-    concurrence_state,
-    depolarize,
-    from_family,
-    ghz_state,
-    ppt_alternative,
-    pptes_acin,
-    product_state,
-    werner2,
-    werner_ghz,
-)
-from oracles import expectation, hermitian_eigenvalues
+from entflda.qops import kron, partial_transpose, pauli_string_operator
+from entflda.states import ENTANGLED, FAMILIES, SEPARABLE, from_family
+from oracles import expectation, family_state, hermitian_eigenvalues
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
 
 
 class TestWerner2:
     def test_p_zero_is_maximally_mixed(self):
-        np.testing.assert_allclose(werner2(0.0).matrix, np.eye(4) / 4, atol=1e-15)
+        np.testing.assert_allclose(from_family("werner2", [0.0]).matrix, np.eye(4) / 4, atol=1e-15)
 
     def test_p_one_is_singlet(self):
-        rho = werner2(1.0)
+        rho = from_family("werner2", [1.0])
         np.testing.assert_allclose(rho.matrix, np.outer(SINGLET, SINGLET.conj()), atol=1e-12)
         assert abs(expectation(rho, pauli_string_operator("ZZ")) + 1.0) < 1e-12
 
     def test_critical_pt_eigenvalue_at_half(self):
-        eigs = hermitian_eigenvalues(partial_transpose(werner2(0.5).matrix, {1}))
+        eigs = hermitian_eigenvalues(partial_transpose(from_family("werner2", [0.5]).matrix, {1}))
         np.testing.assert_allclose(eigs[0], (1 - 3 * 0.5) / 4, atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            werner2(-0.5)
+            from_family("werner2", [-0.5])
         with pytest.raises(ValueError, match="outside"):
-            werner2(1.01)
+            from_family("werner2", [1.01])
 
     def test_matches_depolarized_bell_projector(self):
+        # The Pauli-expansion build equals p |psi-><psi-| + (1-p) I/4.
         rng = np.random.default_rng(13)
-        singlet = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
+        singlet = np.outer(SINGLET, SINGLET.conj())
         for _ in range(50):
             p = rng.uniform(0, 1)
-            np.testing.assert_allclose(werner2(p).matrix, depolarize(singlet, p).matrix, atol=1e-12)
+            np.testing.assert_allclose(from_family("werner2", [p]).matrix, p * singlet + (1 - p) * np.eye(4) / 4,
+                                       atol=1e-12)
 
 
 class TestWernerGhz:
     def test_p_zero_maximally_mixed(self):
-        np.testing.assert_allclose(werner_ghz(3, 0.0).matrix, np.eye(8) / 8, atol=1e-15)
+        np.testing.assert_allclose(from_family("werner3", [0.0]).matrix, np.eye(8) / 8, atol=1e-15)
 
     def test_p_one_ghz_correlations(self):
         # direct 8x8 trace oracle on the GHZ projector
-        rho = werner_ghz(3, 1.0)
+        rho = from_family("werner3", [1.0])
         xxx = pauli_string_operator("XXX")
         zzz = pauli_string_operator("ZZZ")
-        oracle_x = np.trace(ghz_state(3).matrix @ xxx).real
+        oracle_x = (GHZ3 @ xxx @ GHZ3).real
         assert abs(oracle_x - 1.0) < 1e-12
         assert abs(expectation(rho, xxx) - 1.0) < 1e-12
         assert abs(expectation(rho, zzz)) < 1e-12
 
     def test_four_qubit_mixture_valid(self):
-        rho = werner_ghz(4, 0.2)  # constructor validates trace/Hermiticity/PSD
+        rho = from_family("werner4", [0.2])  # validated: trace, Hermiticity, PSD
         assert rho.num_qubits == 4
-
-    def test_unsupported_size(self):
-        with pytest.raises(ValueError, match="supports 3 or 4"):
-            werner_ghz(2, 0.5)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            werner_ghz(3, -0.1)
+            from_family("werner3", [-0.1])
 
 
 class TestConcurrenceState:
     def test_maximally_entangled_endpoint(self):
-        rho = concurrence_state(np.pi / 2, np.pi)
+        rho = from_family("concurrence", [np.pi / 2, np.pi])
         assert abs(labels.concurrence_wootters(rho) - 1.0) < 1e-9
 
     def test_separable_endpoint(self):
-        rho = concurrence_state(0.0, np.pi)
+        rho = from_family("concurrence", [0.0, np.pi])
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
 
     def test_intermediate_value_against_wootters(self):
-        rho = concurrence_state(np.pi / 2, np.pi / 2)
+        rho = from_family("concurrence", [np.pi / 2, np.pi / 2])
         np.testing.assert_allclose(labels.concurrence_wootters(rho), np.sqrt(2) / 2, atol=1e-9)
 
     def test_purity(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            rho = concurrence_state(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+            rho = from_family("concurrence", rng.uniform(0, np.pi, size=2))
             purity = np.trace(rho.matrix @ rho.matrix).real
             assert abs(purity - 1.0) < 1e-12
 
     def test_angle_range(self):
         with pytest.raises(ValueError, match="outside"):
-            concurrence_state(-0.1, 1.0)
-
-
-class TestDepolarize:
-    def test_identity_channel(self):
-        rho = concurrence_state(1.0, 2.0)
-        np.testing.assert_array_equal(depolarize(rho, 1.0).matrix, rho.matrix)
-
-    def test_full_depolarization(self):
-        rho = concurrence_state(1.0, 2.0)
-        np.testing.assert_allclose(depolarize(rho, 0.0).matrix, np.eye(4) / 4, atol=1e-15)
-
-    def test_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            depolarize(ghz_state(2), 1.5)
+            from_family("concurrence", [-0.1, 1.0])
 
 
 class TestPptesAcin:
     def test_symmetric_point(self):
-        rho = pptes_acin(1.0, 1.0, 1.0)
+        rho = from_family("pptes-acin", [1.0, 1.0, 1.0])
         np.testing.assert_allclose(np.diag(rho.matrix).real, np.full(8, 1 / 8), atol=1e-15)
         assert abs(rho.matrix[0, 7] - 1 / 8) < 1e-15
         assert abs(rho.matrix[7, 0] - 1 / 8) < 1e-15
 
     def test_normalization_closed_form(self):
         # n = 2 + a + 1/a + b + 1/b + c + 1/c = 31/3 for (2, 3, 1/2)
-        rho = pptes_acin(2.0, 3.0, 0.5)
+        rho = from_family("pptes-acin", [2.0, 3.0, 0.5])
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
         np.testing.assert_allclose(rho.matrix[0, 0].real, 1 / (31 / 3), atol=1e-14)
 
@@ -139,24 +111,24 @@ class TestPptesAcin:
         for a in grid:
             for b in grid:
                 for c in grid:
-                    report = labels.ppt_report(pptes_acin(a, b, c))
-                    assert report.is_ppt_all, (a, b, c, report.min_eigenvalues)
+                    report = labels.ppt_report(from_family("pptes-acin", [a, b, c]))
+                    assert report["is_ppt_all"], (a, b, c, report["min_eigenvalues"])
 
     def test_nonpositive_parameter(self):
         with pytest.raises(ValueError, match="positive"):
-            pptes_acin(0.0, 1.0, 1.0)
+            from_family("pptes-acin", [0.0, 1.0, 1.0])
 
 
 class TestPptAlternative:
     def test_trace(self):
-        assert abs(ppt_alternative().matrix.trace().real - 1.0) < 1e-14
+        assert abs(from_family("ppt-alt", []).matrix.trace().real - 1.0) < 1e-14
 
     def test_spectrum(self):
-        eigs = hermitian_eigenvalues(ppt_alternative().matrix)
+        eigs = hermitian_eigenvalues(from_family("ppt-alt", []).matrix)
         np.testing.assert_allclose(eigs, [0] * 6 + [0.5, 0.5], atol=1e-12)
 
     def test_zzi_expectation(self):
-        rho = ppt_alternative()
+        rho = from_family("ppt-alt", [])
         oracle = np.trace(rho.matrix @ pauli_string_operator("ZZI")).real
         assert abs(oracle - 1.0) < 1e-12
         assert abs(expectation(rho, pauli_string_operator("ZZI")) - 1.0) < 1e-12
@@ -183,20 +155,20 @@ class TestSeparableMixture:
     def test_biseparable_cut_structure(self):
         # A|BC product with an entangled BC factor: the A cut stays PPT,
         # the other cuts (and the BC marginal itself) go negative.
-        bc_pt = hermitian_eigenvalues(partial_transpose(werner2(1.0).matrix, {0}))
+        bc_pt = hermitian_eigenvalues(partial_transpose(from_family("werner2", [1.0]).matrix, {0}))
         assert bc_pt[0] < -0.4  # the singlet marginal is NPT
 
         report = labels.ppt_report(from_family("biseparable", biseparable_row([(1.0, [0.0, 0.0, 0.3], 1.0)])))
-        assert report.min_eigenvalues["0|12"] >= -1e-9
-        assert report.min_eigenvalues["01|2"] < -1e-9
-        assert not report.is_ppt_all
+        assert report["min_eigenvalues"]["0|12"] >= -1e-9
+        assert report["min_eigenvalues"]["01|2"] < -1e-9
+        assert not report["is_ppt_all"]
 
     def test_two_equal_weight_products(self):
         # A Werner pair at p = 0 is I/4, so each component is a full product.
         blochs = bloch_vectors(np.random.default_rng(23).random((2, 3)))
         rho = from_family("biseparable", biseparable_row([(0.5, blochs[0], 0.0), (0.5, blochs[1], 0.0)]))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
-        assert labels.ppt_report(rho).is_ppt_all
+        assert labels.ppt_report(rho)["is_ppt_all"]
 
     def test_weight_violation(self):
         row = biseparable_row([(0.6, [0.0, 0.0, 0.0], 0.0), (0.6, [0.0, 0.0, 0.0], 0.0)])
@@ -220,32 +192,31 @@ class TestRandomProductState:
         for _ in range(20):
             n = int(rng.integers(2, 4))
             report = labels.ppt_report(random_product_state(n, rng))
-            assert report.is_ppt_all
+            assert report["is_ppt_all"]
 
     def test_bloch_vector_too_long(self):
         with pytest.raises(ValueError, match="exceeds 1"):
-            bloch_state(np.array([1.0, 1.0, 0.0]))
+            from_family("product-sep", [1.0, 1.0, 0.0])
 
 
 class TestFromFamily:
     def test_parametric_families(self):
-        np.testing.assert_array_equal(from_family("werner2", [0.4]).matrix, werner2(0.4).matrix)
-        np.testing.assert_array_equal(from_family("werner3", [0.4]).matrix, werner_ghz(3, 0.4).matrix)
-        np.testing.assert_array_equal(from_family("ppt-alt", []).matrix, ppt_alternative().matrix)
-        np.testing.assert_array_equal(from_family("pptes-acin", [1.0, 2.0, 3.0]).matrix, pptes_acin(1, 2, 3).matrix)
+        for name, row in (("werner2", [0.4]), ("werner3", [0.4]), ("werner4", [0.4]), ("concurrence", [1.1, 2.3]),
+                          ("pptes-acin", [1.0, 2.0, 3.0]), ("ppt-alt", [])):
+            np.testing.assert_allclose(from_family(name, row).matrix, family_state(name, row), rtol=0, atol=1e-15)
 
     def test_biseparable_reconstruction(self):
         components = [(0.5, [0.1, 0.0, 0.2], 0.8), (0.5, [0.0, 0.3, 0.0], 0.6)]
         rho = from_family("biseparable", biseparable_row(components))
         assert rho.num_qubits == 3
-        expected = sum(w * kron(bloch_state(b).matrix, werner2(p).matrix) for w, b, p in components)
+        expected = sum(w * kron(from_family("product-sep", b).matrix, from_family("werner2", [p]).matrix)
+                       for w, b, p in components)
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
 
     def test_product_reconstruction(self):
         rho = from_family("product-sep", [0.1, 0.2, 0.3, 0.0, 0.0, -0.4])
-        np.testing.assert_allclose(
-            rho.matrix, product_state([np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.0, -0.4])]).matrix, atol=1e-15
-        )
+        qubits = (from_family("product-sep", b).matrix for b in ([0.1, 0.2, 0.3], [0.0, 0.0, -0.4]))
+        np.testing.assert_allclose(rho.matrix, kron(*qubits), atol=1e-15)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -264,7 +235,7 @@ class TestFromFamily:
 )
 def test_stack_refuses_out_of_range_rows(name, rows, message):
     """The range check lives in the array core, so a stack refuses an
-    out-of-range row with the message the named constructors give,
+    out-of-range row with the message ``from_family`` gives for that row,
     naming the first bad row's values."""
     with pytest.raises(ValueError, match=message):
         FAMILIES[name].stack(np.array(rows))
@@ -290,24 +261,24 @@ def test_from_family_refuses_a_row_of_another_width(name, row, message):
 
 
 def composed(name, row):
-    """The state matrix of (name, row) composed from the public
-    constructors: depolarized GHZ projectors, and weighted sums of Kronecker
-    products of Bloch and Werner-pair states."""
+    """The state matrix of (name, row) composed from the single states
+    ``from_family`` builds, for the families that are compositions: Werner-GHZ
+    states as the p-weighted mixture of the GHZ projector (p = 1) and white
+    noise (p = 0), products as Kronecker products of one-qubit states, and
+    biseparable rows as weighted sums of Bloch (x) Werner-pair products.
+    None for the other families."""
+    def state(family, params):
+        return from_family(family, params).matrix
+
     if name in ("werner3", "werner4"):
-        return depolarize(ghz_state(FAMILIES[name].n_qubits), row[0]).matrix
-    if name == "werner2":
-        return werner2(row[0]).matrix
-    if name == "concurrence":
-        return concurrence_state(*row).matrix
-    if name == "pptes-acin":
-        return pptes_acin(*row).matrix
-    if name == "ppt-alt":
-        return ppt_alternative().matrix
+        return row[0] * state(name, [1.0]) + (1 - row[0]) * state(name, [0.0])
     if name == "product-sep":
-        return kron(*(bloch_state(b).matrix for b in row.reshape(-1, 3)))
+        return kron(*(state("product-sep", b) for b in row.reshape(-1, 3)))
+    if name != "biseparable":
+        return None
     total = None
-    for j in range(3):  # biseparable: every component, unused ones of weight 0
-        term = row[j] * kron(bloch_state(row[3 + 3 * j : 6 + 3 * j]).matrix, werner2(row[12 + j]).matrix)
+    for j in range(3):  # every component, unused ones of weight 0
+        term = row[j] * kron(state("product-sep", row[3 + 3 * j : 6 + 3 * j]), state("werner2", [row[12 + j]]))
         total = term if total is None else total + term
     return total
 
@@ -323,28 +294,37 @@ def sampled_row(name, rng, draw):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_from_family_matches_composition_bit_for_bit(name):
-    """Each family builds its state in one step, with the same arithmetic
-    as composing the public constructors, so its bytes are unchanged."""
+    """A row's single state has the bytes of the same row in a stack of 200
+    rows, and of its composition from simpler single states where the family
+    is one, so a state does not depend on the chunk it is built in and
+    ``inspect`` shows the bytes a dataset row used."""
     rng = np.random.default_rng(sorted(FAMILIES).index(name))
+    rows = []
     for draw in range(200):
         build_family, row = sampled_row(name, rng, draw)
         assert build_family == name
-        assert from_family(name, row).matrix.tobytes() == composed(name, row).tobytes(), row
+        rows.append(row)
+    # Product rows differ in qubit count, so only the other families stack.
+    stack = None if name == "product-sep" else FAMILIES[name].stack(np.array(rows)).astype(complex)
+    for i, row in enumerate(rows):
+        single, parts = from_family(name, row).matrix.tobytes(), composed(name, row)
+        assert stack is None or single == stack[i].tobytes(), row
+        assert parts is None or single == parts.tobytes(), row
 
 
 def test_constructor_grid_validity():
-    """Every constructor yields a valid state across its parameter range.
+    """Every family yields a valid state across its parameter range.
 
-    DensityOperator validates Hermiticity, trace and PSD at construction,
-    so instantiating across the grid is itself the assertion.
+    ``from_family`` validates Hermiticity, trace and PSD, so building
+    across the grid is itself the assertion.
     """
     for p in np.linspace(-1 / 3, 1.0, 9):
-        werner2(float(p))
+        from_family("werner2", [p])
     for p in np.linspace(0.0, 1.0, 7):
-        werner_ghz(3, float(p))
-        werner_ghz(4, float(p))
+        from_family("werner3", [p])
+        from_family("werner4", [p])
     for t0 in np.linspace(0, np.pi, 5):
         for t1 in np.linspace(0, np.pi, 5):
-            concurrence_state(float(t0), float(t1))
+            from_family("concurrence", [t0, t1])
     for a in (0.25, 1.0, 4.0):
-        pptes_acin(a, 1 / a, 2.0)
+        from_family("pptes-acin", [a, 1 / a, 2.0])
