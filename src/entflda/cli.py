@@ -220,16 +220,21 @@ def _params_json(family: str, row: np.ndarray) -> str:
     return json.dumps(dict(zip(states.FAMILIES[family].params, r)))
 
 
+def _fixed6(value) -> str:
+    """``value`` to 6 decimals, unsigned if zero (round-off's sign varies by BLAS)."""
+    return f"{round(float(value), 6) + 0.0:.6f}"
+
+
 def _cmd_inspect(args) -> int:
     row = _inspect_row(args)
     rho = states.from_family(args.family, row)
     print(f"family: {args.family}")
     print(f"params: {_params_json(args.family, row)}")
     eigs = np.linalg.eigvalsh(rho.matrix)
-    print("eigenvalues:", " ".join(f"{v:.6f}" for v in eigs))
+    print("eigenvalues:", " ".join(_fixed6(v) for v in eigs))
     report = labels.ppt_report(rho)
     for cut, value in sorted(report["min_eigenvalues"].items()):
-        print(f"min PT eigenvalue {cut}: {value:.6f}")
+        print(f"min PT eigenvalue {cut}: {_fixed6(value)}")
     print(f"PPT under all cuts: {report['is_ppt_all']}")
     for convention in labels.LABEL_CONVENTIONS:
         print(f"label ({convention}): {labels.assign_label(args.family, row, rho.matrix, convention):+d}")

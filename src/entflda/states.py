@@ -56,7 +56,7 @@ def _werner_ghz_matrix(n_qubits: int, p) -> np.ndarray:
     """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I/2^n, with
     |GHZ> = (|0...0> + |1...1>)/sqrt(2)."""
     p = np.asarray(p, dtype=float)
-    _require((0 <= p) & (p <= 1), "werner_ghz mixing parameter p={p} outside [0, 1]", p=p)
+    _require((0 <= p) & (p <= 1), f"werner{n_qubits} mixing parameter p={{p}} outside [0, 1]", p=p)
     ghz = np.zeros(2**n_qubits)  # real: real stacks build and validate faster
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
     return _column(p) * np.outer(ghz, ghz) + (1 - _column(p)) * (np.eye(2**n_qubits) / 2**n_qubits)

@@ -515,6 +515,24 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "concurrence: 1.000000" in out
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["concurrence", "--theta0", "1.1", "--theta1", "2.3"], ["eigenvalues: 0.000000 0.000000 0.000000 1.000000"]),
+            (["pptes-acin", "--a", "2", "--b", "3", "--c", "0.5"],
+             ["eigenvalues: 0.000000 0.032258 0.048387 0.048387 0.193548 0.193548 0.193548 0.290323",
+              "min PT eigenvalue 01|2: 0.000000"]),
+        ],
+        ids=["concurrence", "pptes-acin"],
+    )
+    def test_round_off_prints_as_unsigned_zero(self, capsys, argv, lines):
+        """An eigenvalue that rounds to zero prints without the sign of its
+        round-off, so stdout does not depend on the BLAS build."""
+        assert run_cli("inspect", "--family", *argv) == 0
+        out = capsys.readouterr().out
+        assert "-0.000000" not in out
+        assert all(f"{line}\n" in out for line in lines)
+
     @pytest.mark.parametrize("n_qubits", ["0", "7", "-1"])
     def test_register_size_out_of_range_exits_one(self, capsys, n_qubits):
         assert run_cli("inspect", "--family", "product-sep", "--n-qubits", n_qubits) == 1
@@ -527,10 +545,11 @@ class TestInspect:
         [
             (["werner2", "--p", "2"], "p=2.0", "[-1/3, 1]"),
             (["werner3", "--p", "-0.5"], "p=-0.5", "[0, 1]"),
+            (["werner4", "--p", "1.5"], "werner4 mixing parameter p=1.5", "[0, 1]"),
             (["concurrence", "--theta0", "4", "--theta1", "1"], "(4.0, 1.0)", "[0, pi]"),
             (["pptes-acin", "--a", "0", "--b", "1", "--c", "1"], "a=0.0", "positive"),
         ],
-        ids=["werner2", "werner3", "concurrence", "pptes-acin"],
+        ids=["werner2", "werner3", "werner4", "concurrence", "pptes-acin"],
     )
     def test_out_of_range_parameter_exits_one(self, capsys, argv, value, valid):
         assert run_cli("inspect", "--family", *argv) == 1

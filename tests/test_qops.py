@@ -1,11 +1,17 @@
 """Tests for the dense operator algebra layer."""
 
+import functools
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from entflda import labels, qops, states
+from entflda.experiments import OVERLAP_LEVELS, ExperimentConfig, generate_dataset
 from entflda.qops import (
+    HERMITICITY_TOL,
+    PSD_TOL,
     DensityOperator,
     kron,
     partial_transpose,
@@ -27,6 +33,53 @@ def random_density(rng, n_qubits):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityOperator(m / m.trace())
+
+
+def states_with_spectra(rng, spectra, real=False):
+    """A stack of Hermitian matrices U diag(spectrum) U^H, one per row of
+    ``spectra`` (each summing to 1), with Haar-like random unitary U
+    (orthogonal if ``real``)."""
+    n, dim = spectra.shape
+    g = rng.normal(size=(n, dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(n, dim, dim))
+    u = np.linalg.qr(g)[0]
+    m = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def spectra_with_minimum(rng, min_eigs, dim, zeros=0):
+    """One unit-trace spectrum per entry of ``min_eigs``: that smallest
+    eigenvalue, ``zeros`` exact zeros and random positive values."""
+    rest = rng.random((len(min_eigs), dim - 1 - zeros)) + 1e-3
+    rest *= (1 - np.asarray(min_eigs))[:, None] / rest.sum(axis=1, keepdims=True)
+    return np.column_stack([min_eigs, np.zeros((len(min_eigs), zeros)), rest])
+
+
+@functools.lru_cache(maxsize=None)
+def valid_stack(dim, real):
+    """A read-only 256-row stack of valid states of rank dim / 2 - 1 (pure
+    at d = 4), rank-deficient as the pure and low-rank family states are."""
+    rng = np.random.default_rng(dim)
+    stack = states_with_spectra(rng, spectra_with_minimum(rng, np.zeros(256), dim, zeros=dim // 2), real)
+    stack.setflags(write=False)
+    return stack
+
+
+def eigvalsh_rule(m):
+    """The refusal message of the positivity rule taken directly from
+    ``eigvalsh`` (None when it accepts)."""
+    min_eig = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+    return None if min_eig >= PSD_TOL else f"matrix is not positive semi-definite (min eigenvalue {min_eig:.3e})"
+
+
+def refusal(m):
+    """``validate_states``' message for ``m``, or None when it accepts."""
+    try:
+        validate_states(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestPauliMatrix:
@@ -153,6 +206,83 @@ class TestDensityOperator:
         rho = DensityOperator(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.3
+
+
+class TestPositivityCertificate:
+    """``validate_states`` proves positivity with a Cholesky factor and runs
+    ``eigvalsh`` only when that fails; every decision and message must be
+    the ``eigvalsh`` rule's."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim", [4, 8, 16, 64])
+    @pytest.mark.parametrize("offset", [-qops._PSD_MARGIN, -1e-12, 1e-12, qops._PSD_MARGIN])
+    def test_boundary_matches_eigvalsh_rule(self, offset, dim, real):
+        """A state whose smallest eigenvalue is PSD_TOL -/+ 1e-12 or the
+        margin is refused/accepted as ``eigvalsh`` decides, alone and as row
+        200 of a 256-row stack of rank-deficient valid states. A Hermiticity
+        defect within tolerance in the upper triangle changes nothing: both
+        factorisations read the lower one."""
+        rng = np.random.default_rng(dim)
+        bad = states_with_spectra(rng, spectra_with_minimum(rng, [PSD_TOL + offset], dim), real)[0]
+        bad += np.triu(rng.choice([-0.5, 0.5], size=(dim, dim)) * HERMITICITY_TOL, 1)
+        expected = eigvalsh_rule(bad)
+        assert (expected is None) == (offset > 0)
+        assert refusal(bad) == expected
+        stack = valid_stack(dim, real).copy()
+        assert refusal(stack) is None
+        stack[200] = bad
+        assert refusal(stack) == eigvalsh_rule(stack) == expected
+
+    def test_decision_matches_eigvalsh_rule_property(self):
+        """Property: for random unitaries and spectra whose smallest
+        eigenvalues lie near the tolerance, at d in {2, 4, 8, 16, 64}, real or
+        complex, one state or a stack, ``validate_states`` accepts exactly
+        when ``eigvalsh(m).min() >= PSD_TOL`` and refuses with its message."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        margin = qops._PSD_MARGIN
+        offset = st.one_of(
+            st.sampled_from([-margin, -1e-12, 0.0, 1e-12, margin, -PSD_TOL]),
+            st.floats(-3 * margin, 3 * margin),
+        )
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            dim=st.sampled_from([2, 4, 8, 16, 64]),
+            real=st.booleans(),
+            offsets=st.lists(offset, min_size=1, max_size=4),
+            zeros=st.integers(0, 63),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def same_decision(dim, real, offsets, zeros, seed):
+            rng = np.random.default_rng(seed)
+            spectra = spectra_with_minimum(rng, PSD_TOL + np.array(offsets), dim, zeros=min(zeros, dim - 2))
+            stack = states_with_spectra(rng, spectra, real)
+            for m in (stack[0], stack):
+                assert refusal(m) == eigvalsh_rule(m)
+
+        same_decision()
+
+    @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
+    def test_generation_proves_every_chunk_without_eigvalsh(self, convention, monkeypatch):
+        """Every generated chunk is valid, so the Cholesky proof accepts it
+        and ``validate_states`` never reaches ``eigvalsh`` (the ``ppt-oracle``
+        labels still call it, from ``labels``)."""
+        eigvalsh = np.linalg.eigvalsh
+
+        def outside_qops(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == qops.__name__:
+                raise AssertionError("validate_states ran eigvalsh on a valid chunk")
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", outside_qops)
+        for family, spec in states.FAMILIES.items():
+            if spec.fixed_label == labels.SEPARABLE:
+                continue
+            for overlap in OVERLAP_LEVELS:
+                generate_dataset(ExperimentConfig(family=family, overlap=overlap, n_samples=300, shots=0,
+                                                  label_convention=convention))
 
 
 class TestPartialTranspose:

@@ -227,8 +227,8 @@ class TestFromFamily:
     "name,rows,message",
     [
         ("werner2", [[0.2], [2.0]], r"werner2 mixing parameter p=2.0 outside \[-1/3, 1\]"),
-        ("werner3", [[0.2], [-0.5]], r"werner_ghz mixing parameter p=-0.5 outside \[0, 1\]"),
-        ("werner4", [[1.5]], r"werner_ghz mixing parameter p=1.5 outside \[0, 1\]"),
+        ("werner3", [[0.2], [-0.5]], r"werner3 mixing parameter p=-0.5 outside \[0, 1\]"),
+        ("werner4", [[1.5]], r"werner4 mixing parameter p=1.5 outside \[0, 1\]"),
         ("concurrence", [[1.0, 1.0], [4.0, 1.0]], r"angles \(4.0, 1.0\) outside \[0, pi\]"),
         ("pptes-acin", [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "parameters must be positive, got a=0.0, b=1.0, c=1.0"),
     ],
