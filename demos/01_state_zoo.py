@@ -25,13 +25,14 @@ EXAMPLES = [
     ("product-sep", [0.3, 0.0, 0.4, 0.0, -0.5, 0.1]),
 ]
 
+# Zeros print unsigned (``+ 0.0`` after rounding): round-off's sign varies by BLAS.
 for family, row in EXAMPLES:
     rho = from_family(family, row)
     report = ppt_report(rho)
     print(f"--- {family}  {row}")
-    print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4)}")
+    print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4) + 0.0}")
     for cut, value in sorted(report["min_eigenvalues"].items()):
-        print(f"    min PT eigenvalue {cut}: {value:+.4f}")
+        print(f"    min PT eigenvalue {cut}: {round(value, 4) + 0.0:+.4f}")
     labels = {conv: assign_label(family, row, rho.matrix, conv) for conv in ("paper", "ppt-oracle")}
     print(f"    labels: paper={labels['paper']:+d}  ppt-oracle={labels['ppt-oracle']:+d}")
     if rho.num_qubits == 2:

@@ -11,9 +11,10 @@ Determinism contract: a dataset draws from two streams keyed by its
 master seed. Row i's parameters come from a fixed block of uniforms of a
 counter-based Philox stream, so they depend on (master_seed, i) alone and
 row i can be regenerated by advancing the stream to its block; shot counts
-come from a second stream, drawn in row order. Generation runs in chunks
-of rows, and datasets and reports are bit-identical across reruns and
-chunk sizes. Wall time is the one report field outside that contract.
+come from a second stream, drawn in row order. Rows are generated class
+by class, the entangled rows first, each class in chunks of rows; the
+datasets and reports are bit-identical across reruns and chunk sizes.
+Wall time is the one report field outside that contract.
 """
 
 from __future__ import annotations
@@ -229,31 +230,23 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
     raise ValueError(f"family {family!r} has no entangled class")
 
 
-def _chunk(config: ExperimentConfig, obs: ObservableSet, start: int, rng, shot_rng) -> tuple:
-    """Features and labels of the chunk from row ``start``, built, validated and measured as one stack."""
-    u = rng.random((min(_CHUNK_ROWS, config.n_samples - start), ROW_UNIFORMS[config.family]))
-    n_entangled = min(max(config.n_entangled - start, 0), len(u))
-    parts = []
-    for label, block in ((labels.ENTANGLED, u[:n_entangled]), (labels.SEPARABLE, u[n_entangled:])):
-        if len(block):
-            name, params = sample_family_params(config.family, label, config.overlap, block, config.label_convention)
-            parts.append((name, params, states.FAMILIES[name].stack(params)))
-    stack = np.concatenate([part[2] for part in parts])
-    qops.validate_states(stack)
-    y = np.concatenate([labels.assign_label(*part, config.label_convention) for part in parts])
-    shots = config.effective_shots
-    return (exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng)), y
-
-
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """Build the labeled feature matrix for a configuration, ``_CHUNK_ROWS``
-    rows at a time (see the determinism contract above)."""
-    obs = config.observable_set()
+    """Build the labeled feature matrix for a configuration: the entangled
+    rows, then the separable ones, each class in ``_CHUNK_ROWS``-row chunks
+    built, validated, labeled and measured as one stack (see the determinism
+    contract above)."""
+    obs, shots = config.observable_set(), config.effective_shots
     rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
-    chunks = [_chunk(config, obs, start, rng, shot_rng) for start in range(0, config.n_samples, _CHUNK_ROWS)]
-    features = np.concatenate([values for values, _ in chunks])
-    y = np.concatenate([labels_ for _, labels_ in chunks]).astype(int)
-    return Dataset(features=features, labels=y, feature_names=obs.strings)
+    features, y, n_entangled = [], [], config.n_entangled
+    for label, n_rows in ((labels.ENTANGLED, n_entangled), (labels.SEPARABLE, config.n_samples - n_entangled)):
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            u = rng.random((min(_CHUNK_ROWS, n_rows - start), ROW_UNIFORMS[config.family]))
+            name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
+            stack = states.FAMILIES[name].stack(params)
+            qops.validate_states(stack)
+            y.append(labels.assign_label(name, params, stack, config.label_convention))
+            features.append(exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng))
+    return Dataset(features=np.concatenate(features), labels=np.concatenate(y), feature_names=obs.strings)
 
 
 def _check_writable(path: str, header: list, x: np.ndarray, y: np.ndarray) -> None:

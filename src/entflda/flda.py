@@ -58,9 +58,21 @@ class FldaModel:
     train_accuracy: float | None = None
 
 
-def _check_labels(labels: np.ndarray) -> list:
-    """The classes present in ``labels``, sorted; any label other than -1 or +1 is refused."""
-    present = np.unique(labels).tolist()
+def _check_rows(x: np.ndarray, y: np.ndarray, empty: str = "feature matrix must be 2-D and nonempty") -> list:
+    """The classes present in the labels ``y`` of the feature rows ``x``,
+    sorted. Refused: ``x`` not 2-D, or without rows (with the message
+    ``empty``); a non-finite feature, named by row and column; a label
+    vector of another length; any label other than -1 or +1."""
+    if x.ndim != 2:
+        raise ValueError("feature matrix must be 2-D and nonempty")
+    if not len(x):
+        raise ValueError(empty)
+    if not np.isfinite(x).all():
+        row, column = np.argwhere(~np.isfinite(x))[0].tolist()
+        raise ValueError(f"feature row {row}, column {column} is {x[row, column]}, not a finite number")
+    if y.shape != (len(x),):
+        raise ValueError(f"label vector shape {y.shape} does not match {len(x)} rows")
+    present = np.unique(y).tolist()
     if not set(present).issubset(CLASS_ORDER):
         raise ValueError(f"labels must be -1 or +1, got {present}")
     return present
@@ -75,11 +87,7 @@ def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("feature matrix must be 2-D and nonempty")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"label vector shape {y.shape} does not match {x.shape[0]} rows")
-    if len(_check_labels(y)) < 2:
+    if len(_check_rows(x, y)) < 2:
         raise ValueError("need both classes present to fit a discriminant")
 
     n_features = x.shape[1]
@@ -154,6 +162,7 @@ def fit(
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
+    _check_rows(x, y)
     std = fit_standardizer(x, mode=standardizer)
     xs = apply_standardizer(std, x)
 
@@ -214,15 +223,11 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
     """Accuracy, threshold, Fisher value and confusion counts on a set.
 
     Confusion keys treat +1 (separable) as the positive class: tp/tn/fp/fn.
-    Labels are checked as :func:`fit` checks them, but one class may be absent.
+    Rows and labels are checked as :func:`fit` checks them, but one class may be absent.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
-    if x.shape[0] == 0:
-        raise ValueError("evaluation set is empty")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"label vector shape {y.shape} does not match {x.shape[0]} rows")
-    _check_labels(y)
+    _check_rows(x, y, empty="evaluation set is empty")
     pred = classify(model, x)
     accuracy = float(np.mean(pred == y))
     confusion = {

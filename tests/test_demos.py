@@ -4,6 +4,7 @@ The fourth demo re-runs two benchmark tables, which the table tests
 already cover, so it is left out to keep the suite fast.
 """
 
+import re
 import runpy
 from pathlib import Path
 
@@ -17,3 +18,11 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the pipeline demo may write a figure into the working directory
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_state_zoo_prints_no_negative_zero(capsys):
+    """Round-off's sign varies by BLAS, so the zoo prints its zeros unsigned."""
+    runpy.run_path(str(DEMOS / "01_state_zoo.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "eigenvalues: [0. 0. 0. 1.]" in out  # the concurrence state, pure
+    assert re.findall(r"-0\.0*(?!\d)", out) == []

@@ -240,7 +240,36 @@ class TestGenerateDataset:
         monkeypatch.setattr(experiments, "_CHUNK_ROWS", 10)
         cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
-        assert validated == [10, 10, 4]
+        assert validated == [10, 2, 10, 2]
+
+    def test_each_chunk_holds_one_class(self, monkeypatch):
+        """Every ``sample_family_params`` call samples one class: all the
+        entangled chunks come before the separable ones, none exceeds
+        ``_CHUNK_ROWS`` rows, and the chunks of a class add up to its count.
+        Each chunk is validated as one stack of the rows it sampled."""
+        calls, validated = [], []
+        sample_rows, validate = experiments.sample_family_params, qops.validate_states
+
+        def counted_validate(matrices):
+            validated.append(len(matrices))
+            validate(matrices)
+
+        def recording(family, label, overlap, uniforms, convention="paper"):
+            calls.append((label, len(uniforms)))
+            return sample_rows(family, label, overlap, uniforms, convention)
+
+        monkeypatch.setattr(experiments, "sample_family_params", recording)
+        monkeypatch.setattr(qops, "validate_states", counted_validate)
+        cfg = ExperimentConfig(family="werner2", n_samples=601, balance=0.37, shots=4)
+        assert (cfg.n_entangled, cfg.n_samples - cfg.n_entangled) == (222, 379)
+        ds = generate_dataset(cfg)
+        classes = [label for label, _ in calls]
+        assert classes == sorted(classes) and set(classes) == {labels.ENTANGLED, labels.SEPARABLE}
+        assert all(0 < rows <= experiments._CHUNK_ROWS for _, rows in calls)
+        for label, count in ((labels.ENTANGLED, 222), (labels.SEPARABLE, 379)):
+            assert sum(rows for cls, rows in calls if cls == label) == count
+        assert validated == [rows for _, rows in calls]
+        assert ds.labels.dtype == int and int(np.sum(ds.labels == labels.ENTANGLED)) == 222
 
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
     @pytest.mark.parametrize("family", HEAD_FAMILIES)

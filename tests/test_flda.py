@@ -1,5 +1,7 @@
 """Tests for the Fisher discriminant core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,18 @@ from entflda.flda import (
 )
 from entflda.measure import STANDARDIZER_MODES, Standardizer
 from oracles import discriminant_direction_eig
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def with_bad_cell(x, value, row=7, column=2):
+    """A copy of ``x`` with ``value`` at (row, column) and, later in the
+    matrix, a second non-finite cell the refusal must not name first."""
+    bad = x.copy()
+    bad[row, column] = value
+    bad[row + 3, 0] = float("nan")
+    return bad
 
 
 def two_gaussian_problem(rng, n_features=6, n_per_class=150, separation=3.0):
@@ -68,6 +82,12 @@ class TestComputeScatter:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             compute_scatter(np.ones((2, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_feature_rejected(self, value):
+        x, y = two_gaussian_problem(np.random.default_rng(12))
+        with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
+            compute_scatter(with_bad_cell(x, value), y)
 
 
 class TestFit:
@@ -128,6 +148,17 @@ class TestFit:
         x, y = two_gaussian_problem(np.random.default_rng(24))
         with pytest.raises(ValueError, match="epsilon must be finite"):
             fit(x, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_feature_rejected_before_standardizing(self, value, mode):
+        """A nan or infinite feature is named by row and column, before the
+        standardizer or the default ridge sees it (no numpy warnings)."""
+        x, y = two_gaussian_problem(np.random.default_rng(25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
+                fit(with_bad_cell(x, value), y, standardizer=mode)
 
     @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
     def test_one_dimensional_features_rejected(self, mode):
@@ -316,6 +347,21 @@ class TestEvaluate:
         with pytest.raises(ValueError) as eval_error:
             evaluate(model, x, labels)
         assert str(eval_error.value) == str(fit_error.value) == f"labels must be -1 or +1, got {shown}"
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_feature_refused_not_scored(self, value):
+        rng = np.random.default_rng(72)
+        x, y = two_gaussian_problem(rng)
+        model = fit(x, y)
+        with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
+            evaluate(model, with_bad_cell(x, value), y)
+
+    def test_one_dimensional_features_refused_not_scored(self):
+        """One row given as a vector is refused, not read as one value per label."""
+        x, y = two_gaussian_problem(np.random.default_rng(75))
+        model = fit(x, y)
+        with pytest.raises(ValueError, match="^feature matrix must be 2-D and nonempty$"):
+            evaluate(model, x[0], y[: x.shape[1]])
 
     def test_one_class_set_is_scored(self):
         rng = np.random.default_rng(74)
