@@ -11,10 +11,10 @@ Determinism contract: a dataset draws from two streams keyed by its
 master seed. Row i's parameters come from a fixed block of uniforms of a
 counter-based Philox stream, so they depend on (master_seed, i) alone and
 row i can be regenerated by advancing the stream to its block; shot counts
-come from a second stream, drawn in row order. Rows are generated class
-by class, the entangled rows first, each class in chunks of rows; the
-datasets and reports are bit-identical across reruns and chunk sizes.
-Wall time is the one report field outside that contract.
+come from a second stream, drawn in row order. Rows are generated class by
+class, entangled first, in chunks. ``reproduce_tables`` runs its cells, each
+on its own seeds, on concurrent threads. Datasets and reports are bit-identical
+across reruns, chunk sizes and thread counts; wall time is outside the contract.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import io
 import itertools
 import json
 import math
+import os
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -233,20 +235,21 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
 def generate_dataset(config: ExperimentConfig) -> Dataset:
     """Build the labeled feature matrix for a configuration: the entangled
     rows, then the separable ones, each class in ``_CHUNK_ROWS``-row chunks
-    built, validated, labeled and measured as one stack (see the determinism
-    contract above)."""
-    obs, shots = config.observable_set(), config.effective_shots
+    built, validated, labeled and measured as one stack and written in
+    place (see the determinism contract above)."""
+    obs, shots, n, n_entangled = config.observable_set(), config.effective_shots, config.n_samples, config.n_entangled
     rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
-    features, y, n_entangled = [], [], config.n_entangled
-    for label, n_rows in ((labels.ENTANGLED, n_entangled), (labels.SEPARABLE, config.n_samples - n_entangled)):
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            u = rng.random((min(_CHUNK_ROWS, n_rows - start), ROW_UNIFORMS[config.family]))
+    x, y = np.empty((n, len(obs))), np.empty(n, dtype=int)
+    for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
+        for start in range(lo, hi, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, hi)
+            u = rng.random((stop - start, ROW_UNIFORMS[config.family]))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
             stack = states.FAMILIES[name].stack(params)
             qops.validate_states(stack)
-            y.append(labels.assign_label(name, params, stack, config.label_convention))
-            features.append(exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng))
-    return Dataset(features=np.concatenate(features), labels=np.concatenate(y), feature_names=obs.strings)
+            y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
+            x[start:stop] = exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng)
+    return Dataset(features=x, labels=y, feature_names=obs.strings)
 
 
 def _check_writable(path: str, header: list, x: np.ndarray, y: np.ndarray) -> None:
@@ -399,13 +402,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     dataset = generate_dataset(config)
     train_idx, test_idx = stratified_split(dataset, config.split, config.master_seed)
-    model = flda.fit(
-        dataset.features[train_idx],
-        dataset.labels[train_idx],
-        feature_names=dataset.feature_names,
-        label_convention=config.label_convention,
-    )
-    test_metrics = flda.evaluate(model, dataset.features[test_idx], dataset.labels[test_idx])
+    train, test = ((dataset.features[i], dataset.labels[i]) for i in (train_idx, test_idx))
+    names, dataset = dataset.feature_names, None  # frees the full matrix; both splits are copies
+    model = flda.fit(*train, feature_names=names, label_convention=config.label_convention)
+    test_metrics = flda.evaluate(model, *test)
     return ExperimentReport(
         config=asdict(config),
         fld_threshold=model.threshold,
@@ -415,6 +415,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         confusion=test_metrics["confusion"],
         wall_time_seconds=time.perf_counter() - t0,
     )
+
+
+def _run_cells(configs: list) -> list:
+    """``run_experiment`` of each config, in order, run by the calling thread
+    and one helper per further usable CPU, largest cell first. Once a cell
+    raises, no other cell starts; the helpers are joined and the first error in order is raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pending = sorted(range(len(configs)), key=lambda i: -configs[i].n_samples * len(configs[i].observable_set()))
+    reports, errors, lock = [None] * len(configs), {}, threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                i = pending.pop(0)
+            try:
+                reports[i] = run_experiment(configs[i])
+            except BaseException as exc:  # an interrupt too: raised below, once the helpers stop
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(cpus, len(configs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return reports
 
 
 def _table_seed(seed: int, table: int) -> int:
@@ -438,32 +468,25 @@ def reproduce_tables(
     profile: str = "ci",
     fmt: str = "csv",
 ) -> list:
-    """Run every (table, overlap) cell and optionally write the report file.
+    """Run every (table, overlap) cell, on concurrent threads, and optionally
+    write the report file.
 
-    One row per cell with columns ``REPORT_COLUMNS``; tables 6 and 7 have a
-    single high-overlap row. Rows carry the derived per-row seed so each is
-    independently re-runnable.
-    """
-    ids = sorted(set(int(t) for t in table_ids))
-    bad = [t for t in ids if t not in TABLE_FAMILIES]
-    if bad:
-        raise ValueError(f"unknown table ids {bad}; valid ids are 1..7")
+    One row per cell, in table order, with columns ``REPORT_COLUMNS``; tables
+    6 and 7 have a single high-overlap row. Rows carry the derived per-row
+    seed so each is independently re-runnable."""
+    ids = list(table_ids)
+    bad = [t for t in ids if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t not in TABLE_FAMILIES]
+    if bad or not ids:
+        raise ValueError(f"unknown table ids {bad}; valid ids are 1..7" if bad else "no table ids given")
 
+    tables = sorted(set(map(int, ids)))
+    cells = [(t, o) for t in tables for o in (("high",) if t in SINGLE_OVERLAP_TABLES else OVERLAP_LEVELS)]
+    configs = [ExperimentConfig(TABLE_FAMILIES[t], o, profile_samples(profile, TABLE_FAMILIES[t]),
+                                master_seed=_table_seed(seed, t)) for t, o in cells]
     rows = []
-    for table in ids:
-        family = TABLE_FAMILIES[table]
-        overlaps = ("high",) if table in SINGLE_OVERLAP_TABLES else OVERLAP_LEVELS
-        row_seed = _table_seed(seed, table)
-        for overlap in overlaps:
-            config = ExperimentConfig(
-                family=family,
-                overlap=overlap,
-                n_samples=profile_samples(profile, family),
-                master_seed=row_seed,
-            )
-            report = run_experiment(config)
-            metrics = (report.fld_threshold, report.train_accuracy, report.test_accuracy, report.fisher_criterion)
-            rows.append(dict(zip(REPORT_COLUMNS, (table, family, overlap, *metrics, row_seed))))
+    for (table, overlap), config, r in zip(cells, configs, _run_cells(configs)):
+        metrics = (r.fld_threshold, r.train_accuracy, r.test_accuracy, r.fisher_criterion)
+        rows.append(dict(zip(REPORT_COLUMNS, (table, config.family, overlap, *metrics, config.master_seed))))
 
     if out_path is not None:
         flda.atomic_write(out_path, render_report(rows, fmt))

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,21 +90,18 @@ def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
     if len(_check_rows(x, y)) < 2:
         raise ValueError("need both classes present to fit a discriminant")
 
-    n_features = x.shape[1]
     overall_mean = x.mean(axis=0)
-    s_b = np.zeros((n_features, n_features))
-    s_w = np.zeros((n_features, n_features))
-    means = []
-    counts = []
+    s_b, s_w = np.zeros((2, x.shape[1], x.shape[1]))
+    means, counts = [], []
     for cls in CLASS_ORDER:
-        rows = x[y == cls]
+        rows = x[y == cls]  # a copy, centred in place below
         mu = rows.mean(axis=0)
         means.append(mu)
         counts.append(rows.shape[0])
         d = mu - overall_mean
         s_b += rows.shape[0] * np.outer(d, d)
-        centered = rows - mu
-        s_w += centered.T @ centered
+        rows -= mu
+        s_w += rows.T @ rows
     return ScatterPair(
         s_between=s_b,
         s_within=s_w,
@@ -178,21 +175,17 @@ def fit(
     try:
         w = np.linalg.solve(regularized, delta)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "within-class scatter is singular; regularize by passing a positive epsilon"
-        ) from None
+        raise ValueError("within-class scatter is singular; regularize by passing a positive epsilon") from None
     norm = np.linalg.norm(w)
     if not np.isfinite(norm) or norm == 0.0:
-        raise ValueError(
-            "within-class scatter is numerically singular; increase epsilon"
-        )
+        raise ValueError("within-class scatter is numerically singular; increase epsilon")
     w = w / norm
     if w @ delta < 0:
         w = -w
 
     projected = (float(w @ scatter.class_means[0]), float(w @ scatter.class_means[1]))
     threshold = 0.5 * (projected[0] + projected[1])
-    model = FldaModel(
+    return FldaModel(
         w=w,
         projected_means=projected,
         threshold=threshold,
@@ -201,8 +194,8 @@ def fit(
         standardizer=std,
         feature_names=tuple(feature_names) if feature_names is not None else None,
         label_convention=label_convention,
+        train_accuracy=float(np.mean(_decide(xs @ w, threshold) == y)),
     )
-    return replace(model, train_accuracy=evaluate(model, x, y)["accuracy"])
 
 
 def project(model: FldaModel, x: np.ndarray) -> float | np.ndarray:
@@ -214,9 +207,12 @@ def project(model: FldaModel, x: np.ndarray) -> float | np.ndarray:
 
 def classify(model: FldaModel, x: np.ndarray) -> int | np.ndarray:
     """Label of the nearer projected class mean (midpoint threshold)."""
-    y = project(model, x)
-    pred = np.where(np.asarray(y) - model.threshold > -TIE_TOL, 1, -1)
+    pred = _decide(project(model, x), model.threshold)
     return int(pred) if np.ndim(pred) == 0 else pred
+
+
+def _decide(projections, threshold: float) -> np.ndarray:
+    return np.where(np.asarray(projections) - threshold > -TIE_TOL, 1, -1)
 
 
 def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict:

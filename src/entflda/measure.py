@@ -147,4 +147,5 @@ def apply_standardizer(standardizer: Standardizer, values: np.ndarray) -> np.nda
         raise ValueError(
             f"feature dimension {x.shape[-1]} does not match standardizer ({standardizer.shift.shape[0]})"
         )
-    return (x - standardizer.shift) / standardizer.scale
+    out = x - standardizer.shift
+    return np.divide(out, standardizer.scale, out=out)

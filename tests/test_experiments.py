@@ -2,12 +2,15 @@
 
 import csv
 import io
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from entflda import experiments, labels, qops, states
+from entflda import cli, experiments, labels, qops, states
 from entflda.experiments import (
     Dataset,
     ExperimentConfig,
@@ -649,6 +652,82 @@ class TestReproduceTables:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table ids"):
             reproduce_tables([8])
+
+    @pytest.mark.parametrize("ids", [[7.9], [1.5], [True], [2, np.float64(3.0)], ["3"]])
+    def test_non_integer_table_ids_refused(self, tmp_path, ids):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=r"^unknown table ids \[.*\]; valid ids are 1\.\.7$"):
+            reproduce_tables(ids, out_path=str(out))
+        assert not out.exists()
+
+    def test_empty_table_ids_refused(self, tmp_path):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="no table ids"):
+            reproduce_tables([], out_path=str(out))
+        assert not out.exists()
+
+    @staticmethod
+    def usable_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @pytest.mark.parametrize("cpus", [None, 17])
+    def test_concurrent_cells_give_the_serial_bytes(self, tmp_path, monkeypatch, cpus):
+        """The report is ``run_experiment`` of each cell's config called in
+        table order, to the byte, whatever the thread count (the host's
+        usable CPUs, or one thread per cell), with threads switching every
+        microsecond."""
+        monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 200)
+        serial = []
+        for table, family in experiments.TABLE_FAMILIES.items():
+            seed = experiments._table_seed(5, table)
+            for overlap in ("high",) if table in experiments.SINGLE_OVERLAP_TABLES else experiments.OVERLAP_LEVELS:
+                r = run_experiment(ExperimentConfig(family=family, overlap=overlap, n_samples=200, master_seed=seed))
+                metrics = (r.fld_threshold, r.train_accuracy, r.test_accuracy, r.fisher_criterion)
+                serial.append(dict(zip(experiments.REPORT_COLUMNS, (table, family, overlap, *metrics, seed))))
+        if cpus:
+            self.usable_cpus(monkeypatch, cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"r.{fmt}"
+                reproduce_tables(range(7, 0, -1), out_path=str(out), seed=5, fmt=fmt)
+                assert out.read_bytes() == render_report(serial, fmt).encode()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 17])
+    def test_failing_cell_stops_the_run(self, tmp_path, monkeypatch, capsys, cpus):
+        """After a cell raises, no further cell starts, the helpers are joined
+        and that cell's own error is raised; ``reproduce`` exits 1 with it.
+        On one CPU the cells run largest first up to table 4's first cell.
+        With one thread per cell, a barrier starts every cell before any
+        fails; each table-4 cell fails, and the first in table order is named."""
+        monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 40)
+        self.usable_cpus(monkeypatch, cpus)
+        started, barrier, real = [], threading.Barrier(cpus, timeout=60), experiments.run_experiment
+
+        def cell(config):
+            started.append((config.family, config.overlap))
+            barrier.wait()
+            if config.family == "pptes-acin":
+                raise ValueError(f"table 4 {config.overlap} failed")
+            return real(config)
+
+        monkeypatch.setattr(experiments, "run_experiment", cell)
+        threads, out = threading.active_count(), tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="^table 4 high failed$"):
+            reproduce_tables(range(1, 8), out_path=str(out))
+        assert threading.active_count() == threads
+        assert not out.exists()
+        if cpus == 1:
+            werner3 = [("werner3", overlap) for overlap in experiments.OVERLAP_LEVELS]
+            assert started == [("werner4", "high"), *werner3, ("pptes-acin", "high")]
+        else:
+            assert len(started) == 17
+        assert cli.main(["reproduce", "--tables", "1..7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: table 4 high failed\n"
+        assert not out.exists()
 
     def test_profile_sizes(self):
         assert profile_samples("ci", "werner2") == 4000

@@ -91,6 +91,16 @@ class TestComputeScatter:
 
 
 class TestFit:
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_accuracy_is_evaluate_on_training_rows(self, mode, seed):
+        """``fit`` scores the standardized rows it already holds; the figure is
+        the one ``evaluate`` gives on the raw training rows, bit for bit."""
+        features, labels = two_gaussian_problem(np.random.default_rng(seed), n_features=9, separation=1.0)
+        model = fit(features, labels, standardizer=mode)
+        assert 0.5 < model.train_accuracy < 1.0
+        assert model.train_accuracy == evaluate(model, features, labels)["accuracy"]
+
     def test_one_dimensional_clusters(self):
         features = np.array([[-1.1], [-0.9], [0.9], [1.1]])
         labels = np.array([-1, -1, 1, 1])
