@@ -27,15 +27,15 @@ EXAMPLES = [
 
 # Zeros print unsigned (``+ 0.0`` after rounding): round-off's sign varies by BLAS.
 for family, row in EXAMPLES:
-    rho = from_family(family, row)
+    rho = from_family(family, row).matrix
     report = ppt_report(rho)
     print(f"--- {family}  {row}")
-    print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho.matrix), 4) + 0.0}")
+    print(f"    eigenvalues: {np.round(np.linalg.eigvalsh(rho), 4) + 0.0}")
     for cut, value in sorted(report["min_eigenvalues"].items()):
         print(f"    min PT eigenvalue {cut}: {round(value, 4) + 0.0:+.4f}")
-    labels = {conv: assign_label(family, row, rho.matrix, conv) for conv in ("paper", "ppt-oracle")}
+    labels = {conv: assign_label(family, row, rho, conv) for conv in ("paper", "ppt-oracle")}
     print(f"    labels: paper={labels['paper']:+d}  ppt-oracle={labels['ppt-oracle']:+d}")
-    if rho.num_qubits == 2:
+    if rho.shape == (4, 4):
         print(f"    concurrence: {concurrence_wootters(rho):.4f}")
 
 print()

@@ -10,18 +10,17 @@ counts and compares against the exact expectations. The error shrinks like
 
 import numpy as np
 
-from entflda import ObservableSet, exact_features, from_family, sampled_features
+from entflda import exact_features, from_family, sampled_features
 
 rho = from_family("werner2", [0.5]).matrix
-obs = ObservableSet.full(2)
-exact = exact_features(rho, obs)
+exact = exact_features(rho)
 
-print(f"state: two-qubit Werner, p = 0.5; {len(obs)} features")
+print(f"state: two-qubit Werner, p = 0.5; {len(exact)} features")
 print(f"{'shots':>8} {'max |error|':>12} {'rms error':>10} {'1/sqrt(shots)':>14}")
 for shots in (64, 256, 1024, 4096, 16384, 65536):
     errors = []
     for rep in range(20):
-        est = sampled_features(rho, obs, shots, np.random.default_rng([shots, rep]))
+        est = sampled_features(rho, shots, np.random.default_rng([shots, rep]))
         errors.append(est - exact)
     errors = np.array(errors)
     print(

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .qops import DensityOperator, kron, partial_transpose, pauli_matrix, pauli_string_operator
 from .states import from_family
 from .labels import assign_label, concurrence_analytic, concurrence_wootters, ppt_report
-from .measure import ObservableSet, Standardizer, apply_standardizer, exact_features, fit_standardizer, sampled_features
+from .measure import Standardizer, apply_standardizer, exact_features, fit_standardizer, pauli_words, sampled_features
 from .flda import FldaModel, ScatterPair, classify, compute_scatter, evaluate, fisher_criterion, fit, load_model, project, save_model
 from .experiments import (
     Dataset,

@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True, help="model path")
     ev.add_argument("--test", required=True, help="evaluation dataset path")
     ev.add_argument("--report-out", default=None, help="optional metrics report path")
-    ev.add_argument("--format", default="csv", choices=("csv", "json"))
+    ev.add_argument("--format", default="csv", choices=experiments.REPORT_FORMATS)
 
     ins = sub.add_parser("inspect", help="print spectra, PPT cuts and labels for one state")
     ins.add_argument("--family", required=True, choices=states.FAMILIES)
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", required=True, help="output results path")
     rep.add_argument("--seed", type=_seed, default=None)
     rep.add_argument("--profile", default="ci", choices=("ci", "full"))
-    rep.add_argument("--format", default="csv", choices=("csv", "json"))
+    rep.add_argument("--format", default="csv", choices=experiments.REPORT_FORMATS)
 
     return parser
 
@@ -227,18 +227,18 @@ def _fixed6(value) -> str:
 
 def _cmd_inspect(args) -> int:
     row = _inspect_row(args)
-    rho = states.from_family(args.family, row)
+    rho = states.from_family(args.family, row).matrix
     print(f"family: {args.family}")
     print(f"params: {_params_json(args.family, row)}")
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    eigs = np.linalg.eigvalsh(rho)
     print("eigenvalues:", " ".join(_fixed6(v) for v in eigs))
     report = labels.ppt_report(rho)
     for cut, value in sorted(report["min_eigenvalues"].items()):
         print(f"min PT eigenvalue {cut}: {_fixed6(value)}")
     print(f"PPT under all cuts: {report['is_ppt_all']}")
     for convention in labels.LABEL_CONVENTIONS:
-        print(f"label ({convention}): {labels.assign_label(args.family, row, rho.matrix, convention):+d}")
-    if rho.num_qubits == 2:
+        print(f"label ({convention}): {labels.assign_label(args.family, row, rho, convention):+d}")
+    if rho.shape == (4, 4):
         print(f"concurrence: {labels.concurrence_wootters(rho):.6f}")
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import flda, labels, qops, states
-from .measure import ObservableSet, exact_features, sampled_features
+from .measure import check_pauli_words, exact_features, pauli_words, sampled_features
 
 OVERLAP_LEVELS = ("high", "medium", "low")
 OVERLAP_MARGIN = {"high": 0.0, "medium": 0.1, "low": 0.25}
@@ -58,6 +58,7 @@ SINGLE_OVERLAP_TABLES = (6, 7)
 
 REPORT_METRICS = ("fld_threshold", "train_acc", "test_acc", "fisher_j")  # written at repr precision
 REPORT_COLUMNS = ("table", "family", "overlap", *REPORT_METRICS, "seed")
+REPORT_FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -76,6 +77,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if states.family(self.family).fixed_label == labels.SEPARABLE:
             raise ValueError(f"family {self.family!r} has no entangled class and cannot head a dataset")
+        for name in ("n_samples", "shots", "master_seed"):
+            value = getattr(self, name)
+            if value is None and name == "shots":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer is stored as an int
         if self.overlap not in OVERLAP_LEVELS:
             raise ValueError(f"overlap {self.overlap!r} not one of {OVERLAP_LEVELS}")
         if self.n_samples < 20:
@@ -98,9 +106,6 @@ class ExperimentConfig:
     @property
     def effective_shots(self) -> int:
         return OVERLAP_SHOTS[self.overlap] if self.shots is None else self.shots
-
-    def observable_set(self) -> ObservableSet:
-        return ObservableSet.full(states.FAMILIES[self.family].n_qubits)
 
 
 @dataclass
@@ -237,9 +242,10 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     rows, then the separable ones, each class in ``_CHUNK_ROWS``-row chunks
     built, validated, labeled and measured as one stack and written in
     place (see the determinism contract above)."""
-    obs, shots, n, n_entangled = config.observable_set(), config.effective_shots, config.n_samples, config.n_entangled
+    words = pauli_words(states.FAMILIES[config.family].n_qubits)
+    shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
     rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
-    x, y = np.empty((n, len(obs))), np.empty(n, dtype=int)
+    x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
@@ -248,8 +254,8 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
             stack = states.FAMILIES[name].stack(params)
             qops.validate_states(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
-            x[start:stop] = exact_features(stack, obs) if shots == 0 else sampled_features(stack, obs, shots, shot_rng)
-    return Dataset(features=x, labels=y, feature_names=obs.strings)
+            x[start:stop] = exact_features(stack) if shots == 0 else sampled_features(stack, shots, shot_rng)
+    return Dataset(features=x, labels=y, feature_names=words)
 
 
 def _check_writable(path: str, header: list, x: np.ndarray, y: np.ndarray) -> None:
@@ -315,7 +321,7 @@ def _check_header(path: str, header: list) -> None:
     if len(header) < 2 or header[-1] != "label":
         raise ValueError(f"dataset file {path} lacks the feature+label header")
     try:
-        ObservableSet(len(header[0]), header[:-1])
+        check_pauli_words(header[:-1])
     except ValueError as exc:
         raise ValueError(f"dataset file {path}, line 1: {exc}") from None
 
@@ -422,7 +428,8 @@ def _run_cells(configs: list) -> list:
     and one helper per further usable CPU, largest cell first. Once a cell
     raises, no other cell starts; the helpers are joined and the first error in order is raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    pending = sorted(range(len(configs)), key=lambda i: -configs[i].n_samples * len(configs[i].observable_set()))
+    cost = [c.n_samples * (4 ** states.FAMILIES[c.family].n_qubits - 1) for c in configs]  # rows x features
+    pending = sorted(range(len(configs)), key=lambda i: -cost[i])
     reports, errors, lock = [None] * len(configs), {}, threading.Lock()
 
     def work():
@@ -474,6 +481,7 @@ def reproduce_tables(
     One row per cell, in table order, with columns ``REPORT_COLUMNS``; tables
     6 and 7 have a single high-overlap row. Rows carry the derived per-row
     seed so each is independently re-runnable."""
+    _check_format(fmt)
     ids = list(table_ids)
     bad = [t for t in ids if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t not in TABLE_FAMILIES]
     if bad or not ids:
@@ -493,11 +501,15 @@ def reproduce_tables(
     return rows
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
+
+
 def render_report(rows, fmt: str = "csv") -> str:
+    _check_format(fmt)
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(REPORT_COLUMNS)

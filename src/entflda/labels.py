@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import states
-from .qops import DensityOperator, partial_transpose, pauli_string_operator
+from .qops import partial_transpose, pauli_string_operator, qubit_count
 from .states import ENTANGLED, SEPARABLE
 
 LABEL_CONVENTIONS = ("paper", "ppt-oracle")
@@ -49,14 +49,15 @@ def _pt_minima(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(transposes)[..., 0]
 
 
-def ppt_report(rho: DensityOperator) -> dict:
+def ppt_report(rho) -> dict:
     """``{"min_eigenvalues": {cut: minimum eigenvalue of its partial
-    transpose}, "is_ppt_all": all of them >= PPT_TOL}``, with no cut for one
-    qubit. A cut reads like ``"0|12"``: the block holding qubit 0, a bar,
-    then the complement; complementary cuts share a spectrum, so appear once.
+    transpose}, "is_ppt_all": all of them >= PPT_TOL}`` of a 2^N x 2^N matrix,
+    with no cut for one qubit. A cut reads like ``"0|12"``: the block holding
+    qubit 0, a bar, then the complement; complementary cuts share a spectrum.
     """
-    cuts = _bipartitions(rho.num_qubits)
-    minima = {descriptor: float(v) for (descriptor, _), v in zip(cuts, _pt_minima(rho.matrix))}
+    m = np.asarray(rho)
+    cuts = _bipartitions(qubit_count(m, stacks=False))
+    minima = {descriptor: float(v) for (descriptor, _), v in zip(cuts, _pt_minima(m))}
     return {"min_eigenvalues": minima, "is_ppt_all": all(v >= PPT_TOL for v in minima.values())}
 
 
@@ -68,17 +69,18 @@ def concurrence_analytic(theta0, theta1):
     return float(c) if c.ndim == 0 else c
 
 
-def concurrence_wootters(rho: DensityOperator) -> float:
-    """Concurrence of an arbitrary two-qubit state via the spin-flip spectrum.
+def concurrence_wootters(rho) -> float:
+    """Concurrence of a two-qubit state, a 4 x 4 matrix, via the spin-flip spectrum.
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasing square
     roots of the eigenvalues of rho (Y(x)Y) rho* (Y(x)Y).
     """
-    if rho.num_qubits != 2:
-        raise ValueError(f"concurrence is a two-qubit measure, got {rho.num_qubits} qubits")
+    m = np.asarray(rho)
+    if m.shape != (4, 4):
+        raise ValueError(f"concurrence is a two-qubit measure, got shape {m.shape}")
     yy = pauli_string_operator("YY")
-    flipped = yy @ rho.matrix.conj() @ yy
-    vals = np.linalg.eigvals(rho.matrix @ flipped).real
+    flipped = yy @ m.conj() @ yy
+    vals = np.linalg.eigvals(m @ flipped).real
     # Exactly-zero eigenvalues come back as O(eps) noise; clamp before sqrt
     # so they do not leak ~1e-8 into the root.
     floor = 16 * np.finfo(float).eps * max(np.max(np.abs(vals)), 1.0)

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .qops import PAULI_LETTERS, pauli_string_operator
+from .qops import PAULI_LETTERS, pauli_string_operator, qubit_count
 
 STANDARDIZER_MODES = ("zscore", "minmax", "none")
 
@@ -24,83 +24,62 @@ STANDARDIZER_MODES = ("zscore", "minmax", "none")
 MIN_SCALE = 1e-12
 
 
-class ObservableSet:
-    """An ordered, duplicate-free list of non-identity Pauli words.
-
-    Feature names serialize as the words themselves, most-significant qubit
-    first (e.g. ``"XZI"``). :meth:`operators` builds the stacked matrices on
-    each call; the trace form that feature evaluation reads is cached.
-    """
-
-    def __init__(self, num_qubits: int, strings):
-        strings = tuple(strings)
-        if not strings:
-            raise ValueError("observable set is empty")
-        seen = set()
-        identity = "I" * num_qubits
-        for s in strings:
-            if len(s) != num_qubits or any(ch not in PAULI_LETTERS for ch in s):
-                raise ValueError(f"bad Pauli word {s!r} for {num_qubits} qubits")
-            if s == identity:
-                raise ValueError("identity string carries no information and is excluded")
-            if s in seen:
-                raise ValueError(f"duplicate Pauli word {s!r}")
-            seen.add(s)
-        self.num_qubits = num_qubits
-        self.strings = strings
-        self._trace_form = None
-
-    @classmethod
-    @functools.cache
-    def full(cls, num_qubits: int) -> "ObservableSet":
-        """All 4^N - 1 non-identity Pauli words in base-4 counting order; one
-        shared instance per qubit count, so its trace form is built once."""
-        words = ("".join(w) for w in product(PAULI_LETTERS, repeat=num_qubits))
-        return cls(num_qubits, (w for w in words if w != "I" * num_qubits))
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-    def operators(self) -> np.ndarray:
-        """Stacked (n_obs, dim, dim) array of the observable matrices."""
-        return np.stack([pauli_string_operator(s) for s in self.strings])
-
-    def trace_form(self) -> tuple:
-        """``(index, weights)``: tr(O_k rho) = rho_flat[index] @ weights[:, k] for
-        Hermitian rho, ``rho_flat`` its entries' (re, im) pairs in row-major
-        order. ``index`` picks the d^2 independent reals (Re rho_ii, Re and Im
-        rho_ij for i < j). tr(O rho) = sum_ij Re O_ij Re rho_ij + Im O_ij Im
-        rho_ij, so ``weights`` holds the matching entries, doubled off the diagonal."""
-        if self._trace_form is None:
-            dim = 2**self.num_qubits
-            i, j = np.triu_indices(dim, 1)
-            ops, diag, upper = self.operators(), np.arange(dim), 2 * (i * dim + j)
-            index = np.concatenate([2 * diag * (dim + 1), upper, upper + 1])
-            weights = np.hstack([ops[:, diag, diag].real, 2 * ops[:, i, j].real, 2 * ops[:, i, j].imag])
-            self._trace_form = (index, np.ascontiguousarray(weights.T))
-        return self._trace_form
+@functools.cache
+def pauli_words(num_qubits: int) -> tuple:
+    """All 4^N - 1 non-identity Pauli words on N qubits in base-4 counting
+    order, most-significant qubit first (``"IX"``, ``"IY"``, ..., ``"ZZ"``):
+    the feature names, one per column."""
+    return tuple("".join(w) for w in product(PAULI_LETTERS, repeat=num_qubits))[1:]
 
 
-def exact_features(rho, obs: ObservableSet) -> np.ndarray:
-    """Exact expectation value per observable, in [-1, 1], of a (d, d)
-    density matrix or of each state of an (n, d, d) stack (one row each): a
-    real matmul (see :meth:`ObservableSet.trace_form`) in which each
-    state is its own 1-row product, so its bits do not depend on the stack."""
+def check_pauli_words(words) -> None:
+    """Refuse a nonempty list of words that are not distinct non-identity
+    Pauli words of one length, that of the first."""
+    num_qubits, seen = len(words[0]), set()
+    for s in words:
+        if len(s) != num_qubits or any(ch not in PAULI_LETTERS for ch in s):
+            raise ValueError(f"bad Pauli word {s!r} for {num_qubits} qubits")
+        if s == "I" * num_qubits:
+            raise ValueError("identity string carries no information and is excluded")
+        if s in seen:
+            raise ValueError(f"duplicate Pauli word {s!r}")
+        seen.add(s)
+
+
+@functools.cache
+def _trace_form(num_qubits: int) -> tuple:
+    """``(index, weights)``: tr(O_k rho) = rho_flat[index] @ weights[:, k] for
+    the k-th of ``pauli_words(num_qubits)`` and Hermitian rho, ``rho_flat``
+    its entries' (re, im) pairs in row-major order. ``index`` picks the d^2
+    independent reals (Re rho_ii, Re and Im rho_ij for i < j). tr(O rho) =
+    sum_ij Re O_ij Re rho_ij + Im O_ij Im rho_ij, so ``weights`` holds the
+    matching entries, doubled off the diagonal."""
+    dim = 2**num_qubits
+    i, j = np.triu_indices(dim, 1)
+    ops = np.stack([pauli_string_operator(s) for s in pauli_words(num_qubits)])
+    diag, upper = np.arange(dim), 2 * (i * dim + j)
+    index = np.concatenate([2 * diag * (dim + 1), upper, upper + 1])
+    weights = np.hstack([ops[:, diag, diag].real, 2 * ops[:, i, j].real, 2 * ops[:, i, j].imag])
+    return index, np.ascontiguousarray(weights.T)
+
+
+def exact_features(rho) -> np.ndarray:
+    """Exact expectation value of each of ``pauli_words(N)``, in [-1, 1], for
+    a 2^N x 2^N density matrix or each state of an (n, 2^N, 2^N) stack (one
+    row each): a real matmul (see :func:`_trace_form`) in which each state is
+    its own 1-row product, so its bits do not depend on the stack."""
     m = np.ascontiguousarray(rho, dtype=complex)
-    n_qubits = m.shape[-1].bit_length() - 1
-    if obs.num_qubits != n_qubits:
-        raise ValueError(f"observable set is for {obs.num_qubits} qubits, state has {n_qubits}")
-    index, weights = obs.trace_form()
+    index, weights = _trace_form(qubit_count(m))
     entries = np.take(m.view(float).reshape(*m.shape[:-2], 1, -1), index, axis=-1)
     return (entries @ weights)[..., 0, :]
 
 
-def sampled_features(rho, obs: ObservableSet, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Mean of ``shots`` simulated +-1 outcomes per observable, for one state
+def sampled_features(rho, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of ``shots`` simulated +-1 outcomes per Pauli word, for one state
     or a stack; one ``binomial`` call draws every count, in row order."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    exact = exact_features(rho, obs)
+    exact = exact_features(rho)
     p_plus = (1.0 + exact) / 2.0
     if np.any(p_plus < -1e-9) or np.any(p_plus > 1 + 1e-9):
         raise ValueError("outcome probability outside [0, 1]; upstream state is corrupted")

@@ -114,13 +114,8 @@ class DensityOperator:
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dim = m.shape[0]
-        n = int(round(np.log2(dim)))
-        if 2**n != dim:
-            raise ValueError(f"dimension {dim} is not a power of two")
-        if n < 1 or n > MAX_QUBITS:
+        n = qubit_count(m, stacks=False)
+        if n > MAX_QUBITS:
             raise ValueError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
         validate_states(m)
         m.setflags(write=False)
@@ -138,6 +133,16 @@ class DensityOperator:
         return f"DensityOperator(num_qubits={self.num_qubits})"
 
 
+def qubit_count(m: np.ndarray, stacks: bool = True) -> int:
+    """N of a 2^N x 2^N array, N >= 1, or (if ``stacks``) of a stack of them;
+    refuses any other shape."""
+    dim = m.shape[-1] if m.ndim >= 2 else 0
+    n = dim.bit_length() - 1
+    if m.ndim < 2 or (m.ndim > 2 and not stacks) or m.shape[-2] != dim or n < 1 or dim != 2**n:
+        raise ValueError(f"expected a 2^N x 2^N matrix{' or a stack of them' if stacks else ''}, got shape {m.shape}")
+    return n
+
+
 def partial_transpose(matrix: np.ndarray, subsystems) -> np.ndarray:
     """Transpose the selected qubits' indices of a 2^N x 2^N matrix, or of
     each matrix of a stack, leaving the rest untouched.
@@ -149,10 +154,7 @@ def partial_transpose(matrix: np.ndarray, subsystems) -> np.ndarray:
     the input.
     """
     m = np.asarray(matrix)
-    dim = m.shape[-1] if m.ndim >= 2 else 0
-    n = dim.bit_length() - 1
-    if m.ndim < 2 or m.shape[-2] != dim or dim != 2**n:
-        raise ValueError(f"expected a 2^N x 2^N matrix or a stack of them, got shape {m.shape}")
+    n = qubit_count(m)
     subs = sorted(set(int(q) for q in subsystems))
     if not subs:
         raise ValueError("subsystem set is empty; transposing nothing is a caller bug")

@@ -7,6 +7,7 @@ the code path it checks.
 """
 
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -38,19 +39,21 @@ def expectation(rho, obs: np.ndarray, herm_tol: float = 1e-8) -> float:
     return float(np.trace(rho.matrix @ obs).real)
 
 
-def reconstruct_density(values: np.ndarray, obs) -> np.ndarray:
+def reconstruct_density(values: np.ndarray) -> np.ndarray:
     """Invert a full feature vector back to the density matrix.
 
-    (1/2^n)(I + sum_k x_k sigma_k); exact when ``obs`` is the complete
-    non-identity set and ``values`` are exact expectations.
+    ``values`` holds one exact expectation per non-identity Pauli word on n
+    qubits, 4^n - 1 of them in base-4 counting order (``"IX"``, ``"IY"``,
+    ..., ``"ZZ"``); the state is (1/2^n)(I + sum_k x_k sigma_k).
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(obs),):
-        raise ValueError(f"expected {len(obs)} feature values, got shape {values.shape}")
-    dim = 2**obs.num_qubits
-    m = np.eye(dim, dtype=complex)
-    m += np.einsum("k,kij->ij", values, obs.operators())
-    return m / dim
+    n = round(np.log(len(values) + 1) / np.log(4)) if values.ndim == 1 else 0
+    if values.ndim != 1 or n < 1 or len(values) != 4**n - 1:
+        raise ValueError(f"expected 4^n - 1 feature values, got shape {values.shape}")
+    words = ["".join(w) for w in product("IXYZ", repeat=n)][1:]
+    m = np.eye(2**n, dtype=complex)
+    m += sum(x * pauli_word(w) for x, w in zip(values, words))
+    return m / 2**n
 
 
 def discriminant_direction_eig(scatter: flda.ScatterPair, epsilon: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from entflda.experiments import (
     save_dataset,
 )
 from entflda.flda import compute_scatter, fit
-from entflda.measure import ObservableSet, exact_features, sampled_features
+from entflda.measure import exact_features, sampled_features
 from entflda.qops import partial_transpose
 from entflda.states import FAMILIES, from_family
 from oracles import discriminant_direction_eig, hermitian_eigenvalues, reconstruct_density
@@ -131,7 +131,7 @@ def test_criterion_06_ppt_oracle_exactness():
                 assert abs(eigs[0] - critical) < 1e-10, p
 
         def worst_cut(p):
-            return min(labels.ppt_report(from_family("werner3", [p]))["min_eigenvalues"].values())
+            return min(labels.ppt_report(from_family("werner3", [p]).matrix)["min_eigenvalues"].values())
 
         root = brentq(worst_cut, 0.01, 0.99, xtol=1e-9)
         assert abs(root - 0.2) < 1e-6, root
@@ -141,13 +141,13 @@ def test_criterion_07_concurrence_oracle_agreement():
     with criterion(7, "analytic concurrence matches spin-flip spectrum within 1e-9"):
         assert labels.concurrence_analytic(np.pi / 2, np.pi) == 1.0
         assert labels.concurrence_analytic(0.0, np.pi) == 0.0
-        assert abs(labels.concurrence_wootters(from_family("concurrence", [np.pi / 2, np.pi])) - 1.0) < 1e-9
-        assert abs(labels.concurrence_wootters(from_family("concurrence", [0.0, np.pi]))) < 1e-9
+        assert abs(labels.concurrence_wootters(from_family("concurrence", [np.pi / 2, np.pi]).matrix) - 1.0) < 1e-9
+        assert abs(labels.concurrence_wootters(from_family("concurrence", [0.0, np.pi]).matrix)) < 1e-9
         rng = np.random.default_rng(707)
         for _ in range(500):
             t0, t1 = rng.uniform(0, np.pi, size=2)
             analytic = labels.concurrence_analytic(t0, t1)
-            spectral = labels.concurrence_wootters(from_family("concurrence", [t0, t1]))
+            spectral = labels.concurrence_wootters(from_family("concurrence", [t0, t1]).matrix)
             assert abs(analytic - spectral) < 1e-9, (t0, t1)
 
 
@@ -173,14 +173,13 @@ def test_criterion_09_estimator_soundness():
     with criterion(9, "1e6-shot estimates within 4 standard errors for every family"):
         shots = 10**6
         rng = np.random.default_rng(909)
-        for family, spec in FAMILIES.items():
-            obs = ObservableSet.full(spec.n_qubits)
+        for family in FAMILIES:
             for i in range(20):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 overlap = str(rng.choice(["high", "medium", "low"]))
                 row, rho = sampled_state(family, label, overlap, rng)
-                exact = exact_features(rho, obs)
-                sampled = sampled_features(rho, obs, shots, np.random.default_rng([909, i]))
+                exact = exact_features(rho)
+                sampled = sampled_features(rho, shots, np.random.default_rng([909, i]))
                 se = np.sqrt(np.maximum(1 - exact**2, 0.0) / shots)
                 diff = np.abs(sampled - exact)
                 ok = (diff < 4 * se) | ((se == 0) & (diff == 0))
@@ -209,11 +208,10 @@ def test_criterion_11_pauli_completeness():
         rng = np.random.default_rng(111)
         three_qubit_or_less = [f for f, spec in FAMILIES.items() if spec.n_qubits <= 3]
         for family in three_qubit_or_less:
-            obs = ObservableSet.full(FAMILIES[family].n_qubits)
             for _ in range(5):
                 label = 1 if family == "product-sep" else int(rng.choice([-1, 1]))
                 _, rho = sampled_state(family, label, "medium", rng)
-                rebuilt = reconstruct_density(exact_features(rho, obs), obs)
+                rebuilt = reconstruct_density(exact_features(rho))
                 np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import sys
 import threading
 import warnings
@@ -26,7 +27,7 @@ from entflda.experiments import (
     stratified_split,
 )
 from entflda.flda import fit
-from entflda.measure import ObservableSet, fit_standardizer
+from entflda.measure import fit_standardizer, pauli_words
 from oracles import family_state, pauli_word, projections_by_class
 
 HEAD_FAMILIES = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
@@ -92,6 +93,29 @@ class TestConfigValidation:
     def test_rejections(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_samples", "shots", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 100.0, True, False, np.float64(64.0), "64"])
+    def test_non_integer_counts_refused(self, field, value):
+        """A count is an int or a numpy integer: ``shots=2.5`` gave features
+        no mean of +-1 outcomes can take, ``True`` was read as 1 and
+        ``n_samples=100.0`` died inside ``range``."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            ExperimentConfig(family="werner2", **{field: value})
+
+    def test_none_is_only_the_shots_preset(self):
+        assert ExperimentConfig(family="werner2", shots=None).effective_shots == 512
+        for field in ("n_samples", "master_seed"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got None$"):
+                ExperimentConfig(family="werner2", **{field: None})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        cfg = ExperimentConfig(family="werner2", n_samples=np.int64(40), shots=np.uint16(7), master_seed=np.int32(3))
+        assert [type(v) for v in (cfg.n_samples, cfg.shots, cfg.master_seed)] == [int, int, int]
+        assert (cfg.n_samples, cfg.shots, cfg.master_seed) == (40, 7, 3)
+        ref = ExperimentConfig(family="werner2", n_samples=40, shots=7, master_seed=3)
+        a, b = generate_dataset(cfg), generate_dataset(ref)
+        assert a.features.tobytes() == b.features.tobytes() and a.labels.tobytes() == b.labels.tobytes()
 
 
 class TestSampleFamilyParams:
@@ -283,7 +307,8 @@ class TestGenerateDataset:
         ``from_family`` gives."""
         cfg = ExperimentConfig(family=family, n_samples=24, shots=0, label_convention=convention, master_seed=3)
         ds = generate_dataset(cfg)
-        words = [pauli_word(word) for word in cfg.observable_set().strings]
+        assert ds.feature_names == pauli_words(states.FAMILIES[family].n_qubits)
+        words = [pauli_word(word) for word in ds.feature_names]
         for i in range(cfg.n_samples):
             build_family, row = row_parameters(cfg, i)
             reference = family_state(build_family, row)
@@ -404,7 +429,7 @@ class TestGenerateDataset:
             seed=st.integers(0, 2**32 - 1),
         )
         def matches(n_rows, n_qubits, pool, seed):
-            names = ObservableSet.full(n_qubits).strings
+            names = pauli_words(n_qubits)
             rng = np.random.default_rng(seed)
             features = np.array(pool)[rng.integers(len(pool), size=(n_rows, len(names)))]
             ds = Dataset(features, rng.choice([-1, 1], size=n_rows), names)
@@ -564,7 +589,7 @@ class TestGenerateDataset:
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @hypothesis.given(data=st.data(), n_rows=st.integers(1, 40), n_qubits=st.integers(1, 2))
         def round_trip(data, n_rows, n_qubits):
-            names = ObservableSet.full(n_qubits).strings
+            names = pauli_words(n_qubits)
             features = data.draw(arrays(np.float64, (n_rows, len(names)), elements=doubles))
             y = data.draw(arrays(np.int64, n_rows, elements=st.sampled_from([-1, 1])))
             save_dataset(Dataset(features, y, names), path)
@@ -659,6 +684,16 @@ class TestReproduceTables:
         with pytest.raises(ValueError, match=r"^unknown table ids \[.*\]; valid ids are 1\.\.7$"):
             reproduce_tables(ids, out_path=str(out))
         assert not out.exists()
+
+    def test_unknown_format_refused_before_any_cell(self, tmp_path, monkeypatch):
+        def no_cell(config):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_experiment", no_cell)
+        for out in (None, str(tmp_path / "r.xml")):
+            with pytest.raises(ValueError, match=r"^unknown report format 'xml'; expected one of \('csv', 'json'\)$"):
+                reproduce_tables([1], out_path=out, fmt="xml")
+        assert not (tmp_path / "r.xml").exists()
 
     def test_empty_table_ids_refused(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -6,17 +6,22 @@ from scipy.optimize import brentq
 
 from entflda import labels
 from entflda.experiments import bloch_vectors
-from entflda.qops import DensityOperator, partial_transpose
+from entflda.qops import partial_transpose
 from entflda.states import FAMILIES, from_family
 from oracles import hermitian_eigenvalues
 
 
+def state(name, *params):
+    """The density matrix ``from_family`` builds from the parameters."""
+    return from_family(name, params).matrix
+
+
 def two_qubit_werner(p):
-    return from_family("werner2", [p])
+    return state("werner2", p)
 
 
 def random_product_state(n_qubits, rng):
-    return from_family("product-sep", bloch_vectors(rng.random((n_qubits, 3))).ravel())
+    return state("product-sep", *bloch_vectors(rng.random((n_qubits, 3))).ravel())
 
 
 class TestPptReport:
@@ -31,16 +36,21 @@ class TestPptReport:
         rng = np.random.default_rng(9)
         for n in (2, 3, 4):
             g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-            rho = DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T)
             expected = {
-                descriptor: float(hermitian_eigenvalues(partial_transpose(rho.matrix, subset))[0])
+                descriptor: float(hermitian_eigenvalues(partial_transpose(rho, subset))[0])
                 for descriptor, subset in labels._bipartitions(n)
             }
             assert labels.ppt_report(rho)["min_eigenvalues"] == expected
 
     def test_single_qubit_has_no_cut(self):
-        report = labels.ppt_report(DensityOperator(np.eye(2, dtype=complex) / 2))
+        report = labels.ppt_report(np.eye(2, dtype=complex) / 2)
         assert report == {"min_eigenvalues": {}, "is_ppt_all": True}
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (1, 1), (2, 4, 4)])
+    def test_non_qubit_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a 2\^N x 2\^N matrix, got shape"):
+            labels.ppt_report(np.full(shape, 1 / 3))
 
     def test_product_states_always_ppt(self):
         rng = np.random.default_rng(4)
@@ -58,15 +68,15 @@ class TestPptReport:
         rng = np.random.default_rng(8)
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = g @ g.conj().T
-        rho = DensityOperator(m / m.trace())
+        rho = m / m.trace()
         for subset, complement in (({0}, {1, 2}), ({1}, {0, 2}), ({2}, {0, 1})):
-            a = hermitian_eigenvalues(partial_transpose(rho.matrix, subset))[0]
-            b = hermitian_eigenvalues(partial_transpose(rho.matrix, complement))[0]
+            a = hermitian_eigenvalues(partial_transpose(rho, subset))[0]
+            b = hermitian_eigenvalues(partial_transpose(rho, complement))[0]
             assert abs(a - b) < 1e-10
 
     def test_ghz_werner_crossing_at_one_fifth(self):
         def worst_cut(p):
-            return min(labels.ppt_report(from_family("werner3", [p]))["min_eigenvalues"].values())
+            return min(labels.ppt_report(state("werner3", p))["min_eigenvalues"].values())
 
         root = brentq(worst_cut, 0.05, 0.95, xtol=1e-9)
         assert abs(root - 0.2) < 1e-6
@@ -102,7 +112,7 @@ class TestConcurrenceAnalytic:
 
 class TestConcurrenceWootters:
     def test_maximally_mixed(self):
-        rho = DensityOperator(np.eye(4, dtype=complex) / 4)
+        rho = np.eye(4, dtype=complex) / 4
         assert labels.concurrence_wootters(rho) == 0.0
 
     def test_singlet(self):
@@ -115,7 +125,12 @@ class TestConcurrenceWootters:
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            labels.concurrence_wootters(from_family("werner3", [0.5]))
+            labels.concurrence_wootters(state("werner3", 0.5))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 2), (4, 3), (2, 4, 4)])
+    def test_non_two_qubit_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"two-qubit measure, got shape \(" + ", ".join(map(str, shape))):
+            labels.concurrence_wootters(np.full(shape, 1 / 4))
 
     def test_agrees_with_analytic_on_circuit_states(self):
         rng = np.random.default_rng(12)
@@ -123,7 +138,7 @@ class TestConcurrenceWootters:
         for _ in range(500):
             t0, t1 = rng.uniform(0, np.pi, size=2)
             analytic = labels.concurrence_analytic(t0, t1)
-            wootters = labels.concurrence_wootters(from_family("concurrence", [t0, t1]))
+            wootters = labels.concurrence_wootters(state("concurrence", t0, t1))
             worst = max(worst, abs(analytic - wootters))
         assert worst < 1e-9, worst
 
@@ -174,11 +189,11 @@ class TestAssignLabel:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            labels.assign_label("ghz-mixed", [], two_qubit_werner(0.5).matrix, "paper")
+            labels.assign_label("ghz-mixed", [], two_qubit_werner(0.5), "paper")
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
-            labels.assign_label("werner2", [0.5], two_qubit_werner(0.5).matrix, "majority-vote")
+            labels.assign_label("werner2", [0.5], two_qubit_werner(0.5), "majority-vote")
 
 
 def test_werner2_pt_sign_matches_boundary():

@@ -6,10 +6,11 @@ import pytest
 from entflda.experiments import OVERLAP_LEVELS, ROW_UNIFORMS, bloch_vectors, sample_family_params
 from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
-    ObservableSet,
     apply_standardizer,
+    check_pauli_words,
     exact_features,
     fit_standardizer,
+    pauli_words,
     sampled_features,
 )
 from entflda.states import FAMILIES, from_family
@@ -25,97 +26,122 @@ def random_product_state(n_qubits, rng):
     return state("product-sep", *bloch_vectors(rng.random((n_qubits, 3))).ravel())
 
 
-class TestObservableSet:
-    def test_full_two_qubit_count_and_order(self):
-        obs = ObservableSet.full(2)
-        assert len(obs) == 15
-        assert obs.strings[:4] == ("IX", "IY", "IZ", "XI")
-        assert obs.strings[-1] == "ZZ"
-        assert "II" not in obs.strings
+ZZ = pauli_words(2).index("ZZ")
 
-    def test_full_counts_scale(self):
-        assert len(ObservableSet.full(3)) == 63
-        assert len(ObservableSet.full(4)) == 255
 
+class TestPauliWords:
+    def test_two_qubit_count_and_order(self):
+        words = pauli_words(2)
+        assert len(words) == 15
+        assert words[:4] == ("IX", "IY", "IZ", "XI")
+        assert words[-1] == "ZZ"
+        assert "II" not in words
+
+    def test_counts_scale(self):
+        assert len(pauli_words(1)) == 3
+        assert len(pauli_words(3)) == 63
+        assert len(pauli_words(4)) == 255
+
+    def test_base4_order(self):
+        words = pauli_words(3)
+        assert list(words) == sorted(words, key=lambda w: ["IXYZ".index(c) for c in w])
+        assert len(set(words)) == len(words)
+        check_pauli_words(words)
+
+
+class TestCheckPauliWords:
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ObservableSet(2, ("XX", "XX"))
+        with pytest.raises(ValueError, match="duplicate Pauli word 'XX'"):
+            check_pauli_words(("XX", "XX"))
 
     def test_rejects_identity(self):
         with pytest.raises(ValueError, match="identity"):
-            ObservableSet(2, ("II",))
+            check_pauli_words(("II",))
 
     def test_rejects_bad_word(self):
-        with pytest.raises(ValueError, match="bad Pauli word"):
-            ObservableSet(2, ("XQ",))
+        with pytest.raises(ValueError, match="bad Pauli word 'XQ' for 2 qubits"):
+            check_pauli_words(("XQ",))
+
+    def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError, match="bad Pauli word 'XXX' for 2 qubits"):
+            check_pauli_words(("XX", "XXX"))
 
 
 class TestExactFeatures:
     def test_maximally_mixed_is_zero(self):
         rho = np.eye(4, dtype=complex) / 4
-        np.testing.assert_allclose(exact_features(rho, ObservableSet.full(2)), np.zeros(15), atol=1e-14)
+        np.testing.assert_allclose(exact_features(rho), np.zeros(15), atol=1e-14)
 
     def test_werner2_structure(self):
-        obs = ObservableSet.full(2)
         for p in (0.3, 0.7):
-            values = exact_features(state("werner2", p), obs)
-            for name, v in zip(obs.strings, values):
+            values = exact_features(state("werner2", p))
+            for name, v in zip(pauli_words(2), values, strict=True):
                 expected = -p if name in ("XX", "YY", "ZZ") else 0.0
                 assert abs(v - expected) < 1e-12, name
 
     def test_entries_bounded(self):
         rng = np.random.default_rng(19)
-        obs = ObservableSet.full(3)
         for _ in range(5):
-            values = exact_features(random_product_state(3, rng), obs)
+            values = exact_features(random_product_state(3, rng))
+            assert values.shape == (63,)
             assert np.all(np.abs(values) <= 1 + 1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="qubits"):
-            exact_features(state("werner2", 0.5), ObservableSet.full(3))
+        with pytest.raises(ValueError, match=r"2\^N x 2\^N"):
+            exact_features(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (5, 3, 3), (4,), (1, 1)])
+    def test_non_qubit_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"2\^N x 2\^N matrix or a stack of them, got shape"):
+            exact_features(np.full(shape, 1 / 3))
+
+    def test_stack_rows_match_single_states(self):
+        stack = np.stack([state("werner3", 0.2), state("werner3", 0.6)])
+        np.testing.assert_array_equal(exact_features(stack), [exact_features(m) for m in stack])
 
 
 class TestSampledFeatures:
     def test_deterministic_outcome_state(self):
         # |00><00| measured in ZZ gives +1 on every shot
         rho = state("concurrence", 0.0, np.pi)
-        obs = ObservableSet(2, ("ZZ",))
-        values = sampled_features(rho, obs, 17, np.random.default_rng(0))
-        assert values[0] == 1.0
+        values = sampled_features(rho, 17, np.random.default_rng(0))
+        assert values[ZZ] == 1.0
 
     def test_same_stream_same_vector(self):
-        obs = ObservableSet.full(2)
-        a = sampled_features(state("werner2", 0.6), obs, 100, np.random.default_rng(5))
-        b = sampled_features(state("werner2", 0.6), obs, 100, np.random.default_rng(5))
+        a = sampled_features(state("werner2", 0.6), 100, np.random.default_rng(5))
+        b = sampled_features(state("werner2", 0.6), 100, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_large_shot_convergence(self):
-        obs = ObservableSet(2, ("ZZ",))
         shots = 10**6
-        values = sampled_features(state("werner2", 0.5), obs, shots, np.random.default_rng(123))
+        values = sampled_features(state("werner2", 0.5), shots, np.random.default_rng(123))
         se = np.sqrt((1 - 0.25) / shots)
-        assert abs(values[0] - (-0.5)) < 3 * se
+        assert abs(values[ZZ] - (-0.5)) < 3 * se
 
     def test_estimates_in_range(self):
         rng = np.random.default_rng(2)
-        values = sampled_features(state("werner2", 0.9), ObservableSet.full(2), 8, rng)
+        values = sampled_features(state("werner2", 0.9), 8, rng)
         assert np.all(values >= -1) and np.all(values <= 1)
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError, match="shots"):
-            sampled_features(state("werner2", 0.5), ObservableSet.full(2), 0, np.random.default_rng(0))
+            sampled_features(state("werner2", 0.5), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_non_qubit_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"2\^N x 2\^N"):
+            sampled_features(np.full(shape, 1 / 3), 10, np.random.default_rng(0))
 
 
 def test_sampling_is_unbiased():
     """Grand mean over 200 independent streams stays within 4 standard
     errors of the exact expectation, feature by feature."""
-    obs = ObservableSet.full(2)
     rho = state("werner2", 0.3)
-    exact = exact_features(rho, obs)
+    exact = exact_features(rho)
     shots, n_streams = 256, 200
-    total = np.zeros(len(obs))
+    total = np.zeros(len(exact))
     for i in range(n_streams):
-        total += sampled_features(rho, obs, shots, np.random.default_rng([77, i]))
+        total += sampled_features(rho, shots, np.random.default_rng([77, i]))
     grand_mean = total / n_streams
     se = np.sqrt(np.maximum(1 - exact**2, 0.0) / (shots * n_streams))
     assert np.all(np.abs(grand_mean - exact) < 4 * np.maximum(se, 1e-15))
@@ -123,17 +149,15 @@ def test_sampling_is_unbiased():
 
 class TestReconstruction:
     def test_full_set_reconstructs_state(self):
-        obs2 = ObservableSet.full(2)
-        obs3 = ObservableSet.full(3)
         cases = [
-            (state("werner2", 0.42), obs2),
-            (state("concurrence", 1.1, 2.3), obs2),
-            (state("werner3", 0.37), obs3),
-            (state("pptes-acin", 1.4, 0.6, 2.1), obs3),
-            (random_product_state(3, np.random.default_rng(8)), obs3),
+            state("werner2", 0.42),
+            state("concurrence", 1.1, 2.3),
+            state("werner3", 0.37),
+            state("pptes-acin", 1.4, 0.6, 2.1),
+            random_product_state(3, np.random.default_rng(8)),
         ]
-        for rho, obs in cases:
-            rebuilt = reconstruct_density(exact_features(rho, obs), obs)
+        for rho in cases:
+            rebuilt = reconstruct_density(exact_features(rho))
             np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
 
     def test_sampled_rows_reconstruct_their_state(self):
@@ -157,15 +181,13 @@ class TestReconstruction:
             name, params = sample_family_params(family, label, overlap, rng.random((1, ROW_UNIFORMS[family])))
             built = [state(name, *params[0]), random_product_state(n_qubits, rng)]
             for rho in built:
-                obs = ObservableSet.full(len(rho).bit_length() - 1)
-                np.testing.assert_allclose(reconstruct_density(exact_features(rho, obs), obs), rho,
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(reconstruct_density(exact_features(rho)), rho, rtol=0, atol=1e-12)
 
         rebuilds()
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="feature values"):
-            reconstruct_density(np.zeros(7), ObservableSet.full(2))
+            reconstruct_density(np.zeros(7))
 
 
 class TestStandardizer:

@@ -69,7 +69,7 @@ class TestWernerGhz:
 class TestConcurrenceState:
     def test_maximally_entangled_endpoint(self):
         rho = from_family("concurrence", [np.pi / 2, np.pi])
-        assert abs(labels.concurrence_wootters(rho) - 1.0) < 1e-9
+        assert abs(labels.concurrence_wootters(rho.matrix) - 1.0) < 1e-9
 
     def test_separable_endpoint(self):
         rho = from_family("concurrence", [0.0, np.pi])
@@ -79,7 +79,7 @@ class TestConcurrenceState:
 
     def test_intermediate_value_against_wootters(self):
         rho = from_family("concurrence", [np.pi / 2, np.pi / 2])
-        np.testing.assert_allclose(labels.concurrence_wootters(rho), np.sqrt(2) / 2, atol=1e-9)
+        np.testing.assert_allclose(labels.concurrence_wootters(rho.matrix), np.sqrt(2) / 2, atol=1e-9)
 
     def test_purity(self):
         rng = np.random.default_rng(17)
@@ -111,7 +111,7 @@ class TestPptesAcin:
         for a in grid:
             for b in grid:
                 for c in grid:
-                    report = labels.ppt_report(from_family("pptes-acin", [a, b, c]))
+                    report = labels.ppt_report(from_family("pptes-acin", [a, b, c]).matrix)
                     assert report["is_ppt_all"], (a, b, c, report["min_eigenvalues"])
 
     def test_nonpositive_parameter(self):
@@ -158,7 +158,7 @@ class TestSeparableMixture:
         bc_pt = hermitian_eigenvalues(partial_transpose(from_family("werner2", [1.0]).matrix, {0}))
         assert bc_pt[0] < -0.4  # the singlet marginal is NPT
 
-        report = labels.ppt_report(from_family("biseparable", biseparable_row([(1.0, [0.0, 0.0, 0.3], 1.0)])))
+        report = labels.ppt_report(from_family("biseparable", biseparable_row([(1.0, [0.0, 0.0, 0.3], 1.0)])).matrix)
         assert report["min_eigenvalues"]["0|12"] >= -1e-9
         assert report["min_eigenvalues"]["01|2"] < -1e-9
         assert not report["is_ppt_all"]
@@ -168,7 +168,7 @@ class TestSeparableMixture:
         blochs = bloch_vectors(np.random.default_rng(23).random((2, 3)))
         rho = from_family("biseparable", biseparable_row([(0.5, blochs[0], 0.0), (0.5, blochs[1], 0.0)]))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-12
-        assert labels.ppt_report(rho)["is_ppt_all"]
+        assert labels.ppt_report(rho.matrix)["is_ppt_all"]
 
     def test_weight_violation(self):
         row = biseparable_row([(0.6, [0.0, 0.0, 0.0], 0.0), (0.6, [0.0, 0.0, 0.0], 0.0)])
@@ -191,7 +191,7 @@ class TestRandomProductState:
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(2, 4))
-            report = labels.ppt_report(random_product_state(n, rng))
+            report = labels.ppt_report(random_product_state(n, rng).matrix)
             assert report["is_ppt_all"]
 
     def test_bloch_vector_too_long(self):
