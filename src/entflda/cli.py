@@ -132,6 +132,7 @@ def _cmd_gen(args) -> int:
         label_convention=args.label_convention,
         master_seed=seed,
     )
+    flda.check_output_dir(args.out)
     dataset = experiments.generate_dataset(config)
     experiments.save_dataset(dataset, args.out)
     n_ent = int(np.sum(dataset.labels == -1))
@@ -142,6 +143,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    flda.check_output_dir(args.model_out)
     dataset = experiments.load_dataset(args.train)
     model = flda.fit(
         dataset.features,
@@ -159,6 +161,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.report_out:
+        flda.check_output_dir(args.report_out)
     model = flda.load_model(args.model)
     dataset = experiments.load_dataset(args.test)
     if model.feature_names is not None and tuple(model.feature_names) != tuple(dataset.feature_names):
@@ -192,32 +196,19 @@ def _cmd_eval(args) -> int:
 def _inspect_row(args) -> np.ndarray:
     """The family's parameter row, from its flags or, for the families
     without scalar parameters, from the dataset sampler at ``--seed``."""
-    names = states.FAMILIES[args.family].params
-    if names:
-        if any(getattr(args, name) is None for name in names):
-            flags = [f"--{name}" for name in names]
+    spec = states.FAMILIES[args.family]
+    if spec.params:
+        if any(getattr(args, name) is None for name in spec.params):
+            flags = [f"--{name}" for name in spec.params]
             listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
             raise ValueError(f"{args.family} requires {listed}")
-        return np.array([getattr(args, name) for name in names])
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.family == "product-sep":
+        return np.array([getattr(args, name) for name in spec.params])
+    rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
+    if spec.width is None:  # a Bloch vector per qubit
         if not 1 <= args.n_qubits <= qops.MAX_QUBITS:
             raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {args.n_qubits}")
-        return experiments.bloch_vectors(np.random.default_rng(seed).random((args.n_qubits, 3))).ravel()
-    u = np.random.default_rng(seed).random((1, experiments.ROW_UNIFORMS[args.family]))
-    return experiments.sample_family_params(args.family, labels.ENTANGLED, "high", u)[1][0]
-
-
-def _params_json(family: str, row: np.ndarray) -> str:
-    """The ``params:`` line: the named parameters, or the components of a
-    biseparable (those of nonzero weight) or product row."""
-    r, k = row.tolist(), states.BISEPARABLE_COMPONENTS
-    if family == "biseparable":
-        parts = [{"weight": r[j], "a_bloch": r[k + 3 * j : k + 3 * j + 3], "bc_p": r[4 * k + j]} for j in range(k)]
-        return json.dumps({"components": [part for part in parts if part["weight"] > 0]})
-    if family == "product-sep":
-        return json.dumps({"components": [{"weight": 1.0, "blochs": [r[j : j + 3] for j in range(0, len(r), 3)]}]})
-    return json.dumps(dict(zip(states.FAMILIES[family].params, r)))
+        return states.bloch_vectors(rng.random((args.n_qubits, 3))).ravel()
+    return experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng.random((1, spec.uniforms)))[1][0]
 
 
 def _fixed6(value) -> str:
@@ -226,10 +217,11 @@ def _fixed6(value) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    row = _inspect_row(args)
+    spec, row = states.FAMILIES[args.family], _inspect_row(args)
     rho = states.from_family(args.family, row).matrix
     print(f"family: {args.family}")
-    print(f"params: {_params_json(args.family, row)}")
+    params = spec.describe(row) if spec.describe else dict(zip(spec.params, row.tolist()))
+    print(f"params: {json.dumps(params)}")
     eigs = np.linalg.eigvalsh(rho)
     print("eigenvalues:", " ".join(_fixed6(v) for v in eigs))
     report = labels.ppt_report(rho)

@@ -8,13 +8,14 @@ benchmark tables emerges; the exact thresholds and Fisher magnitudes are
 explicitly not reproduction targets.
 
 Determinism contract: a dataset draws from two streams keyed by its
-master seed. Row i's parameters come from a fixed block of uniforms of a
-counter-based Philox stream, so they depend on (master_seed, i) alone and
-row i can be regenerated by advancing the stream to its block; shot counts
-come from a second stream, drawn in row order. Rows are generated class by
-class, entangled first, in chunks. ``reproduce_tables`` runs its cells, each
-on its own seeds, on concurrent threads. Datasets and reports are bit-identical
-across reruns, chunk sizes and thread counts; wall time is outside the contract.
+master seed. Row i's parameters come from a fixed block of uniforms, its
+family's ``Family.uniforms`` draws, of a counter-based Philox stream, so
+they depend on (master_seed, i) alone and row i can be regenerated by
+advancing the stream to its block; shot counts come from a second stream,
+drawn in row order. Rows are generated class by class, entangled first, in
+chunks. ``reproduce_tables`` runs its cells, each on its own seeds, on
+concurrent threads. Datasets and reports are bit-identical across reruns,
+chunk sizes and thread counts; wall time is outside the contract.
 """
 
 from __future__ import annotations
@@ -135,34 +136,16 @@ class ExperimentReport:
 # Rows per generation chunk and per written block; the bytes do not depend on it.
 _CHUNK_ROWS = 256
 
-# Candidate angle pairs per concurrence row; the first reaching the preset's
-# floor is kept. At the low preset a pair passes with probability 0.134, so
-# all 256 fail with probability below 1e-16.
-CONCURRENCE_CANDIDATES = 256
-
-# Uniforms per row (what either class uses) in whole Philox outputs of four
-# 64-bit words, so row i's block starts at counter i * block / 4.
-ROW_UNIFORMS = {"werner2": 4, "werner3": 4, "werner4": 4, "concurrence": 2 * CONCURRENCE_CANDIDATES,
-                "pptes-acin": 12, "ppt-alt": 12, "biseparable": 16}
-
 
 def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Generator:
     """The parameter stream (Philox keyed by the master seed) at row ``row``'s block."""
     bit_generator = np.random.Philox(np.random.SeedSequence([master_seed, 1]))
-    bit_generator.advance(row * ROW_UNIFORMS[family] // 4)
+    bit_generator.advance(row * states.FAMILIES[family].uniforms // 4)
     return np.random.Generator(bit_generator)
 
 
 def _split_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, 2])
-
-
-def bloch_vectors(u: np.ndarray) -> np.ndarray:
-    """Bloch-ball-uniform vectors from (..., 3) uniforms read as (cos theta,
-    phi, r), with radius u**(1/3) so the volume density is flat."""
-    cos_t, phi, r = 2 * u[..., 0] - 1, 2 * np.pi * u[..., 1], u[..., 2] ** (1 / 3)
-    sin_t = np.sqrt(1 - cos_t**2)
-    return r[..., None] * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -191,8 +174,8 @@ def _werner_intervals(spec: states.Family, family: str, overlap: str, convention
 def sample_family_params(family: str, label: int, overlap: str, uniforms: np.ndarray, convention: str = "paper"):
     """``(build_family, params)`` of the requested class, one row of the (n, k)
     array ``states.FAMILIES[build_family].stack`` takes per row of ``uniforms``
-    (``ROW_UNIFORMS[family]`` [0, 1) draws each); the separable class of
-    concurrence, pptes-acin, ppt-alt and biseparable is ``product-sep``."""
+    (``Family.uniforms`` [0, 1) draws each); the separable class of a family
+    without a Werner ``boundary`` is ``product-sep``."""
     if overlap not in OVERLAP_LEVELS:
         raise ValueError(f"overlap {overlap!r} not one of {OVERLAP_LEVELS}")
     if label not in (-1, 1):
@@ -210,31 +193,23 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
         return family, p[:, None]
 
     if label == labels.SEPARABLE:
-        return "product-sep", bloch_vectors(u[:, : 3 * spec.n_qubits].reshape(n, -1, 3)).reshape(n, -1)
+        return "product-sep", states.bloch_vectors(u[:, : 3 * spec.n_qubits].reshape(n, -1, 3)).reshape(n, -1)
 
     if family == "concurrence":
+        # At the low preset a pair passes with probability 0.134, so all of
+        # a row's uniforms / 2 pairs fail with probability below 1e-16.
         c_min = CONCURRENCE_MIN[overlap]
-        pairs, first = np.pi * u[:, : 2 * CONCURRENCE_CANDIDATES].reshape(n, -1, 2), np.full(n, -1)
-        for stop in (16, CONCURRENCE_CANDIDATES):  # most rows accept one of their first 16 pairs
+        pairs, first = np.pi * u.reshape(n, -1, 2), np.full(n, -1)
+        for stop in (16, None):  # most rows accept one of their first 16 pairs
             pending = np.flatnonzero(first < 0)
             accepted = labels.concurrence_analytic(pairs[pending, :stop, 0], pairs[pending, :stop, 1]) >= c_min
             first[pending] = np.where(accepted.any(axis=1), accepted.argmax(axis=1), -1)
         if np.any(first < 0):
             raise RuntimeError(f"rejection sampling failed to reach concurrence {c_min}")
         return family, pairs[np.arange(n), first]
-    if family == "pptes-acin":
-        lo, hi = np.log(0.5), np.log(2.0)
-        return family, np.exp(lo + u[:, :3] * (hi - lo))
-    if family == "ppt-alt":
-        return family, np.empty((n, 0))
-    if family == "biseparable":
-        k = states.BISEPARABLE_COMPONENTS
-        used = np.arange(k) < 1 + (k * u[:, :1]).astype(int)  # 1..k components
-        raw = np.where(used, u[:, 1 : k + 1], 0.0)
-        a_bloch = bloch_vectors(u[:, k + 1 : 4 * k + 1].reshape(n, k, 3)).reshape(n, -1)
-        bc_p = 0.5 + 0.5 * u[:, 4 * k + 1 : 5 * k + 1]
-        return family, np.hstack([raw / raw.sum(axis=1, keepdims=True), a_bloch, bc_p])
-    raise ValueError(f"family {family!r} has no entangled class")
+    if spec.sample is None:
+        raise ValueError(f"family {family!r} has no entangled class")
+    return family, spec.sample(u)
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
@@ -242,14 +217,18 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     rows, then the separable ones, each class in ``_CHUNK_ROWS``-row chunks
     built, validated, labeled and measured as one stack and written in
     place (see the determinism contract above)."""
-    words = pauli_words(states.FAMILIES[config.family].n_qubits)
+    spec = states.FAMILIES[config.family]
+    words = pauli_words(spec.n_qubits)
     shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
     rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
-    x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
+    try:
+        x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
+    except MemoryError:
+        raise ValueError(f"n_samples={n}: a {n} x {len(words)} feature matrix does not fit in memory") from None
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
-            u = rng.random((stop - start, ROW_UNIFORMS[config.family]))
+            u = rng.random((stop - start, spec.uniforms))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
             stack = states.FAMILIES[name].stack(params)
             qops.validate_states(stack)
@@ -486,6 +465,8 @@ def reproduce_tables(
     bad = [t for t in ids if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t not in TABLE_FAMILIES]
     if bad or not ids:
         raise ValueError(f"unknown table ids {bad}; valid ids are 1..7" if bad else "no table ids given")
+    if out_path is not None:
+        flda.check_output_dir(out_path)
 
     tables = sorted(set(map(int, ids)))
     cells = [(t, o) for t in tables for o in (("high",) if t in SINGLE_OVERLAP_TABLES else OVERLAP_LEVELS)]

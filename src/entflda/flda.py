@@ -240,15 +240,28 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
     }
 
 
+def _temp_beside(path: str) -> tuple:
+    """``(fd, name)`` of a new temp file in ``path``'s directory; an ``OSError`` names ``path``."""
+    try:
+        return tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def check_output_dir(path: str) -> None:
+    """Raise the ``OSError`` :func:`atomic_write` would raise for a missing or
+    unwritable directory of ``path``, so a command can refuse before its work."""
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def atomic_write(path: str, text) -> None:
     """Replace ``path`` with ``text`` (a string, or an iterable of strings
     written in turn) through a uniquely named temp file beside it, so
     concurrent writers never share one. The file gets the mode open() would
     give it; the temp file is removed if any step fails."""
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)

@@ -63,9 +63,10 @@ def ppt_report(rho) -> dict:
 
 def concurrence_analytic(theta0, theta1):
     """Closed-form concurrence of the two-rotation circuit state, for scalar
-    angles or elementwise over arrays of them."""
+    angles or elementwise over arrays of them; theta0 = pi, where
+    ``np.sin`` gives 1.2e-16, is a product state and gets C = 0."""
     theta0, theta1 = states.checked_angles(theta0, theta1)
-    c = np.sin(theta0) * np.sin(theta1 / 2)
+    c = np.where(theta0 < np.pi, np.sin(theta0), 0.0) * np.sin(theta1 / 2)
     return float(c) if c.ndim == 0 else c
 
 

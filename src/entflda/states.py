@@ -2,12 +2,12 @@
 
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
-``product-sep``) has one :class:`Family` record in :data:`FAMILIES`.
-A record's ``stack`` builds a dataset chunk as one (n, d, d) array from an
-(n, k) parameter array, the one parameter layout; :func:`from_family`, the
-one way to build a single state, builds a validated state from one row of
-it. The array cores check the parameter ranges, so both refuse a bad row
-with one message. Everything here is pure.
+``product-sep``) has one :class:`Family` record in :data:`FAMILIES`,
+which owns every fact about it that no overlap preset decides. Its
+``stack`` builds a dataset chunk as one (n, d, d) array from an (n, k)
+parameter array, the one parameter layout; :func:`from_family` builds one
+validated state from one row of it. The array cores check the parameter
+ranges, so both refuse a bad row with one message. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -102,6 +102,14 @@ def _ppt_alternative_matrix() -> np.ndarray:
     return sum(pauli_string_operator(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
 
 
+def bloch_vectors(u: np.ndarray) -> np.ndarray:
+    """Bloch-ball-uniform vectors from (..., 3) uniforms read as (cos theta,
+    phi, r), with radius u**(1/3) so the volume density is flat."""
+    cos_t, phi, r = 2 * u[..., 0] - 1, 2 * np.pi * u[..., 1], u[..., 2] ** (1 / 3)
+    sin_t = np.sqrt(1 - cos_t**2)
+    return r[..., None] * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
+
+
 def _bloch_matrix(bloch) -> np.ndarray:
     """Single-qubit state (1/2)(I + b . sigma) per Bloch vector b (last axis)."""
     b = np.asarray(bloch, dtype=float)
@@ -131,17 +139,37 @@ def _biseparable_matrix(q: np.ndarray) -> np.ndarray:
     return sum((terms[:, j] for j in range(1, k)), terms[:, 0])  # in order: .sum() can flip the sign of a zero
 
 
+def _biseparable_sample(u: np.ndarray) -> np.ndarray:
+    n, k = len(u), BISEPARABLE_COMPONENTS
+    used = np.arange(k) < 1 + (k * u[:, :1]).astype(int)  # 1..k components
+    raw = np.where(used, u[:, 1 : k + 1], 0.0)
+    a_bloch = bloch_vectors(u[:, k + 1 : 4 * k + 1].reshape(n, k, 3)).reshape(n, -1)
+    bc_p = 0.5 + 0.5 * u[:, 4 * k + 1 : 5 * k + 1]
+    return np.hstack([raw / raw.sum(axis=1, keepdims=True), a_bloch, bc_p])
+
+
+def _biseparable_describe(row: np.ndarray) -> dict:
+    r, k = row.tolist(), BISEPARABLE_COMPONENTS
+    return {"components": [{"weight": r[j], "a_bloch": r[k + 3 * j : k + 3 * j + 3], "bc_p": r[4 * k + j]}
+                           for j in range(k) if r[j] > 0]}
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one state family.
 
     ``stack`` maps an (n, k) parameter array to an (n, d, d) stack of
-    unvalidated matrices; its columns are the scalar parameters ``params``
-    names, in order, the biseparable layout above, or a Bloch vector per
-    qubit for ``product-sep``. Werner families carry ``p_min``, the lower
-    end of the mixing range, and ``boundary``, the mixing parameter per
-    label convention above which the state is entangled. ``fixed_label``
-    is a class that holds under every convention.
+    unvalidated matrices; its ``width`` k columns are the scalar parameters
+    ``params`` names, in order, or the biseparable layout above (None: a
+    Bloch vector per qubit, any register). Werner families carry ``p_min``,
+    the lower end of the mixing range, and ``boundary``, the mixing
+    parameter per label convention above which the state is entangled.
+    ``fixed_label`` is a class that holds under every convention. A dataset
+    row takes ``uniforms`` draws, whole Philox outputs of four, for either
+    class; ``sample`` maps them to the entangled class where the overlap
+    preset plays no part. ``describe`` maps a row to the ``params:`` object
+    of ``inspect``; None prints the named parameters. ``width`` and
+    ``uniforms`` default to a Werner row's.
     """
 
     n_qubits: int
@@ -150,19 +178,28 @@ class Family:
     p_min: float | None = None
     boundary: dict | None = None
     fixed_label: int | None = None
+    width: int | None = 1
+    uniforms: int = 4
+    sample: Callable[[np.ndarray], np.ndarray] | None = None
+    describe: Callable[[np.ndarray], dict] | None = None
 
 
 FAMILIES = {
     "werner2": Family(2, lambda q: _werner2_matrix(q[:, 0]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
     "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
     "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
-    "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1")),
-    # Bound entangled: PPT under every cut, so the transpose oracle cannot see it.
-    "pptes-acin": Family(3, lambda q: _pptes_matrix(*q.T), ("a", "b", "c"), fixed_label=ENTANGLED),
-    "ppt-alt": Family(3, lambda q: np.repeat(_ppt_alternative_matrix()[None], len(q), 0)),
-    "biseparable": Family(3, _biseparable_matrix),
+    "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1"),
+                          width=2, uniforms=512),  # 256 angle pairs; the first above the preset's floor is kept
+    # Bound entangled: PPT under every cut, so the transpose oracle cannot see it. a, b, c log-uniform on [1/2, 2].
+    "pptes-acin": Family(3, lambda q: _pptes_matrix(*q.T), ("a", "b", "c"), fixed_label=ENTANGLED, width=3,
+                         uniforms=12, sample=lambda u: np.exp(np.log(0.5) + u[:, :3] * (np.log(2.0) - np.log(0.5)))),
+    "ppt-alt": Family(3, lambda q: np.repeat(_ppt_alternative_matrix()[None], len(q), 0),
+                      width=0, uniforms=12, sample=lambda u: np.empty((len(u), 0))),
+    "biseparable": Family(3, _biseparable_matrix, width=5 * BISEPARABLE_COMPONENTS, uniforms=16,
+                          sample=_biseparable_sample, describe=_biseparable_describe),
     "product-sep": Family(2, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
-                          fixed_label=SEPARABLE),
+                          fixed_label=SEPARABLE, width=None,
+                          describe=lambda q: {"components": [{"weight": 1.0, "blochs": q.reshape(-1, 3).tolist()}]}),
 }
 
 
@@ -179,10 +216,9 @@ def from_family(name: str, row) -> DensityOperator:
     parameter array its ``stack`` takes (see :class:`Family`); a row of
     another width is refused."""
     spec, row = family(name), np.asarray(row, dtype=float)
-    if name == "product-sep":
+    width = spec.width
+    if width is None:
         width = row.size if row.size and row.size % 3 == 0 else "a nonzero multiple of 3"
-    else:
-        width = 5 * BISEPARABLE_COMPONENTS if name == "biseparable" else len(spec.params)
     if row.shape != (width,):
         raise ValueError(f"{name} row width {row.size}, expected {width}")
     return DensityOperator(spec.stack(row[None])[0])

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from entflda import experiments, labels
 from entflda.experiments import (
     ExperimentConfig,
-    bloch_vectors,
     generate_dataset,
     reproduce_tables,
     run_experiment,
@@ -25,7 +24,7 @@ from entflda.experiments import (
 from entflda.flda import compute_scatter, fit
 from entflda.measure import exact_features, sampled_features
 from entflda.qops import partial_transpose
-from entflda.states import FAMILIES, from_family
+from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import discriminant_direction_eig, hermitian_eigenvalues, reconstruct_density
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -38,7 +37,7 @@ def sampled_state(family, label, overlap, rng):
     if family == "product-sep":
         build_family, row = family, bloch_vectors(rng.random((FAMILIES[family].n_qubits, 3))).ravel()
     else:
-        u = rng.random((1, experiments.ROW_UNIFORMS[family]))
+        u = rng.random((1, FAMILIES[family].uniforms))
         build_family, rows = sample_family_params(family, label, overlap, u)
         row = rows[0]
     return row, from_family(build_family, row).matrix

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entflda import labels
+from entflda import experiments, flda, labels, states
 from entflda.cli import _parse_table_ids, main
-from entflda.experiments import ROW_UNIFORMS, bloch_vectors, load_dataset, sample_family_params, save_dataset
+from entflda.experiments import load_dataset, sample_family_params, save_dataset
 from entflda.flda import classify, evaluate, load_model
-from entflda.states import FAMILIES, from_family
+from entflda.states import FAMILIES, bloch_vectors, from_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,6 +91,17 @@ class TestGen:
         code = run_cli("gen", "--family", "werner2", "--n", "40", "--balance", "nan", "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "error: balance=nan must lie strictly inside (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_row_count_beyond_memory_exits_one(self, tmp_path, capsys):
+        """A feature matrix of 1.07 PiB, whose allocation fails at once."""
+        code = run_cli("gen", "--family", "werner2", "--n", "10000000000000", "--out", str(tmp_path / "x.csv"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n_samples=10000000000000: a 10000000000000 x 15 feature matrix does not fit in memory\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     def test_prints_class_counts(self, tmp_path, capsys):
@@ -472,7 +483,7 @@ def test_every_registered_family(name, capsys):
     if spec.fixed_label == labels.SEPARABLE:
         row = bloch_vectors(rng.random((spec.n_qubits, 3))).ravel()
     else:
-        uniforms = rng.random((1, ROW_UNIFORMS[name]))
+        uniforms = rng.random((1, spec.uniforms))
         build_family, rows = sample_family_params(name, labels.ENTANGLED, "high", uniforms)
         assert build_family == name
         row = rows[0]
@@ -488,6 +499,68 @@ def test_every_registered_family(name, capsys):
     if name == "product-sep":
         assert run_cli("inspect", "--family", name, "--seed", "0", "--n-qubits", "1") == 0
         assert capsys.readouterr().out == INSPECT_STDOUT["one-qubit"]
+
+
+@pytest.mark.parametrize("original, flags", [("werner3", ["--p", "0.3"]),
+                                             ("pptes-acin", ["--a", "2", "--b", "3", "--c", "0.5"])],
+                         ids=["werner3", "pptes-acin"])
+def test_record_registered_alone_runs_every_command(original, flags, tmp_path, monkeypatch, capsys):
+    """A copy of a registry record under a new name, added to
+    ``states.FAMILIES`` and nowhere else, generates the original's bytes at
+    the same seed, fits, evaluates and inspects."""
+    copy = f"{original}-copy"
+    monkeypatch.setitem(states.FAMILIES, copy, states.FAMILIES[original])
+    paths = {name: tmp_path / f"{name}.csv" for name in (original, copy)}
+    for name, path in paths.items():
+        assert run_cli("gen", "--family", name, "--n", "120", "--seed", "4", "--out", str(path)) == 0
+    assert paths[copy].read_bytes() == paths[original].read_bytes()
+    model = tmp_path / "model.json"
+    assert run_cli("fit", "--train", str(paths[copy]), "--model-out", str(model)) == 0
+    assert run_cli("eval", "--model", str(model), "--test", str(paths[copy])) == 0
+    capsys.readouterr()
+    for name in (original, copy):
+        assert run_cli("inspect", "--family", name, *flags) == 0
+    original_out, copy_out = capsys.readouterr().out.split("family: ")[1:]
+    assert copy_out == original_out.replace(original, copy, 1)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output directory was checked")
+
+
+class TestOutputCheckedFirst:
+    """A missing output directory exits 2, with the message the write would
+    give, before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["gen", "--family", "werner4", "--n", "40000", "--out"], [(experiments, "generate_dataset")]),
+            (["fit", "--train", "train.csv", "--model-out"], [(experiments, "load_dataset"), (flda, "fit")]),
+            (["eval", "--model", "m.json", "--test", "t.csv", "--report-out"],
+             [(flda, "load_model"), (experiments, "load_dataset"), (flda, "evaluate")]),
+            (["reproduce", "--out"], [(experiments, "run_experiment")]),
+        ],
+        ids=["gen", "fit", "eval", "reproduce"],
+    )
+    def test_command_refuses_before_work(self, monkeypatch, capsys, argv, work):
+        for owner, name in work:
+            monkeypatch.setattr(owner, name, _no_work)
+        assert run_cli(*argv, "/nonexistent-dir/out.x") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "I/O error: [Errno 2] No such file or directory: '/nonexistent-dir/out.x'\n"
+
+    def test_reproduce_tables_refuses_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_experiment", _no_work)
+        with pytest.raises(FileNotFoundError, match="'/nonexistent-dir/r.csv'"):
+            experiments.reproduce_tables([1, 7], out_path="/nonexistent-dir/r.csv")
+
+    def test_directory_check_leaves_nothing_behind(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("reproduce", "--tables", "6", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
 
 class TestInspect:
@@ -508,6 +581,13 @@ class TestInspect:
         assert run_cli("inspect", "--family", "pptes-acin", "--a", "1", "--b", "1", "--c", "1") == 0
         out = capsys.readouterr().out
         assert "PPT under all cuts: True" in out
+
+    def test_theta0_pi_is_a_separable_product(self, capsys):
+        assert run_cli("inspect", "--family", "concurrence", "--theta0", "3.141592653589793", "--theta1", "2") == 0
+        out = capsys.readouterr().out
+        for line in ("concurrence: 0.000000", "PPT under all cuts: True", "label (paper): +1",
+                     "label (ppt-oracle): +1"):
+            assert f"{line}\n" in out
 
     def test_concurrence_reports_measure(self, capsys):
         assert run_cli("inspect", "--family", "concurrence", "--theta0", "1.5707963267948966",

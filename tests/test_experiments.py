@@ -15,7 +15,6 @@ from entflda import cli, experiments, labels, qops, states
 from entflda.experiments import (
     Dataset,
     ExperimentConfig,
-    ROW_UNIFORMS,
     generate_dataset,
     load_dataset,
     profile_samples,
@@ -42,14 +41,15 @@ def row_parameters(config, i):
     """``(build_family, params row)`` of row ``i`` of ``config``'s dataset,
     rebuilt from (master_seed, i) alone by advancing the parameter stream."""
     label = labels.ENTANGLED if i < config.n_entangled else labels.SEPARABLE
-    u = experiments._sample_rng(config.master_seed, config.family, i).random((1, ROW_UNIFORMS[config.family]))
+    block = states.FAMILIES[config.family].uniforms
+    u = experiments._sample_rng(config.master_seed, config.family, i).random((1, block))
     build_family, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
     return build_family, params[0]
 
 
 def sample(family, label, overlap, n, seed, convention="paper"):
     """``sample_family_params`` over ``n`` rows of fresh uniforms."""
-    u = np.random.default_rng(seed).random((n, ROW_UNIFORMS.get(family, 12)))
+    u = np.random.default_rng(seed).random((n, states.FAMILIES[family].uniforms))
     return sample_family_params(family, label, overlap, u, convention)
 
 
@@ -141,7 +141,7 @@ class TestSampleFamilyParams:
             assert np.all(labels.concurrence_analytic(params[:, 0], params[:, 1]) >= floor)
 
     def test_concurrence_without_accepted_pair_fails_loudly(self):
-        u = np.full((3, ROW_UNIFORMS["concurrence"]), 0.999)  # every candidate near (pi, pi): C = 0
+        u = np.full((3, states.FAMILIES["concurrence"].uniforms), 0.999)  # every candidate near (pi, pi): C = 0
         with pytest.raises(RuntimeError, match="concurrence 0.8"):
             sample_family_params("concurrence", -1, "low", u)
 

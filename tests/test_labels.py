@@ -5,9 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from entflda import labels
-from entflda.experiments import bloch_vectors
 from entflda.qops import partial_transpose
-from entflda.states import FAMILIES, from_family
+from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import hermitian_eigenvalues
 
 
@@ -89,6 +88,15 @@ class TestConcurrenceAnalytic:
     def test_zero_for_theta0_zero(self):
         for t1 in (0.0, 1.0, np.pi):
             assert labels.concurrence_analytic(0.0, t1) == 0.0
+
+    def test_zero_for_theta0_pi(self):
+        """theta0 = pi prepares |1> (x) (cos |0> + sin |1>), a product state,
+        though np.sin(np.pi) is 1.2e-16."""
+        for t1 in (0.0, 1.0, 2.0, np.pi):
+            assert labels.concurrence_analytic(np.pi, t1) == 0.0
+        assert np.all(labels.concurrence_analytic(np.full(3, np.pi), np.array([0.5, 2.0, np.pi])) == 0.0)
+        below = np.nextafter(np.pi, 0.0)
+        assert labels.concurrence_analytic(below, 2.0) == np.sin(below) * np.sin(1.0) > 0
 
     def test_intermediate(self):
         np.testing.assert_allclose(labels.concurrence_analytic(np.pi / 2, np.pi / 2), np.sqrt(2) / 2, atol=1e-15)
@@ -186,6 +194,7 @@ class TestAssignLabel:
     def test_concurrence_label(self):
         assert label("concurrence", [np.pi / 2, np.pi], "paper") == -1
         assert label("concurrence", [0.0, np.pi], "paper") == 1
+        assert label("concurrence", [np.pi, 2.0], "paper") == 1  # a product state
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

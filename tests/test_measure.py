@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entflda.experiments import OVERLAP_LEVELS, ROW_UNIFORMS, bloch_vectors, sample_family_params
+from entflda.experiments import OVERLAP_LEVELS, sample_family_params
 from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
     apply_standardizer,
@@ -13,7 +13,7 @@ from entflda.measure import (
     pauli_words,
     sampled_features,
 )
-from entflda.states import FAMILIES, from_family
+from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import reconstruct_density
 
 
@@ -178,7 +178,7 @@ class TestReconstruction:
         )
         def rebuilds(family, label, overlap, n_qubits, seed):
             rng = np.random.default_rng(seed)
-            name, params = sample_family_params(family, label, overlap, rng.random((1, ROW_UNIFORMS[family])))
+            name, params = sample_family_params(family, label, overlap, rng.random((1, FAMILIES[family].uniforms)))
             built = [state(name, *params[0]), random_product_state(n_qubits, rng)]
             for rho in built:
                 np.testing.assert_allclose(reconstruct_density(exact_features(rho)), rho, rtol=0, atol=1e-12)

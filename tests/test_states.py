@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from entflda import labels
-from entflda.experiments import ROW_UNIFORMS, bloch_vectors, sample_family_params
+from entflda.experiments import sample_family_params
 from entflda.qops import kron, partial_transpose, pauli_string_operator
-from entflda.states import ENTANGLED, FAMILIES, SEPARABLE, from_family
+from entflda.states import ENTANGLED, FAMILIES, SEPARABLE, bloch_vectors, from_family
 from oracles import expectation, family_state, hermitian_eigenvalues
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -287,7 +287,7 @@ def sampled_row(name, rng, draw):
     if name == "product-sep":
         return "product-sep", bloch_vectors(rng.random((1 + draw % 4, 3))).ravel()  # 1 to 4 qubits
     label = SEPARABLE if name.startswith("werner") and draw % 2 else ENTANGLED
-    u = rng.random((1, ROW_UNIFORMS[name]))
+    u = rng.random((1, FAMILIES[name].uniforms))
     build_family, rows = sample_family_params(name, label, ("high", "low")[draw % 2], u)
     return build_family, rows[0]
 
