@@ -18,6 +18,7 @@ from entflda import (
     project,
     stratified_split,
 )
+from entflda.reference import fixed
 
 config = ExperimentConfig(family="werner2", overlap="medium", n_samples=2000, master_seed=42)
 dataset = generate_dataset(config)
@@ -32,7 +33,7 @@ model = fit(
 metrics = evaluate(model, dataset.features[test], dataset.labels[test])
 
 print(f"config: {config}")
-print(f"threshold:       {model.threshold:+.4f}")
+print(f"threshold:       {fixed(model.threshold, 4)}")
 print(f"train accuracy:  {model.train_accuracy:.4f}")
 print(f"test accuracy:   {metrics['accuracy']:.4f}")
 print(f"fisher value:    {model.fisher_j:.2f}")

@@ -168,17 +168,17 @@ def _cmd_eval(args) -> int:
     if model.feature_names is not None and tuple(model.feature_names) != tuple(dataset.feature_names):
         raise ValueError("feature names in the dataset do not match the model's feature names")
     metrics = flda.evaluate(model, dataset.features, dataset.labels)
-    print(f"fld threshold: {metrics['threshold']!r}")
+    print(f"fld threshold: {model.threshold!r}")
     print(f"train accuracy: {model.train_accuracy!r}")
     print(f"test accuracy: {metrics['accuracy']!r}")
-    print(f"fisher criterion: {metrics['fisher_j']!r}")
+    print(f"fisher criterion: {model.fisher_j!r}")
     print(f"confusion: {metrics['confusion']}")
     if args.report_out:
         payload = {
-            "fld_threshold": metrics["threshold"],
+            "fld_threshold": model.threshold,
             "train_accuracy": model.train_accuracy,
             "test_accuracy": metrics["accuracy"],
-            "fisher_criterion": metrics["fisher_j"],
+            "fisher_criterion": model.fisher_j,
             "confusion": metrics["confusion"],
         }
         if args.format == "json":
@@ -211,11 +211,6 @@ def _inspect_row(args) -> np.ndarray:
     return experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng.random((1, spec.uniforms)))[1][0]
 
 
-def _fixed6(value) -> str:
-    """``value`` to 6 decimals, unsigned if zero (round-off's sign varies by BLAS)."""
-    return f"{round(float(value), 6) + 0.0:.6f}"
-
-
 def _cmd_inspect(args) -> int:
     spec, row = states.FAMILIES[args.family], _inspect_row(args)
     rho = states.from_family(args.family, row).matrix
@@ -223,10 +218,10 @@ def _cmd_inspect(args) -> int:
     params = spec.describe(row) if spec.describe else dict(zip(spec.params, row.tolist()))
     print(f"params: {json.dumps(params)}")
     eigs = np.linalg.eigvalsh(rho)
-    print("eigenvalues:", " ".join(_fixed6(v) for v in eigs))
+    print("eigenvalues:", " ".join(reference.fixed(v, 6) for v in eigs))
     report = labels.ppt_report(rho)
     for cut, value in sorted(report["min_eigenvalues"].items()):
-        print(f"min PT eigenvalue {cut}: {_fixed6(value)}")
+        print(f"min PT eigenvalue {cut}: {reference.fixed(value, 6)}")
     print(f"PPT under all cuts: {report['is_ppt_all']}")
     for convention in labels.LABEL_CONVENTIONS:
         print(f"label ({convention}): {labels.assign_label(args.family, row, rho, convention):+d}")

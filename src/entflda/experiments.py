@@ -41,7 +41,6 @@ OVERLAP_LEVELS = ("high", "medium", "low")
 OVERLAP_MARGIN = {"high": 0.0, "medium": 0.1, "low": 0.25}
 OVERLAP_SHOTS = {"high": 512, "medium": 2048, "low": 0}
 MAX_SHOTS = 2**63 - 1  # the largest count numpy's Generator.binomial accepts
-CONCURRENCE_MIN = {"high": 0.1, "medium": 0.4, "low": 0.8}
 
 # Width of the mixing-parameter interval sampled on each side of the boundary.
 WERNER_INTERVAL_WIDTH = 0.4
@@ -144,10 +143,6 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
     return np.random.Generator(bit_generator)
 
 
-def _split_rng(master_seed: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, 2])
-
-
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
     """(entangled_lo, entangled_hi, separable_lo, separable_hi) for a preset.
 
@@ -195,10 +190,10 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
     if label == labels.SEPARABLE:
         return "product-sep", states.bloch_vectors(u[:, : 3 * spec.n_qubits].reshape(n, -1, 3)).reshape(n, -1)
 
-    if family == "concurrence":
+    if spec.concurrence_floor is not None:
         # At the low preset a pair passes with probability 0.134, so all of
         # a row's uniforms / 2 pairs fail with probability below 1e-16.
-        c_min = CONCURRENCE_MIN[overlap]
+        c_min = spec.concurrence_floor[overlap]
         pairs, first = np.pi * u.reshape(n, -1, 2), np.full(n, -1)
         for stop in (16, None):  # most rows accept one of their first 16 pairs
             pending = np.flatnonzero(first < 0)
@@ -370,7 +365,7 @@ def load_dataset(path: str) -> Dataset:
 
 def stratified_split(dataset: Dataset, split: float, master_seed: int):
     """Per-class shuffled train/test index arrays (train fraction ``split``)."""
-    rng = _split_rng(master_seed)
+    rng = np.random.default_rng([master_seed, 2])
     train_idx, test_idx = [], []
     for cls in flda.CLASS_ORDER:
         idx = np.flatnonzero(dataset.labels == cls)

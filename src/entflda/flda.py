@@ -9,6 +9,7 @@ is fixed as (-1, +1) = (entangled, separable) everywhere.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -216,7 +217,7 @@ def _decide(projections, threshold: float) -> np.ndarray:
 
 
 def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict:
-    """Accuracy, threshold, Fisher value and confusion counts on a set.
+    """Accuracy and confusion counts on a set.
 
     Confusion keys treat +1 (separable) as the positive class: tp/tn/fp/fn.
     Rows and labels are checked as :func:`fit` checks them, but one class may be absent.
@@ -232,16 +233,13 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
         "fp": int(np.sum((y == -1) & (pred == 1))),
         "fn": int(np.sum((y == 1) & (pred == -1))),
     }
-    return {
-        "accuracy": accuracy,
-        "threshold": model.threshold,
-        "fisher_j": model.fisher_j,
-        "confusion": confusion,
-    }
+    return {"accuracy": accuracy, "confusion": confusion}
 
 
 def _temp_beside(path: str) -> tuple:
-    """``(fd, name)`` of a new temp file in ``path``'s directory; an ``OSError`` names ``path``."""
+    """``(fd, name)`` of a new temp file beside ``path`` (refused if a directory); an ``OSError`` names ``path``."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         return tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
     except OSError as exc:
@@ -249,8 +247,8 @@ def _temp_beside(path: str) -> tuple:
 
 
 def check_output_dir(path: str) -> None:
-    """Raise the ``OSError`` :func:`atomic_write` would raise for a missing or
-    unwritable directory of ``path``, so a command can refuse before its work."""
+    """Raise the ``OSError`` :func:`atomic_write` would raise for a ``path`` that
+    is a directory or lies in a missing or unwritable one, so a command can refuse before its work."""
     fd, tmp = _temp_beside(path)
     os.close(fd)
     os.unlink(tmp)

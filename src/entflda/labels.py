@@ -113,7 +113,7 @@ def assign_label(family: str, row, rho, convention: str = "paper"):
         y = np.full(rows, spec.fixed_label)
     elif spec.boundary is not None:
         y = np.where(q[..., 0] > spec.boundary[convention], ENTANGLED, SEPARABLE)
-    elif convention == "paper" and family == "concurrence":
+    elif convention == "paper" and spec.concurrence_floor is not None:
         y = np.where(np.asarray(concurrence_analytic(q[..., 0], q[..., 1])) > 0, ENTANGLED, SEPARABLE)
     elif convention == "paper":
         y = np.full(rows, ENTANGLED)  # ppt-alt, biseparable

@@ -52,11 +52,15 @@ def compare_row(row: dict) -> dict:
     return {
         **row,
         "ref_test_acc": ref["test_acc"],
-        "ref_fld_threshold": ref["fld_threshold"],
         "ref_fisher_j": ref["fisher_j"],
         "min_test_acc": floor,
         "passed": row["test_acc"] >= floor,
     }
+
+
+def fixed(value, digits: int) -> str:
+    """``value`` to ``digits`` decimals, unsigned if it rounds to zero (round-off's sign varies by BLAS)."""
+    return f"{round(float(value), digits) + 0.0:.{digits}f}"
 
 
 def render_comparison(rows) -> str:
@@ -69,7 +73,7 @@ def render_comparison(rows) -> str:
     lines = [header, "-" * len(header)]
     for r in compared:
         lines.append(
-            f"{r['table']:>5} {r['family']:<12} {r['overlap']:<8} {r['fld_threshold']:>10.3f} "
+            f"{r['table']:>5} {r['family']:<12} {r['overlap']:<8} {fixed(r['fld_threshold'], 3):>10} "
             f"{r['train_acc']:>7.3f} {r['test_acc']:>7.3f} {r['ref_test_acc']:>9.2f} "
             f"{r['fisher_j']:>10.2f} {r['ref_fisher_j']:>11.2f} {r['min_test_acc']:>6.2f} "
             f"{'pass' if r['passed'] else 'FAIL':>7}"

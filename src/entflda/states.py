@@ -3,10 +3,10 @@
 Each canonical family (``werner2``, ``werner3``, ``werner4``,
 ``concurrence``, ``pptes-acin``, ``ppt-alt``, ``biseparable``,
 ``product-sep``) has one :class:`Family` record in :data:`FAMILIES`,
-which owns every fact about it that no overlap preset decides. Its
-``stack`` builds a dataset chunk as one (n, d, d) array from an (n, k)
-parameter array, the one parameter layout; :func:`from_family` builds one
-validated state from one row of it. The array cores check the parameter
+which owns every fact about it but the overlap presets' margins and shot
+counts. Its ``stack`` builds a dataset chunk as one (n, d, d) array from an
+(n, k) parameter array, the one parameter layout; :func:`from_family` builds
+one validated state from one row of it. The array cores check the parameter
 ranges, so both refuse a bad row with one message. Everything here is pure.
 """
 
@@ -164,6 +164,9 @@ class Family:
     Bloch vector per qubit, any register). Werner families carry ``p_min``,
     the lower end of the mixing range, and ``boundary``, the mixing
     parameter per label convention above which the state is entangled.
+    ``concurrence_floor`` maps an overlap preset to the concurrence an
+    entangled row must reach; a row keeps the first of its ``uniforms`` / 2
+    angle pairs that does. Under ``paper``, C > 0 is entangled.
     ``fixed_label`` is a class that holds under every convention. A dataset
     row takes ``uniforms`` draws, whole Philox outputs of four, for either
     class; ``sample`` maps them to the entangled class where the overlap
@@ -182,6 +185,7 @@ class Family:
     uniforms: int = 4
     sample: Callable[[np.ndarray], np.ndarray] | None = None
     describe: Callable[[np.ndarray], dict] | None = None
+    concurrence_floor: dict | None = None
 
 
 FAMILIES = {
@@ -189,7 +193,7 @@ FAMILIES = {
     "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
     "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
     "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1"),
-                          width=2, uniforms=512),  # 256 angle pairs; the first above the preset's floor is kept
+                          width=2, uniforms=512, concurrence_floor={"high": 0.1, "medium": 0.4, "low": 0.8}),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it. a, b, c log-uniform on [1/2, 2].
     "pptes-acin": Family(3, lambda q: _pptes_matrix(*q.T), ("a", "b", "c"), fixed_label=ENTANGLED, width=3,
                          uniforms=12, sample=lambda u: np.exp(np.log(0.5) + u[:, :3] * (np.log(2.0) - np.log(0.5)))),

@@ -189,11 +189,11 @@ class TestEval:
                        "--report-out", str(report)) == 0
         captured = capsys.readouterr()
         assert captured.out == plain + f"wrote report to {report}\n" and captured.err == ""
-        ds = load_dataset(str(werner2_dataset))
-        metrics = evaluate(load_model(str(model_path)), ds.features, ds.labels)
+        ds, model = load_dataset(str(werner2_dataset)), load_model(str(model_path))
+        accuracy = evaluate(model, ds.features, ds.labels)["accuracy"]
         assert report.read_bytes() == (
             "fld_threshold,train_accuracy,test_accuracy,fisher_criterion\n"
-            f"{metrics['threshold']!r},,{metrics['accuracy']!r},{metrics['fisher_j']!r}\n"
+            f"{model.threshold!r},,{accuracy!r},{model.fisher_j!r}\n"
         ).encode()
 
     def test_empty_dataset_exits_one(self, werner2_dataset, tmp_path, capsys):
@@ -339,11 +339,13 @@ class TestBadModel:
             (lambda doc: doc.update(epsilon=-1e-3), "key 'epsilon': expected a finite number of at least 0"),
             (lambda doc: doc.update(fisher_j=float("nan")), "key 'fisher_j': expected a finite number"),
             (lambda doc: doc.update(label_convention="majority"), "key 'label_convention': expected null or one of"),
+            (lambda doc: doc.update(standardizer=[0.0]), "key 'standardizer': expected an object"),
+            (lambda doc: doc["standardizer"].pop("shift"), "key 'standardizer.shift': missing"),
         ],
         ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
              "zero-scale", "zero-w", "round-off-scale", "string-train-accuracy", "nan-train-accuracy",
              "train-accuracy-above-one", "infinite-epsilon", "negative-epsilon", "nan-fisher-j",
-             "unknown-label-convention"],
+             "unknown-label-convention", "list-standardizer", "missing-shift"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
         model_path = tmp_path / "model.json"
@@ -356,6 +358,12 @@ class TestBadModel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"model file {model_path}, {message}" in captured.err
+
+    def test_not_json(self, werner2_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("{'w': [1.0]}\n")
+        assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 1
+        assert capsys.readouterr().err.startswith(f"error: model file {model_path} is not JSON: ")
 
     def test_top_level_list(self, werner2_dataset, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -502,8 +510,9 @@ def test_every_registered_family(name, capsys):
 
 
 @pytest.mark.parametrize("original, flags", [("werner3", ["--p", "0.3"]),
-                                             ("pptes-acin", ["--a", "2", "--b", "3", "--c", "0.5"])],
-                         ids=["werner3", "pptes-acin"])
+                                             ("pptes-acin", ["--a", "2", "--b", "3", "--c", "0.5"]),
+                                             ("concurrence", ["--theta0", "1.1", "--theta1", "2.3"])],
+                         ids=["werner3", "pptes-acin", "concurrence"])
 def test_record_registered_alone_runs_every_command(original, flags, tmp_path, monkeypatch, capsys):
     """A copy of a registry record under a new name, added to
     ``states.FAMILIES`` and nowhere else, generates the original's bytes at
@@ -528,21 +537,24 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output directory was checked")
 
 
-class TestOutputCheckedFirst:
-    """A missing output directory exits 2, with the message the write would
-    give, before any work starts."""
+_COMMAND_WORK = pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["gen", "--family", "werner4", "--n", "40000", "--out"], [(experiments, "generate_dataset")]),
+        (["fit", "--train", "train.csv", "--model-out"], [(experiments, "load_dataset"), (flda, "fit")]),
+        (["eval", "--model", "m.json", "--test", "t.csv", "--report-out"],
+         [(flda, "load_model"), (experiments, "load_dataset"), (flda, "evaluate")]),
+        (["reproduce", "--out"], [(experiments, "run_experiment")]),
+    ],
+    ids=["gen", "fit", "eval", "reproduce"],
+)
 
-    @pytest.mark.parametrize(
-        "argv, work",
-        [
-            (["gen", "--family", "werner4", "--n", "40000", "--out"], [(experiments, "generate_dataset")]),
-            (["fit", "--train", "train.csv", "--model-out"], [(experiments, "load_dataset"), (flda, "fit")]),
-            (["eval", "--model", "m.json", "--test", "t.csv", "--report-out"],
-             [(flda, "load_model"), (experiments, "load_dataset"), (flda, "evaluate")]),
-            (["reproduce", "--out"], [(experiments, "run_experiment")]),
-        ],
-        ids=["gen", "fit", "eval", "reproduce"],
-    )
+
+class TestOutputCheckedFirst:
+    """A missing output directory, or an output path that is a directory,
+    exits 2, with a message naming the path, before any work starts."""
+
+    @_COMMAND_WORK
     def test_command_refuses_before_work(self, monkeypatch, capsys, argv, work):
         for owner, name in work:
             monkeypatch.setattr(owner, name, _no_work)
@@ -550,6 +562,16 @@ class TestOutputCheckedFirst:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "I/O error: [Errno 2] No such file or directory: '/nonexistent-dir/out.x'\n"
+
+    @_COMMAND_WORK
+    def test_directory_target_refused_before_work(self, tmp_path, monkeypatch, capsys, argv, work):
+        for owner, name in work:
+            monkeypatch.setattr(owner, name, _no_work)
+        assert run_cli(*argv, str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ".tmp" not in captured.err
+        assert captured.err == f"I/O error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_reproduce_tables_refuses_before_any_cell(self, monkeypatch):
         monkeypatch.setattr(experiments, "run_experiment", _no_work)
@@ -652,6 +674,14 @@ class TestReproduce:
         assert "1/1 rows pass their accuracy gate" in out
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 2  # header + 1 row
+
+    def test_round_off_threshold_prints_unsigned(self, tmp_path, capsys):
+        """A threshold that rounds to zero prints without the sign of its
+        round-off (this row's is negative at seed 7)."""
+        assert run_cli("reproduce", "--tables", "6", "--out", str(tmp_path / "r.csv"), "--seed", "7") == 0
+        out = capsys.readouterr().out
+        assert "-0.000" not in out
+        assert "    6 biseparable  high          0.000 " in out
 
     def test_table_id_parsing(self):
         assert _parse_table_ids("1,3") == [1, 3]

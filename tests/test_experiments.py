@@ -1,6 +1,7 @@
 """Tests for dataset generation, presets and the benchmark harness."""
 
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -164,6 +165,22 @@ class TestSampleFamilyParams:
         assert np.all((1 <= used) & (used <= 3)) and set(used) == {1, 2, 3}
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((0.5 <= bc_p) & (bc_p <= 1.0))
+
+    @pytest.mark.parametrize(
+        "overlap, label, message",
+        [("extreme", -1, "overlap 'extreme' not one of"), ("high", 0, "label must be -1 or +1, got 0")],
+        ids=["overlap", "label"],
+    )
+    def test_bad_request_refused(self, overlap, label, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            sample_family_params("werner2", label, overlap, np.zeros((1, 4)))
+
+    def test_boundary_near_one_leaves_an_empty_interval(self, monkeypatch):
+        near_one = dataclasses.replace(states.FAMILIES["werner3"], boundary={"paper": 0.9, "ppt-oracle": 0.9})
+        monkeypatch.setitem(states.FAMILIES, "toy", near_one)
+        assert sample("toy", -1, "high", 3, 0)[1].shape == (3, 1)
+        with pytest.raises(ValueError, match="^overlap preset 'low' yields an empty interval for toy$"):
+            sample("toy", -1, "low", 3, 0)
 
     def test_product_family_has_no_entangled_class(self):
         with pytest.raises(ValueError, match="no entangled class"):
@@ -539,6 +556,13 @@ class TestGenerateDataset:
         back = load_dataset(str(path))
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
+
+    @pytest.mark.parametrize("header", ["X,Y,Z,class", "label"], ids=["last-not-label", "label-only"])
+    def test_load_refuses_header_without_label(self, tmp_path, header):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(f"{header}\r\n0.1,0.2,0.3,1\r\n".encode())
+        with pytest.raises(ValueError, match=f"^dataset file {re.escape(str(path))} lacks the feature\\+label header$"):
+            load_dataset(str(path))
 
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -131,6 +131,15 @@ class TestFit:
         delta = features[1] - features[0]
         np.testing.assert_allclose(model.w, delta / np.linalg.norm(delta), atol=1e-9)
 
+    def test_singular_scatter_without_epsilon_rejected(self):
+        features = np.array([[0.0, 1.0], [2.0, 3.0]])  # one row per class: S_W = 0
+        with pytest.raises(ValueError, match="^within-class scatter is singular; regularize by passing a positive"):
+            fit(features, np.array([-1, 1]), epsilon=0.0, standardizer="none")
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^label vector shape \(3,\) does not match 4 rows$"):
+            fit(np.eye(4), np.array([-1, 1, 1]))
+
     def test_sign_convention(self):
         rng = np.random.default_rng(20)
         x, y = two_gaussian_problem(rng)

@@ -132,6 +132,11 @@ class TestSampledFeatures:
         with pytest.raises(ValueError, match=r"2\^N x 2\^N"):
             sampled_features(np.full(shape, 1 / 3), 10, np.random.default_rng(0))
 
+    def test_probability_outside_unit_interval_refused(self):
+        not_a_state = np.diag([2.0, 0.0, 0.0, 0.0])  # <ZZ> = 2
+        with pytest.raises(ValueError, match=r"^outcome probability outside \[0, 1\]"):
+            sampled_features(not_a_state, 10, np.random.default_rng(0))
+
 
 def test_sampling_is_unbiased():
     """Grand mean over 200 independent streams stays within 4 standard
@@ -253,3 +258,8 @@ class TestStandardizer:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             fit_standardizer(np.ones((3, 2)), "robust")
+
+    def test_dimension_mismatch_refused(self):
+        std = fit_standardizer(np.ones((3, 2)), "none")
+        with pytest.raises(ValueError, match=r"^feature dimension 3 does not match standardizer \(2\)$"):
+            apply_standardizer(std, np.ones((4, 3)))

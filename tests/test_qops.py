@@ -129,6 +129,10 @@ class TestKron:
         with pytest.raises(ValueError, match="empty tensor product"):
             kron()
 
+    def test_non_matrix_factor_refused(self):
+        with pytest.raises(ValueError, match="^kron expects matrices or stacks of matrices$"):
+            kron(I2, np.ones(2))
+
     def test_stacks_give_one_product_per_entry(self):
         rng = np.random.default_rng(44)
         a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
