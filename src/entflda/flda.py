@@ -141,6 +141,13 @@ def fisher_criterion(scatter: ScatterPair, w: np.ndarray, epsilon: float = 0.0) 
     return numer / denom
 
 
+def _refuse_overflow(*values) -> None:
+    """Refuse non-finite statistics of finite features: their arithmetic overflowed."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("features overflow float64: their scale, scatter or Fisher criterion is not finite")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     features: np.ndarray,
     labels: np.ndarray,
@@ -156,18 +163,22 @@ def fit(
     1e-6 times the mean diagonal of S_W with at least ten samples per
     feature (n >= 10 d), 100 times it below that. Pass an explicit finite
     value when the within-class scatter is degenerate (e.g. one sample per
-    class).
+    class). Features so large that their statistics overflow float64 are
+    refused, with no numpy warning.
     """
+    eps = None if epsilon is None else float(epsilon)
+    if eps is not None and not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     _check_rows(x, y)
     std = fit_standardizer(x, mode=standardizer)
+    _refuse_overflow(std.shift, std.scale)
     xs = apply_standardizer(std, x)
 
     scatter = compute_scatter(xs, y)
-    eps = default_epsilon(scatter) if epsilon is None else float(epsilon)
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
+    eps = default_epsilon(scatter) if eps is None else eps
+    _refuse_overflow(scatter.s_between, scatter.s_within, eps)
 
     delta = scatter.class_means[1] - scatter.class_means[0]
     if np.linalg.norm(delta) == 0.0:
@@ -186,12 +197,14 @@ def fit(
 
     projected = (float(w @ scatter.class_means[0]), float(w @ scatter.class_means[1]))
     threshold = 0.5 * (projected[0] + projected[1])
+    fisher_j = fisher_criterion(scatter, w, eps)
+    _refuse_overflow(fisher_j)
     return FldaModel(
         w=w,
         projected_means=projected,
         threshold=threshold,
         epsilon=eps,
-        fisher_j=fisher_criterion(scatter, w, eps),
+        fisher_j=fisher_j,
         standardizer=std,
         feature_names=tuple(feature_names) if feature_names is not None else None,
         label_convention=label_convention,
@@ -273,9 +286,9 @@ def atomic_write(path: str, text) -> None:
 
 
 def save_model(model: FldaModel, path: str) -> None:
-    """Write the model as a JSON document through :func:`atomic_write`. Floats
-    keep ``repr`` precision, so saving what :func:`load_model` reads back
-    gives the same bytes."""
+    """Write the model as a JSON document through :func:`atomic_write`, after
+    refusing what :func:`load_model` would refuse. Floats keep ``repr``
+    precision, so saving what :func:`load_model` reads back gives the same bytes."""
     std = model.standardizer
     doc = {
         "w": [float(v) for v in model.w],
@@ -288,6 +301,7 @@ def save_model(model: FldaModel, path: str) -> None:
         "label_convention": model.label_convention,
         "train_accuracy": float(model.train_accuracy) if model.train_accuracy is not None else None,
     }
+    _check_document(doc, path)
     atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 

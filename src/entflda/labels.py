@@ -42,7 +42,7 @@ def _pt_minima(matrices: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each cut's partial transpose of a state or an
     (n, d, d) stack, shape (..., n_cuts), from one ``eigvalsh`` (transposes
     permute the entries of validated states, so need no check)."""
-    cuts = _bipartitions(matrices.shape[-1].bit_length() - 1)
+    cuts = _bipartitions(qubit_count(matrices))
     if not cuts:
         return np.zeros(matrices.shape[:-2] + (0,))
     transposes = np.stack([partial_transpose(matrices, subset) for _, subset in cuts], axis=-3)

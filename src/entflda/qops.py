@@ -103,34 +103,18 @@ def validate_states(matrices: np.ndarray) -> None:
 
 
 class DensityOperator:
-    """A validated density matrix together with its qubit count.
-
-    The stored matrix is an immutable complex array. Construction runs
-    :func:`validate_states`; anything failing it is a caller bug, not noise,
-    because all generators in this package produce exact convex mixtures.
-    """
-
-    __slots__ = ("matrix", "num_qubits")
+    """A complex density matrix, read-only once :func:`validate_states` passes
+    it, and its qubit count. A refusal is a caller bug, not noise: every
+    generator in this package builds exact convex mixtures."""
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
-        n = qubit_count(m, stacks=False)
-        if n > MAX_QUBITS:
-            raise ValueError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
+        self.num_qubits = qubit_count(m, stacks=False)
+        if self.num_qubits > MAX_QUBITS:
+            raise ValueError(f"qubit count {self.num_qubits} outside supported range [1, {MAX_QUBITS}]")
         validate_states(m)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "num_qubits", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(num_qubits={self.num_qubits})"
+        self.matrix = m
 
 
 def qubit_count(m: np.ndarray, stacks: bool = True) -> int:

@@ -32,7 +32,7 @@ def expectation(rho, obs: np.ndarray, herm_tol: float = 1e-8) -> float:
     """tr(rho O) for a state ``rho`` and a Hermitian observable O."""
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != rho.matrix.shape:
-        raise ValueError(f"observable shape {obs.shape} does not match state dimension {rho.dim}")
+        raise ValueError(f"observable shape {obs.shape} does not match state dimension {rho.matrix.shape[0]}")
     herm_err = np.max(np.abs(obs - obs.conj().T))
     if herm_err > herm_tol:
         raise ValueError(f"observable is not Hermitian within {herm_tol} (deviation {herm_err:.3e})")

@@ -127,6 +127,16 @@ class TestFit:
         assert code == 1
         assert f"error: epsilon must be finite and nonnegative, got {value}\n" == err
 
+    @pytest.mark.parametrize("mode", ["none", "zscore"])
+    def test_overflowing_features_exit_one_without_model(self, tmp_path, capsys, mode):
+        train = tmp_path / "big.csv"
+        train.write_text("X,Z,label\n1e200,3e200,-1\n-2e200,1e200,-1\n5e199,-1e200,-1\n1.5e200,2e200,-1\n"
+                         "2e200,-3e200,1\n-1e200,-2e200,1\n3e200,1e199,1\n-5e199,2.5e200,1\n")
+        code = run_cli("fit", "--train", str(train), "--standardizer", mode, "--model-out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: features overflow float64: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
     def test_single_row_per_class_with_epsilon(self, tmp_path):
         train = tmp_path / "tiny.csv"
         train.write_text("X,Z,label\n0.0,1.0,-1\n1.0,0.0,1\n")

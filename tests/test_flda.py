@@ -1,5 +1,6 @@
 """Tests for the Fisher discriminant core."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from entflda.flda import (
     FldaModel,
+    atomic_write,
     classify,
     compute_scatter,
     evaluate,
@@ -178,6 +180,29 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
                 fit(with_bad_cell(x, value), y, standardizer=mode)
+
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    @pytest.mark.parametrize("mode", ["none", "zscore"])
+    def test_overflowing_features_refused(self, mode, epsilon):
+        """Finite features of order 1e200, whose std or scatter overflows
+        float64, get one refusal naming the overflow, with no numpy warning,
+        whether or not the caller picked the ridge."""
+        x, y = two_gaussian_problem(np.random.default_rng(26), n_features=2, n_per_class=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features overflow float64: "):
+                fit(x * 1e200, y, epsilon=epsilon, standardizer=mode)
+
+    def test_overflowing_criterion_refused(self):
+        """Scatter entries that fit float64 but a Fisher criterion, N (w . d)^2
+        summed over 16 features, that does not: refused, not fit with J = inf."""
+        rng = np.random.default_rng(0)
+        y = np.array([-1, 1] * 4)
+        x = rng.normal(size=(8, 16)) * 1e151 + np.outer(y, np.ones(16)) * 1.5e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features overflow float64: "):
+                fit(x, y, standardizer="none")
 
     @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
     def test_one_dimensional_features_rejected(self, mode):
@@ -435,3 +460,37 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.w, model.w)
         assert loaded.threshold == model.threshold
         np.testing.assert_array_equal(classify(loaded, x), classify(model, x))
+
+    @pytest.mark.parametrize(
+        "change,problem",
+        [({"fisher_j": float("nan")}, "'fisher_j': expected a finite number"),
+         ({"w": np.zeros(6)}, "'w': is all zeros, so it projects every row to 0")],
+        ids=["nan-fisher-j", "zero-w"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, change, problem):
+        """A model the loader would refuse is refused before any write, with
+        the loader's message; neither the target nor a temp file is left."""
+        model = dataclasses.replace(fit(*two_gaussian_problem(np.random.default_rng(82))), **change)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError) as refused:
+            save_model(model, str(path))
+        assert str(refused.value) == f"model file {path}, key {problem}"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path, error):
+        """An iterable that raises mid-write: the exception propagates, the
+        existing target keeps its bytes and the temp file is removed."""
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old bytes\n")
+
+        def lines():
+            yield "first line\n"
+            raise error("stopped mid-write")
+
+        with pytest.raises(error, match="stopped mid-write"):
+            atomic_write(str(path), lines())
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

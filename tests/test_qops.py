@@ -206,6 +206,10 @@ class TestDensityOperator:
                 validate_states(stack)
             assert str(stacked.value) == str(single.value)
 
+    def test_register_beyond_max_qubits_refused(self):
+        with pytest.raises(ValueError, match=r"^qubit count 7 outside supported range \[1, 6\]$"):
+            DensityOperator(np.eye(128) / 128)
+
     def test_matrix_is_immutable(self):
         rho = DensityOperator(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
