@@ -34,7 +34,6 @@ class ScatterPair:
     s_between: np.ndarray
     s_within: np.ndarray
     class_means: np.ndarray  # shape (2, n), rows in CLASS_ORDER
-    overall_mean: np.ndarray
     class_counts: tuple
 
 
@@ -42,9 +41,9 @@ class ScatterPair:
 class FldaModel:
     """A fitted discriminant: unit direction, projected means, threshold.
 
-    ``projected_means`` follows CLASS_ORDER; the sign of ``w`` is fixed so
-    the separable mean projects above the entangled one, and the threshold
-    is their midpoint. The standardizer used at fit time is stored so
+    ``projected_means`` follows CLASS_ORDER; :func:`fit` refuses a ``w``
+    that does not project the separable mean above the entangled one. The
+    threshold is their midpoint, and the fit's standardizer is stored so
     projection of raw vectors reproduces training-time coordinates.
     """
 
@@ -107,7 +106,6 @@ def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
         s_between=s_b,
         s_within=s_w,
         class_means=np.array(means),
-        overall_mean=overall_mean,
         class_counts=tuple(counts),
     )
 
@@ -189,16 +187,16 @@ def fit(
     except np.linalg.LinAlgError:
         raise ValueError("within-class scatter is singular; regularize by passing a positive epsilon") from None
     norm = np.linalg.norm(w)
-    if not np.isfinite(norm) or norm == 0.0:
+    if not (np.isfinite(norm) and norm > 0.0 and w @ delta > 0):
         raise ValueError("within-class scatter is numerically singular; increase epsilon")
     w = w / norm
-    if w @ delta < 0:
-        w = -w
 
     projected = (float(w @ scatter.class_means[0]), float(w @ scatter.class_means[1]))
     threshold = 0.5 * (projected[0] + projected[1])
     fisher_j = fisher_criterion(scatter, w, eps)
     _refuse_overflow(fisher_j)
+    if not fisher_j > 0:  # w^T S_B w > 0 once w . delta > 0: the denominator lost to round-off
+        raise ValueError("within-class scatter is numerically singular; increase epsilon")
     return FldaModel(
         w=w,
         projected_means=projected,
@@ -348,6 +346,8 @@ def _check_document(doc, path: str) -> None:
     for key in ("threshold", "fisher_j"):
         if not _is_finite_number(doc[key]):
             raise bad(key, "expected a finite number")
+    if doc["fisher_j"] <= 0:
+        raise bad("fisher_j", "expected a number above 0, as every fit gives")
     if not (_is_finite_number(doc["epsilon"]) and doc["epsilon"] >= 0):
         raise bad("epsilon", "expected a finite number of at least 0")
     accuracy = doc.get("train_accuracy")

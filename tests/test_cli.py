@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entflda import experiments, flda, labels, states
+from entflda import cli, experiments, flda, labels, states
 from entflda.cli import _parse_table_ids, main
 from entflda.experiments import load_dataset, sample_family_params, save_dataset
 from entflda.flda import classify, evaluate, load_model
@@ -136,6 +136,14 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: features overflow float64: ")
         assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+    def test_solve_not_separating_the_means_exits_one_without_model(self, werner2_dataset, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+        code = run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: within-class scatter is numerically singular; increase epsilon\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
 
     def test_single_row_per_class_with_epsilon(self, tmp_path):
         train = tmp_path / "tiny.csv"
@@ -348,13 +356,14 @@ class TestBadModel:
             (lambda doc: doc.update(epsilon=float("inf")), "key 'epsilon': expected a finite number of at least 0"),
             (lambda doc: doc.update(epsilon=-1e-3), "key 'epsilon': expected a finite number of at least 0"),
             (lambda doc: doc.update(fisher_j=float("nan")), "key 'fisher_j': expected a finite number"),
+            (lambda doc: doc.update(fisher_j=-4.9e16), "key 'fisher_j': expected a number above 0"),
             (lambda doc: doc.update(label_convention="majority"), "key 'label_convention': expected null or one of"),
             (lambda doc: doc.update(standardizer=[0.0]), "key 'standardizer': expected an object"),
             (lambda doc: doc["standardizer"].pop("shift"), "key 'standardizer.shift': missing"),
         ],
         ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
              "zero-scale", "zero-w", "round-off-scale", "string-train-accuracy", "nan-train-accuracy",
-             "train-accuracy-above-one", "infinite-epsilon", "negative-epsilon", "nan-fisher-j",
+             "train-accuracy-above-one", "infinite-epsilon", "negative-epsilon", "nan-fisher-j", "negative-fisher-j",
              "unknown-label-convention", "list-standardizer", "missing-shift"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
@@ -724,6 +733,13 @@ class TestParser:
         code = run_cli("gen", "--family", "werner2", "--frobnicate", "--out", str(tmp_path / "x.csv"))
         capsys.readouterr()
         assert code == 1
+
+    def test_key_error_is_a_bug_not_a_refusal(self, monkeypatch):
+        """No command lets a KeyError reach ``main``; one that does is a
+        traceback, not ``error: 'x'`` under the validation exit code."""
+        monkeypatch.setitem(cli._COMMANDS, "inspect", lambda args: {}["x"])
+        with pytest.raises(KeyError, match="'x'"):
+            run_cli("inspect", "--family", "werner2", "--p", "0.5")
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

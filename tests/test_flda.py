@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from entflda import flda
 from entflda.flda import (
     FldaModel,
     atomic_write,
@@ -18,11 +19,12 @@ from entflda.flda import (
     project,
     save_model,
 )
-from entflda.measure import STANDARDIZER_MODES, Standardizer
+from entflda.measure import STANDARDIZER_MODES, Standardizer, apply_standardizer
 from oracles import discriminant_direction_eig
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+NUMERICALLY_SINGULAR = "^within-class scatter is numerically singular; increase epsilon$"
 
 
 def with_bad_cell(x, value, row=7, column=2):
@@ -55,7 +57,6 @@ class TestComputeScatter:
         scatter = compute_scatter(features, labels)
         np.testing.assert_allclose(scatter.s_within, np.zeros((2, 2)))
         np.testing.assert_allclose(scatter.s_between, 0.5 * np.array([[1.0, 0.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(scatter.overall_mean, [0.5, 0.0])
         assert scatter.class_counts == (1, 1)
 
     def test_identical_samples(self):
@@ -141,6 +142,37 @@ class TestFit:
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^label vector shape \(3,\) does not match 4 rows$"):
             fit(np.eye(4), np.array([-1, 1, 1]))
+
+    def test_solve_not_separating_the_means_refused(self, monkeypatch):
+        """A solve whose direction points against mu_+ - mu_- is round-off
+        from a numerically singular system: refused, not flipped into a model."""
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+        x, y = two_gaussian_problem(np.random.default_rng(27))
+        with pytest.raises(ValueError, match=NUMERICALLY_SINGULAR):
+            fit(x, y)
+
+    def test_criterion_not_positive_refused(self, monkeypatch):
+        monkeypatch.setattr(flda, "fisher_criterion", lambda *args: -1.0)
+        x, y = two_gaussian_problem(np.random.default_rng(28))
+        with pytest.raises(ValueError, match=NUMERICALLY_SINGULAR):
+            fit(x, y)
+
+    @pytest.mark.parametrize("epsilon", [1e-16, 1e-20, 0.0])
+    @pytest.mark.parametrize("mode", ["none", "zscore"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ridge_below_round_off_refused_or_sound(self, seed, mode, epsilon):
+        """8 rows x 64 features, so S_W has rank at most 6, at a ridge that
+        round-off swamps: each fit is refused, or has J > 0 and w . delta > 0."""
+        y = np.array([-1] * 4 + [1] * 4)
+        x = np.random.default_rng(seed).normal(size=(8, 64)) + y[:, None]
+        try:
+            model = fit(x, y, epsilon=epsilon, standardizer=mode)
+        except ValueError as exc:
+            assert str(exc).startswith("within-class scatter is ")
+            return
+        xs = apply_standardizer(model.standardizer, x)
+        assert model.fisher_j > 0
+        assert model.w @ (xs[y == 1].mean(axis=0) - xs[y == -1].mean(axis=0)) > 0
 
     def test_sign_convention(self):
         rng = np.random.default_rng(20)
@@ -464,8 +496,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "change,problem",
         [({"fisher_j": float("nan")}, "'fisher_j': expected a finite number"),
+         ({"fisher_j": -2.0e14}, "'fisher_j': expected a number above 0, as every fit gives"),
          ({"w": np.zeros(6)}, "'w': is all zeros, so it projects every row to 0")],
-        ids=["nan-fisher-j", "zero-w"],
+        ids=["nan-fisher-j", "negative-fisher-j", "zero-w"],
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, change, problem):
         """A model the loader would refuse is refused before any write, with
