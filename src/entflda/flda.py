@@ -29,9 +29,8 @@ TIE_TOL = 1e-15
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Between/within scatter matrices with the per-class statistics."""
+    """Within-class scatter matrix with the per-class statistics."""
 
-    s_between: np.ndarray
     s_within: np.ndarray
     class_means: np.ndarray  # shape (2, n), rows in CLASS_ORDER
     class_counts: tuple
@@ -79,31 +78,24 @@ def _check_rows(x: np.ndarray, y: np.ndarray, empty: str = "feature matrix must 
 
 
 def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
-    """Between- and within-class scatter sums.
-
-    S_B = sum_i N_i (mu_i - mu)(mu_i - mu)^T over classes,
-    S_W = sum_i sum_{x in C_i} (x - mu_i)(x - mu_i)^T.
-    Singleton classes are legal; they simply contribute nothing to S_W.
-    """
+    """Within-class scatter S_W = sum_i sum_{x in C_i} (x - mu_i)(x - mu_i)^T
+    with the class means and counts. Singleton classes are legal; they
+    simply contribute nothing to S_W."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     if len(_check_rows(x, y)) < 2:
         raise ValueError("need both classes present to fit a discriminant")
 
-    overall_mean = x.mean(axis=0)
-    s_b, s_w = np.zeros((2, x.shape[1], x.shape[1]))
+    s_w = np.zeros((x.shape[1], x.shape[1]))
     means, counts = [], []
     for cls in CLASS_ORDER:
         rows = x[y == cls]  # a copy, centred in place below
         mu = rows.mean(axis=0)
         means.append(mu)
         counts.append(rows.shape[0])
-        d = mu - overall_mean
-        s_b += rows.shape[0] * np.outer(d, d)
         rows -= mu
         s_w += rows.T @ rows
     return ScatterPair(
-        s_between=s_b,
         s_within=s_w,
         class_means=np.array(means),
         class_counts=tuple(counts),
@@ -130,11 +122,14 @@ def default_epsilon(scatter: ScatterPair) -> float:
 
 
 def fisher_criterion(scatter: ScatterPair, w: np.ndarray, epsilon: float = 0.0) -> float:
-    """J(w) = (w^T S_B w) / (w^T (S_W + eps I) w); scale invariant."""
+    """J(w) = (w^T S_B w) / (w^T (S_W + eps I) w); scale invariant. For two
+    classes S_B = sum_i N_i (mu_i - mu)(mu_i - mu)^T is the rank-one
+    (N_- N_+ / N) delta delta^T, delta = mu_+ - mu_-, so w^T S_B w = (N_- N_+ / N) (w . delta)^2."""
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("direction vector is zero")
-    numer = float(w @ scatter.s_between @ w)
+    n_neg, n_pos = scatter.class_counts
+    numer = n_neg * n_pos / (n_neg + n_pos) * float(w @ (scatter.class_means[1] - scatter.class_means[0])) ** 2
     denom = float(w @ scatter.s_within @ w + epsilon * (w @ w))
     return numer / denom
 
@@ -176,7 +171,7 @@ def fit(
 
     scatter = compute_scatter(xs, y)
     eps = default_epsilon(scatter) if eps is None else eps
-    _refuse_overflow(scatter.s_between, scatter.s_within, eps)
+    _refuse_overflow(scatter.s_within, eps)
 
     delta = scatter.class_means[1] - scatter.class_means[0]
     if np.linalg.norm(delta) == 0.0:
@@ -195,7 +190,7 @@ def fit(
     threshold = 0.5 * (projected[0] + projected[1])
     fisher_j = fisher_criterion(scatter, w, eps)
     _refuse_overflow(fisher_j)
-    if not fisher_j > 0:  # w^T S_B w > 0 once w . delta > 0: the denominator lost to round-off
+    if not fisher_j > 0:  # the numerator is > 0 once w . delta > 0: the denominator lost to round-off
         raise ValueError("within-class scatter is numerically singular; increase epsilon")
     return FldaModel(
         w=w,

@@ -27,12 +27,9 @@ PPT_TOL = -1e-9
 def _bipartitions(n: int):
     """All distinct cuts of n qubits, as (descriptor, transposed-subset)."""
     cuts = []
-    for mask in range(1, 2**n - 1):
-        subset = frozenset(q for q in range(n) if mask & (1 << q))
-        if 0 not in subset:
-            continue  # complement will cover it
-        left = sorted(subset)
-        right = sorted(set(range(n)) - subset)
+    for mask in range(1, 2**n - 1, 2):  # odd masks: the blocks holding qubit 0
+        left = [q for q in range(n) if mask >> q & 1]
+        right = [q for q in range(n) if not mask >> q & 1]
         descriptor = "".join(map(str, left)) + "|" + "".join(map(str, right))
         cuts.append((descriptor, right))
     return cuts

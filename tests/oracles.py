@@ -56,15 +56,35 @@ def reconstruct_density(values: np.ndarray) -> np.ndarray:
     return m / 2**n
 
 
+def between_scatter(scatter: flda.ScatterPair) -> np.ndarray:
+    """S_B = sum_i N_i (mu_i - mu)(mu_i - mu)^T by the textbook sum over the
+    classes, mu the count-weighted mean of the class means; it does not use
+    the two-class rank-one form ``flda.fisher_criterion`` relies on."""
+    means = np.asarray(scatter.class_means, dtype=float)
+    counts = np.asarray(scatter.class_counts, dtype=float)
+    overall = counts @ means / counts.sum()
+    s_b = np.zeros((means.shape[1], means.shape[1]))
+    for n_i, mu_i in zip(counts, means):
+        s_b += n_i * np.outer(mu_i - overall, mu_i - overall)
+    return s_b
+
+
+def fisher_ratio(scatter: flda.ScatterPair, w: np.ndarray, epsilon: float) -> float:
+    """w^T S_B w / w^T (S_W + eps I) w with S_B from :func:`between_scatter`."""
+    w = np.asarray(w, dtype=float)
+    return float(w @ between_scatter(scatter) @ w) / float(w @ scatter.s_within @ w + epsilon * (w @ w))
+
+
 def discriminant_direction_eig(scatter: flda.ScatterPair, epsilon: float) -> np.ndarray:
-    """Top generalized eigenvector of (S_B, S_W + eps I), unit norm: the
-    eigensolver route to the direction ``flda.fit`` solves for in closed
-    form (S_B has rank 1 for two classes); two-class scatter only.
+    """Top generalized eigenvector of (S_B, S_W + eps I), unit norm, S_B from
+    :func:`between_scatter`: the eigensolver route to the direction
+    ``flda.fit`` solves for in closed form (S_B has rank 1 for two classes);
+    two-class scatter only.
     """
     if scatter.class_means.shape[0] != 2:
         raise ValueError("generalized eigensolver path supports two classes only")
     regularized = scatter.s_within + epsilon * np.eye(scatter.s_within.shape[0])
-    vals, vecs = scipy.linalg.eigh(scatter.s_between, regularized)
+    vals, vecs = scipy.linalg.eigh(between_scatter(scatter), regularized)
     w = vecs[:, -1]
     w = w / np.linalg.norm(w)
     if w @ (scatter.class_means[1] - scatter.class_means[0]) < 0:

@@ -20,7 +20,7 @@ from entflda.flda import (
     save_model,
 )
 from entflda.measure import STANDARDIZER_MODES, Standardizer, apply_standardizer
-from oracles import discriminant_direction_eig
+from oracles import between_scatter, discriminant_direction_eig, fisher_ratio
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -50,20 +50,38 @@ def two_gaussian_problem(rng, n_features=6, n_per_class=150, separation=3.0):
     return features, labels
 
 
+def unbalanced_problem(rng, n_neg, n_pos, n_features=5):
+    """Two correlated Gaussian classes of ``n_neg`` and ``n_pos`` rows, off the origin."""
+    mix = rng.normal(size=(n_features, n_features)) + 2 * np.eye(n_features)
+    offset = rng.normal(size=n_features) * 3
+    x_neg = rng.normal(size=(n_neg, n_features)) @ mix + offset
+    x_pos = rng.normal(size=(n_pos, n_features)) @ mix + offset + rng.normal(size=n_features)
+    return np.vstack([x_neg, x_pos]), np.array([-1] * n_neg + [1] * n_pos)
+
+
 class TestComputeScatter:
+    """S_B is not stored: its checks read it through ``fisher_criterion``
+    and compare with the oracle's textbook sum."""
+
     def test_two_singletons_hand_expansion(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0]])
         labels = np.array([-1, 1])
         scatter = compute_scatter(features, labels)
         np.testing.assert_allclose(scatter.s_within, np.zeros((2, 2)))
-        np.testing.assert_allclose(scatter.s_between, 0.5 * np.array([[1.0, 0.0], [0.0, 0.0]]))
+        s_b = 0.5 * np.array([[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(between_scatter(scatter), s_b)
+        for w in ([1.0, 0.0], [0.0, 1.0], [0.6, -0.8]):
+            w = np.array(w)
+            assert fisher_criterion(scatter, w, 1.0) == pytest.approx(w @ s_b @ w, rel=1e-15, abs=0.0)
         assert scatter.class_counts == (1, 1)
 
     def test_identical_samples(self):
         features = np.ones((6, 3))
         labels = np.array([-1, -1, -1, 1, 1, 1])
         scatter = compute_scatter(features, labels)
-        np.testing.assert_allclose(scatter.s_between, 0.0, atol=1e-12)
+        np.testing.assert_allclose(between_scatter(scatter), 0.0, atol=1e-12)
+        for w in np.eye(3):
+            assert abs(fisher_criterion(scatter, w, 1.0)) < 1e-12
         np.testing.assert_allclose(scatter.s_within, 0.0, atol=1e-12)
 
     def test_translation_invariance(self):
@@ -71,7 +89,11 @@ class TestComputeScatter:
         x, y = two_gaussian_problem(rng)
         shifted = compute_scatter(x + 17.3, y)
         base = compute_scatter(x, y)
-        np.testing.assert_allclose(shifted.s_between, base.s_between, atol=1e-8)
+        np.testing.assert_allclose(between_scatter(shifted), between_scatter(base), atol=1e-8)
+        for w in rng.normal(size=(5, x.shape[1])):
+            j = fisher_criterion(base, w, 1e-3)
+            np.testing.assert_allclose(fisher_criterion(shifted, w, 1e-3), j, rtol=1e-9)
+            np.testing.assert_allclose(j, fisher_ratio(base, w, 1e-3), rtol=1e-12)
         np.testing.assert_allclose(shifted.s_within, base.s_within, atol=1e-8)
 
     def test_single_class_rejected(self):
@@ -322,17 +344,44 @@ class TestFisherCriterion:
             fisher_criterion(compute_scatter(x, y), np.zeros(x.shape[1]), 0.0)
 
     def test_two_class_rank_one_identity(self):
-        # J == (w . delta)^2 * (N- N+ / N) / (w (S_W + eps I) w)
+        # the fit's J == w^T S_B w / w^T (S_W + eps I) w with S_B by the textbook sum
         rng = np.random.default_rng(43)
         x, y = two_gaussian_problem(rng, n_per_class=80)
         scatter = compute_scatter(x, y)
         model = fit(x, y, standardizer="none")
-        delta = scatter.class_means[1] - scatter.class_means[0]
-        n_neg, n_pos = scatter.class_counts
-        normalizer = n_neg * n_pos / (n_neg + n_pos)
-        denom = model.w @ scatter.s_within @ model.w + model.epsilon
-        expected = (model.w @ delta) ** 2 * normalizer / denom
+        expected = fisher_ratio(scatter, model.w, model.epsilon)
         assert abs(model.fisher_j - expected) < 1e-8 * max(1.0, expected)
+
+
+class TestRankOneIdentity:
+    """w^T S_B w = (N_- N_+ / N) (w . delta)^2 for two classes, balanced or not."""
+
+    @pytest.mark.parametrize("counts", [(100, 100), (30, 170), (170, 30), (1, 40)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_criterion_matches_textbook_between_scatter(self, counts, seed):
+        rng = np.random.default_rng([44, seed])
+        x, y = unbalanced_problem(rng, *counts)
+        scatter = compute_scatter(x, y)
+        for epsilon in (0.0, 1e-3, 10.0):
+            for w in rng.normal(size=(10, x.shape[1])):
+                expected = fisher_ratio(scatter, w, epsilon)
+                np.testing.assert_allclose(fisher_criterion(scatter, w, epsilon), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    @pytest.mark.parametrize("counts", [(100, 100), (30, 170), (170, 30)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_criterion_is_closed_form(self, mode, counts, seed):
+        """``fisher_j`` of the fit is the maximum (N_- N_+ / N) delta^T (S_W + eps I)^-1 delta
+        on the standardized training rows."""
+        x, y = unbalanced_problem(np.random.default_rng([45, seed]), *counts)
+        model = fit(x, y, standardizer=mode)
+        xs = apply_standardizer(model.standardizer, x)
+        neg, pos = xs[y == -1], xs[y == 1]
+        delta = pos.mean(axis=0) - neg.mean(axis=0)
+        s_w = sum((c - c.mean(axis=0)).T @ (c - c.mean(axis=0)) for c in (neg, pos))
+        solved = np.linalg.solve(s_w + model.epsilon * np.eye(len(delta)), delta)
+        expected = len(neg) * len(pos) / len(xs) * delta @ solved
+        np.testing.assert_allclose(model.fisher_j, expected, rtol=1e-10)
 
 
 class TestSolverEquivalence:

@@ -1,5 +1,7 @@
 """Tests for labeling conventions and separability oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -61,6 +63,21 @@ class TestPptReport:
         assert len(labels.ppt_report(random_product_state(2, rng))["min_eigenvalues"]) == 1
         assert len(labels.ppt_report(random_product_state(3, rng))["min_eigenvalues"]) == 3
         assert len(labels.ppt_report(random_product_state(4, rng))["min_eigenvalues"]) == 7
+
+    def test_three_qubit_cuts(self):
+        assert labels._bipartitions(3) == [("0|12", [1, 2]), ("01|2", [2]), ("02|1", [1])]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cuts_are_the_blocks_holding_qubit_zero(self, n):
+        """One cut per proper subset holding qubit 0, in order of its bit mask."""
+        expected = []
+        for size in range(1, n):
+            for rest in combinations(range(1, n), size - 1):
+                left = [0, *rest]
+                right = [q for q in range(n) if q not in left]
+                descriptor = "".join(map(str, left)) + "|" + "".join(map(str, right))
+                expected.append((sum(1 << q for q in left), descriptor, right))
+        assert labels._bipartitions(n) == [(descriptor, right) for _, descriptor, right in sorted(expected)]
 
     def test_complement_symmetry(self):
         # a cut and its complement expose identical minimum eigenvalues
