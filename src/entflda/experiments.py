@@ -1,11 +1,11 @@
 """Dataset pipelines, overlap presets and benchmark-table reproduction.
 
 The published experiments never define their "high/medium/low overlap"
-settings, so the presets here are operational: a margin between the class
-parameter intervals plus a per-preset shot count (0 = exact expectations).
-They are chosen so the qualitative accuracy/Fisher ordering of the
-benchmark tables emerges; the exact thresholds and Fisher magnitudes are
-explicitly not reproduction targets.
+settings, so the presets here are operational: a shot count (0 = exact
+expectations) and a margin between the Werner parameter intervals or a
+concurrence floor. Other families see the shot count only, so tables 4 and
+5 stay flat across presets where the published accuracies fall; thresholds,
+Fisher magnitudes and that ordering are explicitly not reproduction targets.
 
 Determinism contract: a dataset draws from two streams keyed by its
 master seed. Row i's parameters come from a fixed block of uniforms, its

@@ -110,6 +110,21 @@ class TestGen:
         out = capsys.readouterr().out
         assert "entangled(-1)=12" in out and "separable(+1)=12" in out
 
+    @pytest.mark.parametrize("family", ["werner4", "biseparable"])
+    def test_exact_features_independent_of_blas_threads(self, family, tmp_path):
+        """Exact-expectation rows are the same bytes at 1 and 2 BLAS threads
+        (600 rows: three chunks)."""
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            argv = ["gen", "--family", family, "--overlap", "low", "--n", "600", "--seed", "5", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "entflda.cli", *argv], check=True, timeout=60, env=env,
+                           capture_output=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
 
 class TestFit:
     def test_fit_low_overlap_accuracy(self, werner2_dataset, tmp_path, capsys):

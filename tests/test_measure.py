@@ -1,9 +1,14 @@
 """Tests for feature extraction, shot sampling and standardization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from entflda.experiments import OVERLAP_LEVELS, sample_family_params
+from entflda.experiments import OVERLAP_LEVELS, ExperimentConfig, generate_dataset, sample_family_params
 from entflda.flda import fit, load_model, save_model
 from entflda.measure import (
     apply_standardizer,
@@ -16,6 +21,9 @@ from entflda.measure import (
 from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import reconstruct_density
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEADS = [name for name in FAMILIES if name != "product-sep"]
+
 
 def state(name, *params):
     """The density matrix ``from_family`` builds from the parameters."""
@@ -24,6 +32,14 @@ def state(name, *params):
 
 def random_product_state(n_qubits, rng):
     return state("product-sep", *bloch_vectors(rng.random((n_qubits, 3))).ravel())
+
+
+def random_full_rank_state(n_qubits, rng):
+    """A Ginibre-random complex density matrix, full rank almost surely."""
+    dim = 2**n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 ZZ = pauli_words(2).index("ZZ")
@@ -100,6 +116,38 @@ class TestExactFeatures:
         np.testing.assert_array_equal(exact_features(stack), [exact_features(m) for m in stack])
 
 
+class TestNoNegativeZero:
+    """A zero feature is +0.0: the CSV writer keeps the sign of -0.0."""
+
+    @pytest.mark.parametrize("family", HEADS)
+    def test_exact_dataset(self, family):
+        x = generate_dataset(ExperimentConfig(family=family, overlap="low", n_samples=400, master_seed=3)).features
+        assert np.any(x == 0.0)
+        assert not np.any(np.signbit(x[x == 0.0]))
+
+    @pytest.mark.parametrize("rho", [state("werner3", 0.4), state("concurrence", 1.1, 2.3)], ids=["real", "complex"])
+    def test_single_state(self, rho):
+        values = exact_features(rho)
+        assert np.any(values == 0.0)
+        assert not np.any(np.signbit(values[values == 0.0]))
+
+
+def test_six_qubit_call_stays_small():
+    """One 6-qubit call in a fresh interpreter grows peak RSS by < 100 MB
+    (a cached (d^2, 4^N - 1) weight table alone would be 134 MB)."""
+    code = (
+        "import resource, numpy as np\n"
+        "from entflda.measure import exact_features\n"
+        "rho = np.eye(64) / 64\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "exact_features(rho)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env, capture_output=True, text=True)
+    assert int(out.stdout) < 100 * 1024  # ru_maxrss is in KiB on Linux
+
+
 class TestSampledFeatures:
     def test_deterministic_outcome_state(self):
         # |00><00| measured in ZZ gives +1 on every shot
@@ -160,6 +208,8 @@ class TestReconstruction:
             state("werner3", 0.37),
             state("pptes-acin", 1.4, 0.6, 2.1),
             random_product_state(3, np.random.default_rng(8)),
+            random_full_rank_state(5, np.random.default_rng(9)),
+            random_full_rank_state(6, np.random.default_rng(10)),
         ]
         for rho in cases:
             rebuilt = reconstruct_density(exact_features(rho))
@@ -167,18 +217,16 @@ class TestReconstruction:
 
     def test_sampled_rows_reconstruct_their_state(self):
         """Property: the exact features of a sampled row of every family (and
-        of a product state of 1 to 4 qubits) rebuild its state within 1e-12."""
+        of a product state of 1 to 6 qubits) rebuild its state within 1e-12."""
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
 
-        heads = [name for name in FAMILIES if name != "product-sep"]
-
         @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
         @hypothesis.given(
-            family=st.sampled_from(heads),
+            family=st.sampled_from(HEADS),
             label=st.sampled_from([-1, 1]),
             overlap=st.sampled_from(OVERLAP_LEVELS),
-            n_qubits=st.integers(1, 4),
+            n_qubits=st.integers(1, 6),
             seed=st.integers(0, 2**32 - 1),
         )
         def rebuilds(family, label, overlap, n_qubits, seed):
