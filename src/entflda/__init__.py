@@ -3,7 +3,7 @@ discriminant analysis on Pauli measurement features."""
 
 __version__ = "0.1.0"
 
-from .qops import DensityOperator, kron, partial_transpose, pauli_matrix, pauli_string_operator
+from .qops import DensityOperator, kron, partial_transpose
 from .states import from_family
 from .labels import assign_label, concurrence_analytic, concurrence_wootters, ppt_report
 from .measure import Standardizer, apply_standardizer, exact_features, fit_standardizer, pauli_words, sampled_features

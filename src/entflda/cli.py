@@ -105,15 +105,14 @@ def _table_id(text: str) -> int:
 
 def _parse_table_ids(text: str) -> list:
     """Table ids from a comma list of ids and ``lo..hi`` ranges; each id and
-    range end is checked before a range is expanded."""
+    range end is checked, and a range with hi < lo refused, before expanding."""
     ids = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            ids.update(range(_table_id(lo), _table_id(hi) + 1))
+            lo, hi = map(_table_id, chunk.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"--tables: range {lo}..{hi} ends below its start")
+            ids.update(range(lo, hi + 1))
         else:
             ids.add(_table_id(chunk))
     if not ids:

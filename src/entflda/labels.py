@@ -15,13 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import states
-from .qops import partial_transpose, pauli_string_operator, qubit_count
+from .qops import partial_transpose, qubit_count
 from .states import ENTANGLED, SEPARABLE
 
 LABEL_CONVENTIONS = ("paper", "ppt-oracle")
 
 # Eigenvalues above this are treated as nonnegative; absorbs eigensolver noise.
 PPT_TOL = -1e-9
+
+# Wootters' spin flip Y (x) Y: |00> <-> -|11>, |01> <-> |10>.
+_SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
 
 
 def _bipartitions(n: int):
@@ -76,8 +79,7 @@ def concurrence_wootters(rho) -> float:
     m = np.asarray(rho)
     if m.shape != (4, 4):
         raise ValueError(f"concurrence is a two-qubit measure, got shape {m.shape}")
-    yy = pauli_string_operator("YY")
-    flipped = yy @ m.conj() @ yy
+    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     vals = np.linalg.eigvals(m @ flipped).real
     # Exactly-zero eigenvalues come back as O(eps) noise; clamp before sqrt
     # so they do not leak ~1e-8 into the root.

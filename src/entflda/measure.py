@@ -16,8 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from .qops import PAULI_LETTERS, qubit_count
+from .qops import qubit_count
 
+PAULI_LETTERS = "IXYZ"
 STANDARDIZER_MODES = ("zscore", "minmax", "none")
 
 # Features lie in [-1, 1]; a column whose spread is below this is round-off

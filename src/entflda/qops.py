@@ -1,5 +1,5 @@
-"""Dense multi-qubit operator algebra: Pauli strings, tensor products,
-partial transposition and density-matrix validation.
+"""Dense multi-qubit operator algebra: tensor products, partial
+transposition and density-matrix validation.
 
 Everything here works on plain complex ``numpy`` arrays or stacks of them;
 the only wrapper type is :class:`DensityOperator`, which validates the
@@ -28,23 +28,6 @@ PSD_TOL = -1e-9
 # eigvalsh errs by less. The margin exceeds both: a factor proves acceptance.
 _PSD_MARGIN = 1e-11
 
-PAULI_LETTERS = "IXYZ"
-
-_PAULI = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_matrix(letter: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for ``letter`` in {I, X, Y, Z}."""
-    try:
-        return _PAULI[letter].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli letter {letter!r}; expected one of I, X, Y, Z") from None
-
 
 def kron(*factors: np.ndarray) -> np.ndarray:
     """Tensor product ``F1 x F2 x ...`` of one or more matrices, left to right.
@@ -67,15 +50,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
         out = out[..., :, None, :, None] * f[..., None, :, None, :]
         out = out.reshape(*out.shape[:-4], rows, cols)
     return out
-
-
-def pauli_string_operator(letters: str) -> np.ndarray:
-    """Build the tensor-product operator for a Pauli word, e.g. ``"XZI"``.
-
-    The first letter acts on qubit 0 (most significant). The result is a
-    Hermitian unitary of dimension ``2**len(letters)``.
-    """
-    return kron(*(pauli_matrix(letter) for letter in letters))
 
 
 def validate_states(matrices: np.ndarray) -> None:

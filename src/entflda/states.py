@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityOperator, kron, pauli_matrix, pauli_string_operator
+from .qops import DensityOperator, kron
 
 # Class labels: -1 entangled, +1 separable.
 ENTANGLED = -1
 SEPARABLE = 1
 
-# Signs of <XX>, <YY>, <ZZ> in the singlet |psi-> = (|01> - |10>)/sqrt(2).
-_SINGLET_SIGNS = (-1, -1, -1)
 
 def _column(values) -> np.ndarray:
     """Parameters broadcasting against a stack (the cores take scalars or arrays)."""
@@ -42,14 +40,14 @@ def _require(ok, message: str, **values) -> None:
 
 def _werner2_matrix(p) -> np.ndarray:
     """Two-qubit Werner state p |psi-><psi-| + (1-p) I/4, a valid state for
-    p in [-1/3, 1], built from its diagonal Pauli expansion (1/4)(II - p XX
-    - p YY - p ZZ)."""
+    p in [-1/3, 1], with |psi-> = (|01> - |10>)/sqrt(2): diagonal (1-p,
+    1+p, 1+p, 1-p)/4 and -p/2 between |01> and |10>."""
     p = np.asarray(p, dtype=float)
     _require((-1 / 3 - 1e-12 <= p) & (p <= 1 + 1e-12), "werner2 mixing parameter p={p} outside [-1/3, 1]", p=p)
-    m = pauli_string_operator("II").astype(complex)
-    for letter, s in zip("XYZ", _SINGLET_SIGNS):
-        m = m + _column(p) * s * pauli_string_operator(letter * 2)
-    return m / 4.0
+    m = np.zeros(p.shape + (4, 4), dtype=complex)
+    m[..., range(4), range(4)] = np.stack([1 - p, 1 + p, 1 + p, 1 - p], axis=-1) / 4
+    m[..., 1, 2] = m[..., 2, 1] = (0.0 - 2 * p) / 4  # the XX and YY terms, -p/4 each; +0.0 at p = 0
+    return m
 
 
 def _werner_ghz_matrix(n_qubits: int, p) -> np.ndarray:
@@ -99,7 +97,7 @@ def _pptes_matrix(a, b, c) -> np.ndarray:
 def _ppt_alternative_matrix() -> np.ndarray:
     """Three-qubit diagonal state (1/8)(III + IZZ + ZIZ + ZZI), the equal
     mixture of |000> and |111>; PPT under every cut."""
-    return sum(pauli_string_operator(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
+    return np.diag([0.5, 0, 0, 0, 0, 0, 0, 0.5]).astype(complex)
 
 
 def bloch_vectors(u: np.ndarray) -> np.ndarray:
@@ -116,10 +114,12 @@ def _bloch_matrix(bloch) -> np.ndarray:
     r = float(np.max(np.linalg.norm(b, axis=-1)))
     if r > 1 + 1e-12:
         raise ValueError(f"Bloch vector length {r} exceeds 1")
-    m = np.eye(2, dtype=complex)
-    for k, letter in enumerate("XYZ"):
-        m = m + _column(b[..., k]) * pauli_matrix(letter)
-    return m / 2.0
+    x, y, z = np.moveaxis(b, -1, 0)
+    m = np.zeros(b.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = (1 + z) / 2, (1 - z) / 2
+    m[..., 0, 1] = m[..., 1, 0] = (0.0 + x) / 2  # 0.0 +, 0.0 -: a zero is +0.0
+    m.imag[..., 0, 1], m.imag[..., 1, 0] = (0.0 - y) / 2, (0.0 + y) / 2
+    return m
 
 
 # A biseparable row holds BISEPARABLE_COMPONENTS component weights (unused

@@ -7,7 +7,6 @@ the code path it checks.
 """
 
 from functools import reduce
-from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -44,16 +43,24 @@ def reconstruct_density(values: np.ndarray) -> np.ndarray:
 
     ``values`` holds one exact expectation per non-identity Pauli word on n
     qubits, 4^n - 1 of them in base-4 counting order (``"IX"``, ``"IY"``,
-    ..., ``"ZZ"``); the state is (1/2^n)(I + sum_k x_k sigma_k).
+    ..., ``"ZZ"``); the state is (1/2^n)(I + sum_k x_k sigma_k), summed
+    one qubit at a time by :func:`_pauli_sum`.
     """
     values = np.asarray(values, dtype=float)
     n = round(np.log(len(values) + 1) / np.log(4)) if values.ndim == 1 else 0
     if values.ndim != 1 or n < 1 or len(values) != 4**n - 1:
         raise ValueError(f"expected 4^n - 1 feature values, got shape {values.shape}")
-    words = ["".join(w) for w in product("IXYZ", repeat=n)][1:]
-    m = np.eye(2**n, dtype=complex)
-    m += sum(x * pauli_word(w) for x, w in zip(values, words))
-    return m / 2**n
+    return _pauli_sum(np.concatenate([[1.0], values])) / 2**n
+
+
+def _pauli_sum(coefficients: np.ndarray) -> np.ndarray:
+    """sum_w c_w sigma_w over all 4^n Pauli words w in base-4 counting order,
+    identity first, as sum_a sigma_a (x) R_a over the first letter a, where
+    R_a is the same sum over the rest of the words starting with a."""
+    if len(coefficients) == 1:
+        return np.array([[coefficients[0]]], dtype=complex)
+    blocks = np.reshape(coefficients, (4, -1))
+    return sum(np.kron(PAULI[a], _pauli_sum(block)) for a, block in zip("IXYZ", blocks))
 
 
 def between_scatter(scatter: flda.ScatterPair) -> np.ndarray:

@@ -721,6 +721,7 @@ class TestReproduce:
         assert _parse_table_ids("1,3") == [1, 3]
         assert _parse_table_ids("1..4") == [1, 2, 3, 4]
         assert _parse_table_ids("1..2,6") == [1, 2, 6]
+        assert _parse_table_ids("3..3, 1..7") == [1, 2, 3, 4, 5, 6, 7]
         with pytest.raises(ValueError, match="no table ids"):
             _parse_table_ids(",")
 
@@ -734,6 +735,15 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: --tables: unknown table id 3000000; valid ids are 1..7\n"
+
+    @pytest.mark.parametrize("text", ["7..5", "1..3,7..5", "7..5,x"])
+    def test_reversed_range_refused(self, tmp_path, capsys, text):
+        """A range ending below its start is refused before any table runs,
+        not read as no ids or dropped beside the others."""
+        out = tmp_path / "x.csv"
+        code = run_cli("reproduce", "--tables", text, "--out", str(out))
+        assert (code, capsys.readouterr().err) == (1, "error: --tables: range 7..5 ends below its start\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["x", "1..x", "2,x"])
     def test_non_integer_table_names_flag(self, tmp_path, capsys, text):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from entflda import labels
 from entflda.qops import partial_transpose
 from entflda.states import FAMILIES, bloch_vectors, from_family
-from oracles import hermitian_eigenvalues
+from oracles import hermitian_eigenvalues, pauli_word
 
 
 def state(name, *params):
@@ -166,6 +166,20 @@ class TestConcurrenceWootters:
             wootters = labels.concurrence_wootters(state("concurrence", t0, t1))
             worst = max(worst, abs(analytic - wootters))
         assert worst < 1e-9, worst
+
+    def test_spin_flip_is_the_pauli_word(self, monkeypatch):
+        """The literal Y (x) Y has the Pauli word's values, and the
+        concurrences it gives have the bytes of those the word gives."""
+        np.testing.assert_array_equal(labels._SPIN_FLIP, pauli_word("YY"))
+        rng = np.random.default_rng(14)
+        g = rng.normal(size=(100, 4, 4)) + 1j * rng.normal(size=(100, 4, 4))
+        rhos = [*(m / np.trace(m) for m in g @ g.conj().swapaxes(-1, -2)),
+                *(two_qubit_werner(p) for p in (-1 / 3, -0.0, 0.0, 1 / 3, 0.5, 1.0)),
+                *(state("concurrence", *rng.uniform(0, np.pi, size=2)) for _ in range(100)),
+                *(random_product_state(2, rng) for _ in range(100))]
+        literal = np.array([labels.concurrence_wootters(rho) for rho in rhos])
+        monkeypatch.setattr(labels, "_SPIN_FLIP", pauli_word("YY"))
+        assert literal.tobytes() == np.array([labels.concurrence_wootters(rho) for rho in rhos]).tobytes()
 
 
 def label(family, row, convention):

@@ -15,11 +15,9 @@ from entflda.qops import (
     DensityOperator,
     kron,
     partial_transpose,
-    pauli_matrix,
-    pauli_string_operator,
     validate_states,
 )
-from oracles import expectation, hermitian_eigenvalues
+from oracles import expectation, hermitian_eigenvalues, pauli_word
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -82,21 +80,6 @@ def refusal(m):
     return None
 
 
-class TestPauliMatrix:
-    def test_z_is_diag(self):
-        np.testing.assert_array_equal(pauli_matrix("Z"), Z)
-
-    def test_x_squares_to_identity(self):
-        np.testing.assert_allclose(pauli_matrix("X") @ pauli_matrix("X"), I2)
-
-    def test_y_traceless(self):
-        assert pauli_matrix("Y").trace() == 0
-
-    def test_unknown_letter(self):
-        with pytest.raises(ValueError, match="unknown Pauli letter"):
-            pauli_matrix("Q")
-
-
 class TestKron:
     def test_identity_case(self):
         np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
@@ -139,33 +122,6 @@ class TestKron:
         b = rng.normal(size=(5, 4, 4))
         np.testing.assert_array_equal(kron(a, b), [np.kron(x, y) for x, y in zip(a, b)])
         np.testing.assert_array_equal(kron(a, Z), [np.kron(x, Z) for x in a])
-
-
-class TestPauliStringOperator:
-    def test_identity_string(self):
-        np.testing.assert_array_equal(pauli_string_operator("II"), np.eye(4))
-
-    def test_zz(self):
-        np.testing.assert_array_equal(pauli_string_operator("ZZ"), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_xyz_eigenvalues(self):
-        # oracle: diagonalize the literal 8x8 tensor product
-        oracle = np.kron(X, np.kron(Y, Z))
-        eigs = np.linalg.eigvalsh(oracle)
-        np.testing.assert_allclose(eigs, [-1] * 4 + [1] * 4, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.eigvalsh(pauli_string_operator("XYZ")), eigs, atol=1e-12)
-
-    def test_empty_string(self):
-        with pytest.raises(ValueError, match="empty"):
-            pauli_string_operator("")
-
-    def test_hermitian_unitary_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            word = "".join(rng.choice(list("IXYZ"), size=3))
-            op = pauli_string_operator(word)
-            np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
-            np.testing.assert_allclose(op @ op, np.eye(8), atol=1e-15)
 
 
 class TestDensityOperator:
@@ -421,7 +377,7 @@ class TestExpectation:
         for _ in range(20):
             rho = random_density(rng, 2)
             word = "".join(rng.choice(list("IXYZ"), size=2))
-            assert abs(expectation(rho, pauli_string_operator(word))) <= 1 + 1e-10
+            assert abs(expectation(rho, pauli_word(word))) <= 1 + 1e-10
 
     def test_dimension_mismatch(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4)

@@ -4,11 +4,11 @@
 import numpy as np
 import pytest
 
-from entflda import labels
+from entflda import labels, states
 from entflda.experiments import sample_family_params
-from entflda.qops import kron, partial_transpose, pauli_string_operator
+from entflda.qops import kron, partial_transpose
 from entflda.states import ENTANGLED, FAMILIES, SEPARABLE, bloch_vectors, from_family
-from oracles import expectation, family_state, hermitian_eigenvalues
+from oracles import PAULI, expectation, family_state, hermitian_eigenvalues, pauli_word
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
@@ -21,7 +21,7 @@ class TestWerner2:
     def test_p_one_is_singlet(self):
         rho = from_family("werner2", [1.0])
         np.testing.assert_allclose(rho.matrix, np.outer(SINGLET, SINGLET.conj()), atol=1e-12)
-        assert abs(expectation(rho, pauli_string_operator("ZZ")) + 1.0) < 1e-12
+        assert abs(expectation(rho, pauli_word("ZZ")) + 1.0) < 1e-12
 
     def test_critical_pt_eigenvalue_at_half(self):
         eigs = hermitian_eigenvalues(partial_transpose(from_family("werner2", [0.5]).matrix, {1}))
@@ -34,7 +34,7 @@ class TestWerner2:
             from_family("werner2", [1.01])
 
     def test_matches_depolarized_bell_projector(self):
-        # The Pauli-expansion build equals p |psi-><psi-| + (1-p) I/4.
+        # The closed-form build equals p |psi-><psi-| + (1-p) I/4.
         rng = np.random.default_rng(13)
         singlet = np.outer(SINGLET, SINGLET.conj())
         for _ in range(50):
@@ -50,8 +50,8 @@ class TestWernerGhz:
     def test_p_one_ghz_correlations(self):
         # direct 8x8 trace oracle on the GHZ projector
         rho = from_family("werner3", [1.0])
-        xxx = pauli_string_operator("XXX")
-        zzz = pauli_string_operator("ZZZ")
+        xxx = pauli_word("XXX")
+        zzz = pauli_word("ZZZ")
         oracle_x = (GHZ3 @ xxx @ GHZ3).real
         assert abs(oracle_x - 1.0) < 1e-12
         assert abs(expectation(rho, xxx) - 1.0) < 1e-12
@@ -129,9 +129,66 @@ class TestPptAlternative:
 
     def test_zzi_expectation(self):
         rho = from_family("ppt-alt", [])
-        oracle = np.trace(rho.matrix @ pauli_string_operator("ZZI")).real
+        oracle = np.trace(rho.matrix @ pauli_word("ZZI")).real
         assert abs(oracle - 1.0) < 1e-12
-        assert abs(expectation(rho, pauli_string_operator("ZZI")) - 1.0) < 1e-12
+        assert abs(expectation(rho, pauli_word("ZZI")) - 1.0) < 1e-12
+
+
+def pauli_sum_werner2(p):
+    """(1/4)(II - p XX - p YY - p ZZ) per p, summed term by term."""
+    m = pauli_word("II")
+    for letter in "XYZ":
+        m = m + np.asarray(p, dtype=float)[..., None, None] * -1 * pauli_word(letter * 2)
+    return m / 4.0
+
+
+def pauli_sum_bloch(b):
+    """(1/2)(I + x X + y Y + z Z) per Bloch vector (last axis), summed term by term."""
+    m = PAULI["I"]
+    for k, letter in enumerate("XYZ"):
+        m = m + np.asarray(b, dtype=float)[..., k, None, None] * PAULI[letter]
+    return m / 2.0
+
+
+def signed_zero_blochs(rng, n):
+    """``n`` Bloch-ball-uniform vectors, the first nine replaced by axis
+    points whose components include -0.0, +0.0 and +-1."""
+    b = bloch_vectors(rng.random((n, 3)))
+    b[:9] = [[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [1.0, -0.0, 0.0],
+             [-0.0, -1.0, 0.0], [0.0, -0.0, 1.0], [-1.0, 0.0, -0.0], [0.0, 0.0, -1.0]]
+    return b
+
+
+class TestClosedFormsMatchPauliSums:
+    """Each closed-form builder has the bytes of the Pauli sum it replaced,
+    signed zeros included, so the datasets built from them do not move."""
+
+    def test_werner2(self):
+        p = np.concatenate([[-1 / 3, -0.0, 0.0, 1 / 3, 1.0], np.random.default_rng(3).uniform(-1 / 3, 1, 500)])
+        assert states._werner2_matrix(p).tobytes() == pauli_sum_werner2(p).tobytes()
+        for value in p[:5]:
+            assert states._werner2_matrix(value).tobytes() == pauli_sum_werner2(value).tobytes(), value
+
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_product_sep(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        blochs = signed_zero_blochs(rng, 40 * n_qubits).reshape(40, n_qubits, 3)
+        expected = kron(*pauli_sum_bloch(blochs).swapaxes(0, 1))
+        assert FAMILIES["product-sep"].stack(blochs.reshape(40, -1)).tobytes() == expected.tobytes()
+
+    def test_biseparable(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = FAMILIES["biseparable"].sample(rng.random((300, FAMILIES["biseparable"].uniforms)))
+        rows[:3, 3:12] = signed_zero_blochs(rng, 9).reshape(3, 9)
+        rows[:3, 12:] = [[0.0, -0.0, 1.0]] * 3
+        closed = FAMILIES["biseparable"].stack(rows)
+        monkeypatch.setattr(states, "_werner2_matrix", pauli_sum_werner2)
+        monkeypatch.setattr(states, "_bloch_matrix", pauli_sum_bloch)
+        assert closed.tobytes() == FAMILIES["biseparable"].stack(rows).tobytes()
+
+    def test_ppt_alternative(self):
+        expected = sum(pauli_word(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
+        assert states._ppt_alternative_matrix().tobytes() == expected.tobytes()
 
 
 def biseparable_row(components):
