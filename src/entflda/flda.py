@@ -57,6 +57,14 @@ class FldaModel:
     train_accuracy: float | None = None
 
 
+def _refuse_non_finite(x: np.ndarray) -> None:
+    """Refuse a non-finite feature, named by its column in a vector and by its row and column in a matrix."""
+    if not np.isfinite(x).all():
+        *row, column = np.argwhere(~np.isfinite(x))[0].tolist()
+        at = f"row {row[0]}, column {column}" if row else f"column {column}"
+        raise ValueError(f"feature {at} is {x[(*row, column)]}, not a finite number")
+
+
 def _check_rows(x: np.ndarray, y: np.ndarray, empty: str = "feature matrix must be 2-D and nonempty") -> list:
     """The classes present in the labels ``y`` of the feature rows ``x``,
     sorted. Refused: ``x`` not 2-D, or without rows (with the message
@@ -66,9 +74,7 @@ def _check_rows(x: np.ndarray, y: np.ndarray, empty: str = "feature matrix must 
         raise ValueError("feature matrix must be 2-D and nonempty")
     if not len(x):
         raise ValueError(empty)
-    if not np.isfinite(x).all():
-        row, column = np.argwhere(~np.isfinite(x))[0].tolist()
-        raise ValueError(f"feature row {row}, column {column} is {x[row, column]}, not a finite number")
+    _refuse_non_finite(x)
     if y.shape != (len(x),):
         raise ValueError(f"label vector shape {y.shape} does not match {len(x)} rows")
     present = np.unique(y).tolist()
@@ -79,8 +85,8 @@ def _check_rows(x: np.ndarray, y: np.ndarray, empty: str = "feature matrix must 
 
 def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
     """Within-class scatter S_W = sum_i sum_{x in C_i} (x - mu_i)(x - mu_i)^T
-    with the class means and counts. Singleton classes are legal; they
-    simply contribute nothing to S_W."""
+    with the class means and counts, accumulated one class copy at a time.
+    Singleton classes are legal; they simply contribute nothing to S_W."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     if len(_check_rows(x, y)) < 2:
@@ -95,6 +101,7 @@ def compute_scatter(features: np.ndarray, labels: np.ndarray) -> ScatterPair:
         counts.append(rows.shape[0])
         rows -= mu
         s_w += rows.T @ rows
+        del rows  # freed before the next class is gathered
     return ScatterPair(
         s_within=s_w,
         class_means=np.array(means),
@@ -206,14 +213,16 @@ def fit(
 
 
 def project(model: FldaModel, x: np.ndarray) -> float | np.ndarray:
-    """Scalar projection w^T x after the model's standardizer."""
+    """Scalar projection w^T x after the model's standardizer; refuses a non-finite feature."""
+    x = np.asarray(x, dtype=float)
     xs = apply_standardizer(model.standardizer, x)
+    _refuse_non_finite(x)
     y = xs @ model.w
     return float(y) if np.ndim(y) == 0 else y
 
 
 def classify(model: FldaModel, x: np.ndarray) -> int | np.ndarray:
-    """Label of the nearer projected class mean (midpoint threshold)."""
+    """Label of the nearer projected class mean (midpoint threshold); refuses what :func:`project` refuses."""
     pred = _decide(project(model, x), model.threshold)
     return int(pred) if np.ndim(pred) == 0 else pred
 

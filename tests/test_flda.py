@@ -1,6 +1,7 @@
 """Tests for the Fisher discriminant core."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,22 @@ class TestComputeScatter:
         x, y = two_gaussian_problem(np.random.default_rng(12))
         with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
             compute_scatter(with_bad_cell(x, value), y)
+
+    def test_holds_one_class_copy_at_a_time(self):
+        """A balanced 6,400 x 255 fit (table 7's shape) peaks below 1.75 times
+        the input: the standardized copy plus one class's centred rows, not
+        both classes' at once (2.04 times)."""
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(6400, 255))
+        y = np.repeat([-1, 1], 3200)
+        x[y == 1, 0] += 1.0
+        tracemalloc.start()
+        try:
+            fit(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * x.nbytes, f"fit peaked at {peak / x.nbytes:.2f} times the input"
 
 
 class TestFit:
@@ -310,6 +327,24 @@ class TestProjectClassify:
             np.abs(yproj - model.projected_means[1]) <= np.abs(yproj - model.projected_means[0]), 1, -1
         )
         np.testing.assert_array_equal(classify(model, x), nearest)
+
+    @pytest.mark.parametrize("refuser", [project, classify])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_vector_refused_by_column(self, refuser, value):
+        """A nan used to be labelled -1 (entangled) and an infinity either way."""
+        x, y = two_gaussian_problem(np.random.default_rng(34))
+        row = x[0].tolist()
+        row[2] = value
+        row[4] = float("nan")
+        with pytest.raises(ValueError, match=f"^feature column 2 is {value}, not a finite number$"):
+            refuser(fit(x, y), row)
+
+    @pytest.mark.parametrize("refuser", [project, classify])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_matrix_refused_by_row_and_column(self, refuser, value):
+        x, y = two_gaussian_problem(np.random.default_rng(35))
+        with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
+            refuser(fit(x, y), with_bad_cell(x, value))
 
 
 class TestFisherCriterion:
