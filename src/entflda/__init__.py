@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .qops import DensityOperator, kron, partial_transpose
 from .states import from_family
 from .labels import assign_label, concurrence_analytic, concurrence_wootters, ppt_report
-from .measure import Standardizer, apply_standardizer, exact_features, fit_standardizer, pauli_words, sampled_features
-from .flda import FldaModel, ScatterPair, classify, compute_scatter, evaluate, fisher_criterion, fit, load_model, project, save_model
+from .measure import exact_features, pauli_words, sampled_features
+from .flda import FldaModel, ScatterPair, Standardizer, apply_standardizer, classify, compute_scatter, evaluate, fisher_criterion, fit, load_model, project, save_model
 from .experiments import (
     Dataset,
     ExperimentConfig,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, flda, labels, measure, qops, reference, states
+from . import experiments, flda, labels, qops, reference, states
 
 SEED_ENV_VAR = "ENTFLDA_SEED"
 
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--train", required=True, help="training dataset path")
     fit.add_argument("--epsilon", type=float, default=None,
                      help="scatter regularizer (default: 1e-6 x mean diag(S_W) if n >= 10 d, else 100 x mean diag)")
-    fit.add_argument("--standardizer", default="zscore", choices=measure.STANDARDIZER_MODES)
+    fit.add_argument("--standardizer", default="zscore", choices=flda.STANDARDIZER_MODES)
     fit.add_argument("--model-out", required=True, help="output model path (JSON)")
 
     ev = sub.add_parser("eval", help="evaluate a saved model on a dataset file")

@@ -19,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import LABEL_CONVENTIONS
-from .measure import MIN_SCALE, STANDARDIZER_MODES, Standardizer, apply_standardizer, fit_standardizer
 
 CLASS_ORDER = (-1, 1)
+STANDARDIZER_MODES = ("zscore", "minmax", "none")
+
+# Features lie in [-1, 1]; a column whose spread is below this is round-off
+# around a constant, and dividing by that spread would blow the round-off up.
+MIN_SCALE = 1e-12
 
 # Ties this close to the threshold go to +1 (separable), the conservative call.
 TIE_TOL = 1e-15
@@ -34,6 +38,15 @@ class ScatterPair:
     s_within: np.ndarray
     class_means: np.ndarray  # shape (2, n), rows in CLASS_ORDER
     class_counts: tuple
+
+
+@dataclass(frozen=True)
+class Standardizer:
+    """Per-feature affine rescaling (x - shift) / scale, fit by :func:`fit` on its training rows only."""
+
+    shift: np.ndarray
+    scale: np.ndarray
+    mode: str
 
 
 @dataclass(frozen=True)
@@ -158,9 +171,9 @@ def fit(
 ) -> FldaModel:
     """Fit the two-class discriminant.
 
-    ``standardizer`` is one of :data:`STANDARDIZER_MODES`, fit here on the
-    given (training) rows. ``epsilon`` defaults to :func:`default_epsilon`:
-    1e-6 times the mean diagonal of S_W with at least ten samples per
+    ``standardizer`` is one of :data:`STANDARDIZER_MODES`, fit here on the given (training) rows;
+    a feature whose spread is below ``MIN_SCALE`` (round-off) gets scale 1. ``epsilon`` defaults to
+    :func:`default_epsilon`: 1e-6 times the mean diagonal of S_W with at least ten samples per
     feature (n >= 10 d), 100 times it below that. Pass an explicit finite
     value when the within-class scatter is degenerate (e.g. one sample per
     class). Features so large that their statistics overflow float64 are
@@ -169,10 +182,24 @@ def fit(
     eps = None if epsilon is None else float(epsilon)
     if eps is not None and not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
+    if label_convention not in (None, *LABEL_CONVENTIONS):
+        raise ValueError(f"unknown label convention {label_convention!r}; expected one of {LABEL_CONVENTIONS}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     _check_rows(x, y)
-    std = fit_standardizer(x, mode=standardizer)
+    names = tuple(feature_names) if feature_names is not None else None
+    if names is not None and len(names) != x.shape[1]:
+        raise ValueError(f"{len(names)} feature names for {x.shape[1]} feature columns")
+    if standardizer == "zscore":
+        shift, scale = x.mean(axis=0), x.std(axis=0)
+    elif standardizer == "minmax":
+        shift = x.min(axis=0)
+        scale = x.max(axis=0) - shift
+    elif standardizer == "none":
+        shift, scale = np.zeros(x.shape[1]), np.ones(x.shape[1])
+    else:
+        raise ValueError(f"unknown standardizer mode {standardizer!r}; expected one of {STANDARDIZER_MODES}")
+    std = Standardizer(shift, np.where(scale < MIN_SCALE, 1.0, scale), standardizer)
     _refuse_overflow(std.shift, std.scale)
     xs = apply_standardizer(std, x)
 
@@ -206,18 +233,32 @@ def fit(
         epsilon=eps,
         fisher_j=fisher_j,
         standardizer=std,
-        feature_names=tuple(feature_names) if feature_names is not None else None,
+        feature_names=names,
         label_convention=label_convention,
         train_accuracy=float(np.mean(_decide(xs @ w, threshold) == y)),
     )
 
 
+def apply_standardizer(standardizer: Standardizer, values: np.ndarray) -> np.ndarray:
+    """(x - shift) / scale, for a single vector or a matrix of rows."""
+    x = np.asarray(values, dtype=float)
+    if x.shape[-1] != len(standardizer.shift):
+        raise ValueError(f"feature dimension {x.shape[-1]} does not match standardizer ({len(standardizer.shift)})")
+    out = x - standardizer.shift
+    return np.divide(out, standardizer.scale, out=out)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def project(model: FldaModel, x: np.ndarray) -> float | np.ndarray:
-    """Scalar projection w^T x after the model's standardizer; refuses a non-finite feature."""
+    """Scalar projection w^T x after the model's standardizer; refuses a non-finite feature, and finite
+    features whose projection overflows float64 (naming a matrix's first such row), with no numpy warning."""
     x = np.asarray(x, dtype=float)
     xs = apply_standardizer(model.standardizer, x)
     _refuse_non_finite(x)
     y = xs @ model.w
+    if not np.isfinite(y).all():
+        at = f" of row {np.flatnonzero(~np.isfinite(y))[0]}" if np.ndim(y) else ""
+        raise ValueError(f"features overflow float64: the projection{at} is not finite")
     return float(y) if np.ndim(y) == 0 else y
 
 

@@ -11,7 +11,6 @@ distribution as simulating projective outcomes at a fraction of the cost.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -19,11 +18,6 @@ import numpy as np
 from .qops import qubit_count
 
 PAULI_LETTERS = "IXYZ"
-STANDARDIZER_MODES = ("zscore", "minmax", "none")
-
-# Features lie in [-1, 1]; a column whose spread is below this is round-off
-# around a constant, and dividing by that spread would blow the round-off up.
-MIN_SCALE = 1e-12
 
 
 @functools.cache
@@ -85,45 +79,3 @@ def sampled_features(rho, shots: int, rng: np.random.Generator) -> np.ndarray:
     p_plus = np.clip(p_plus, 0.0, 1.0)
     counts = rng.binomial(shots, p_plus)
     return 2.0 * counts / shots - 1.0
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-feature affine rescaling fit on training data only."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-    mode: str
-
-
-def fit_standardizer(train_values: np.ndarray, mode: str = "zscore") -> Standardizer:
-    """Fit shift/scale statistics; a feature whose spread is below
-    ``MIN_SCALE`` (constant up to round-off) gets scale 1."""
-    if mode not in STANDARDIZER_MODES:
-        raise ValueError(f"unknown standardizer mode {mode!r}; expected one of {STANDARDIZER_MODES}")
-    x = np.asarray(train_values, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("training matrix must be 2-D and nonempty")
-    if mode == "none":
-        return Standardizer(shift=np.zeros(x.shape[1]), scale=np.ones(x.shape[1]), mode="none")
-    if mode == "zscore":
-        if x.shape[0] < 2:
-            raise ValueError("zscore needs at least 2 training rows")
-        shift = x.mean(axis=0)
-        scale = x.std(axis=0)
-    else:  # minmax
-        shift = x.min(axis=0)
-        scale = x.max(axis=0) - shift
-    scale = np.where(scale < MIN_SCALE, 1.0, scale)
-    return Standardizer(shift=shift, scale=scale, mode=mode)
-
-
-def apply_standardizer(standardizer: Standardizer, values: np.ndarray) -> np.ndarray:
-    """(x - shift) / scale, for a single vector or a matrix of rows."""
-    x = np.asarray(values, dtype=float)
-    if x.shape[-1] != standardizer.shift.shape[0]:
-        raise ValueError(
-            f"feature dimension {x.shape[-1]} does not match standardizer ({standardizer.shift.shape[0]})"
-        )
-    out = x - standardizer.shift
-    return np.divide(out, standardizer.scale, out=out)

@@ -249,6 +249,22 @@ class TestEval:
         assert code == 1
         assert "feature names" in err
 
+    def test_overflowing_feature_exits_one(self, werner2_dataset, tmp_path, capsys):
+        """A finite 1e308 in the XX column (z-score scale below 1) standardizes
+        past float64: refused, naming the row, with no numpy warning."""
+        model_path, test = tmp_path / "model.json", tmp_path / "huge.csv"
+        assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(model_path)) == 0
+        assert load_model(str(model_path)).standardizer.scale[4] < 1.0
+        lines = [line.split(",") for line in werner2_dataset.read_text().splitlines()]
+        assert lines[0][4] == "XX"
+        lines[3][4] = "1e308"
+        test.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model_path), "--test", str(test)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: features overflow float64: the projection of row 2 is not finite\n"
+        assert captured.out == ""
+
 
 class TestBadDataset:
     """A malformed dataset exits 1, naming the file, line and column."""

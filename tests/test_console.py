@@ -1,7 +1,7 @@
 """The console-script session of CI, run through ``cli.main`` with tmp
 paths: every command's exit code, the byte equality of reruns and the
-refusal of bad headers. CI itself runs only ``entflda --help`` and one
-``gen`` through the installed script."""
+refusal of bad headers. CI itself runs ``entflda --help``, two ``gen`` and
+a ``fit`` and ``eval`` under each standardizer through the installed script."""
 
 import pytest
 
@@ -41,6 +41,17 @@ def test_werner2_gen_fit_eval(tmp_path, capsys):
     assert run("eval", "--model", model, "--test", test, "--report-out", report) == 0
     capsys.readouterr()
     assert report.read_text().startswith("fld_threshold,train_accuracy,test_accuracy,fisher_criterion\n")
+
+
+@pytest.mark.parametrize("mode", ["minmax", "none"])
+def test_werner2_fit_eval_under_other_standardizers(mode, tmp_path, capsys):
+    """The session above fits under the default z-score; CI also fits and evaluates under these."""
+    train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / f"{mode}.json"
+    assert run("gen", "--family", "werner2", "--overlap", "low", "--n", "200", "--seed", "7", "--out", train) == 0
+    assert run("gen", "--family", "werner2", "--overlap", "low", "--n", "200", "--seed", "8", "--out", test) == 0
+    assert run("fit", "--train", train, "--standardizer", mode, "--model-out", model) == 0
+    assert run("eval", "--model", model, "--test", test) == 0
+    assert "test accuracy: " in capsys.readouterr().out
 
 
 def test_concurrence_pure_states_under_the_oracle(tmp_path, capsys):

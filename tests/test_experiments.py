@@ -26,8 +26,8 @@ from entflda.experiments import (
     save_dataset,
     stratified_split,
 )
-from entflda.flda import fit
-from entflda.measure import fit_standardizer, pauli_words
+from entflda.flda import MIN_SCALE, fit
+from entflda.measure import pauli_words
 from oracles import family_state, pauli_word, projections_by_class
 
 HEAD_FAMILIES = [name for name, spec in states.FAMILIES.items() if spec.fixed_label != labels.SEPARABLE]
@@ -638,10 +638,11 @@ class TestSplitAndLeakage:
         cfg = ExperimentConfig(family="werner2", n_samples=120, master_seed=13, shots=16)
         ds = generate_dataset(cfg)
         train, _ = stratified_split(ds, 0.8, cfg.master_seed)
-        model = fit(ds.features[train], ds.labels[train], standardizer="zscore")
-        recomputed = fit_standardizer(ds.features[train], "zscore")
-        np.testing.assert_array_equal(model.standardizer.shift, recomputed.shift)
-        np.testing.assert_array_equal(model.standardizer.scale, recomputed.scale)
+        std = fit(ds.features[train], ds.labels[train], standardizer="zscore").standardizer
+        spread = ds.features[train].std(axis=0)
+        np.testing.assert_array_equal(std.shift, ds.features[train].mean(axis=0))
+        np.testing.assert_array_equal(std.scale, np.where(spread < MIN_SCALE, 1.0, spread))
+        assert not np.array_equal(std.shift, ds.features.mean(axis=0))
 
 
 class TestRunExperiment:

@@ -9,7 +9,11 @@ import pytest
 
 from entflda import flda
 from entflda.flda import (
+    MIN_SCALE,
+    STANDARDIZER_MODES,
     FldaModel,
+    Standardizer,
+    apply_standardizer,
     atomic_write,
     classify,
     compute_scatter,
@@ -20,7 +24,6 @@ from entflda.flda import (
     project,
     save_model,
 )
-from entflda.measure import STANDARDIZER_MODES, Standardizer, apply_standardizer
 from oracles import between_scatter, discriminant_direction_eig, fisher_ratio
 
 
@@ -49,6 +52,12 @@ def two_gaussian_problem(rng, n_features=6, n_per_class=150, separation=3.0):
     features = np.vstack([x_neg, x_pos])
     labels = np.array([-1] * n_per_class + [1] * n_per_class)
     return features, labels
+
+
+def fitted_standardizer(x, mode):
+    """The standardizer ``fit`` fits on the rows ``x``, labelled -1 in the first half and +1 after it."""
+    y = np.where(np.arange(len(x)) < len(x) // 2, -1, 1)
+    return fit(x, y, epsilon=1.0, standardizer=mode).standardizer
 
 
 def unbalanced_problem(rng, n_neg, n_pos, n_features=5):
@@ -280,14 +289,119 @@ class TestFit:
         with pytest.raises(ValueError, match="2-D"):
             fit(np.array([0.0, 1.0, 2.0, 3.0]), np.array([-1, -1, 1, 1]), standardizer=mode)
 
+    def test_feature_names_of_another_length_refused(self):
+        """Refused by ``fit``, not later by ``save_model``."""
+        x, y = two_gaussian_problem(np.random.default_rng(29), n_features=3)
+        with pytest.raises(ValueError, match="^1 feature names for 3 feature columns$"):
+            fit(x, y, feature_names=["XX"])
+
+    def test_unknown_label_convention_refused(self):
+        x, y = two_gaussian_problem(np.random.default_rng(29), n_features=3)
+        with pytest.raises(ValueError) as refused:
+            fit(x, y, label_convention="bogus")
+        assert str(refused.value) == "unknown label convention 'bogus'; expected one of ('paper', 'ppt-oracle')"
+
+
+class TestStandardizer:
+    """The standardizer ``fit`` fits on its training rows and stores in the model."""
+
+    def test_constant_column_zscore(self):
+        train = np.array([[2.0, 1.0], [2.0, 3.0], [2.0, 5.0]])
+        std = fitted_standardizer(train, "zscore")
+        assert std.shift[0] == 2.0 and std.scale[0] == 1.0
+        out = apply_standardizer(std, train)
+        np.testing.assert_allclose(out[:, 0], 0.0)
+
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    def test_round_off_column_gets_unit_scale(self, mode):
+        """A column that is constant up to round-off (spread ~1e-17) is
+        treated as constant, so its round-off is not blown up to O(1)."""
+        rng = np.random.default_rng(46)
+        train = np.column_stack([rng.normal(size=50), 1e-17 * rng.normal(size=50), np.full(50, 0.3)])
+        std = fitted_standardizer(train, mode)
+        assert std.scale[1] == 1.0 and std.scale[2] == 1.0
+        assert np.all(np.abs(apply_standardizer(std, train)[:, 1]) < 1e-15)
+        assert std.scale[0] > 0.1
+
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    def test_statistics_are_the_textbook_ones(self, mode):
+        """Shift and scale are the column mean and population standard
+        deviation, or minimum and range, bit for bit; a spread below
+        ``MIN_SCALE`` reads as 1."""
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(30, 5)) * [0.2, 1.0, 4.0, 1e-15, 0.0] - [0.0, 0.0, 0.0, 0.0, 0.7]
+        if mode == "zscore":
+            shift = x.sum(axis=0) / len(x)
+            spread = np.sqrt(((x - shift) ** 2).sum(axis=0) / len(x))
+        elif mode == "minmax":
+            shift = np.array([min(column) for column in x.T])
+            spread = np.array([max(column) for column in x.T]) - shift
+        else:
+            shift, spread = np.zeros(5), np.ones(5)
+        std = fitted_standardizer(x, mode)
+        assert std.mode == mode
+        np.testing.assert_array_equal(std.shift, shift)
+        np.testing.assert_array_equal(std.scale, np.where(spread < MIN_SCALE, 1.0, spread))
+        assert std.scale[3] == std.scale[4] == 1.0
+
+    @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
+    def test_one_row_refused_as_one_class(self, mode):
+        """One training row is one class under every mode (``zscore`` had its own refusal)."""
+        with pytest.raises(ValueError, match="^need both classes present to fit a discriminant$"):
+            fit(np.ones((1, 3)), np.array([1]), standardizer=mode)
+
+    def test_minmax_midpoint(self):
+        std = fitted_standardizer(np.array([[0.0], [1.0]]), "minmax")
+        assert apply_standardizer(std, np.array([0.5]))[0] == 0.5
+
+    def test_round_trip_inversion(self):
+        rng = np.random.default_rng(44)
+        train = rng.normal(size=(40, 6)) * 3 + 1
+        for mode in ("zscore", "minmax", "none"):
+            std = fitted_standardizer(train, mode)
+            out = apply_standardizer(std, train)
+            back = out * std.scale + std.shift
+            np.testing.assert_allclose(back, train, atol=1e-12)
+
+    def test_zscore_normalizes_train(self):
+        rng = np.random.default_rng(45)
+        train = rng.normal(size=(300, 4)) * np.array([1.0, 5.0, 0.2, 9.0])
+        out = apply_standardizer(fitted_standardizer(train, "zscore"), train)
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-8)
+
+    def test_dict_round_trip(self, tmp_path):
+        """The standardizer's mode, shift and scale survive the model file."""
+        x = np.random.default_rng(1).normal(size=(10, 3))
+        y = np.array([1] * 5 + [-1] * 5)
+        for mode in ("zscore", "minmax", "none"):
+            model = fit(x, y, standardizer=mode)
+            path = tmp_path / f"{mode}.json"
+            save_model(model, str(path))
+            std, again = model.standardizer, load_model(str(path)).standardizer
+            np.testing.assert_array_equal(again.shift, std.shift)
+            np.testing.assert_array_equal(again.scale, std.scale)
+            assert again.mode == std.mode
+
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            fit(np.empty((0, 3)), np.array([]), standardizer="minmax")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            fit(np.arange(6.0).reshape(3, 2), np.array([-1, 1, 1]), standardizer="robust")
+
+    def test_dimension_mismatch_refused(self):
+        std = fitted_standardizer(np.arange(6.0).reshape(3, 2), "none")
+        with pytest.raises(ValueError, match=r"^feature dimension 3 does not match standardizer \(2\)$"):
+            apply_standardizer(std, np.ones((4, 3)))
+
 
 class TestProjectClassify:
     def test_project_class_mean_hits_projected_mean(self):
         rng = np.random.default_rng(30)
         x, y = two_gaussian_problem(rng)
         model = fit(x, y, standardizer="zscore")
-        from entflda.measure import apply_standardizer
-
         mu_pos_std = apply_standardizer(model.standardizer, x[y == 1]).mean(axis=0)
         assert abs(mu_pos_std @ model.w - model.projected_means[1]) < 1e-12
 
@@ -345,6 +459,30 @@ class TestProjectClassify:
         x, y = two_gaussian_problem(np.random.default_rng(35))
         with pytest.raises(ValueError, match=f"^feature row 7, column 2 is {value}, not a finite number$"):
             refuser(fit(x, y), with_bad_cell(x, value))
+
+    @pytest.mark.parametrize("refuser", [project, classify])
+    @pytest.mark.parametrize("row", [[1e308, 1e308, 0.0], [1e308, -1e308, 0.0]], ids=["same-sign", "opposite-signs"])
+    def test_overflowing_vector_refused(self, refuser, row):
+        """Finite features that standardize past float64 (scale about 0.17) used
+        to project to inf, labelled +1, or to nan, labelled -1, with a numpy warning."""
+        x, y = two_gaussian_problem(np.random.default_rng(36), n_features=3)
+        model = fit(0.17 * x, y)
+        assert np.all(model.standardizer.scale < 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features overflow float64: the projection is not finite$"):
+                refuser(model, row)
+
+    @pytest.mark.parametrize("refuser", [project, classify])
+    def test_overflowing_matrix_row_refused_by_row(self, refuser):
+        x, y = two_gaussian_problem(np.random.default_rng(37), n_features=3)
+        x *= 0.17
+        model = fit(x, y)
+        x[[7, 9]] = [1e308, -1e308, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features overflow float64: the projection of row 7 is not finite$"):
+                refuser(model, x)
 
 
 class TestFisherCriterion:

@@ -1,4 +1,4 @@
-"""Tests for feature extraction, shot sampling and standardization."""
+"""Tests for Pauli feature extraction and shot sampling."""
 
 import os
 import subprocess
@@ -9,15 +9,7 @@ import numpy as np
 import pytest
 
 from entflda.experiments import OVERLAP_LEVELS, ExperimentConfig, generate_dataset, sample_family_params
-from entflda.flda import fit, load_model, save_model
-from entflda.measure import (
-    apply_standardizer,
-    check_pauli_words,
-    exact_features,
-    fit_standardizer,
-    pauli_words,
-    sampled_features,
-)
+from entflda.measure import check_pauli_words, exact_features, pauli_words, sampled_features
 from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import reconstruct_density
 
@@ -242,72 +234,3 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="feature values"):
             reconstruct_density(np.zeros(7))
 
-
-class TestStandardizer:
-    def test_constant_column_zscore(self):
-        train = np.array([[2.0, 1.0], [2.0, 3.0], [2.0, 5.0]])
-        std = fit_standardizer(train, "zscore")
-        assert std.shift[0] == 2.0 and std.scale[0] == 1.0
-        out = apply_standardizer(std, train)
-        np.testing.assert_allclose(out[:, 0], 0.0)
-
-    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
-    def test_round_off_column_gets_unit_scale(self, mode):
-        """A column that is constant up to round-off (spread ~1e-17) is
-        treated as constant, so its round-off is not blown up to O(1)."""
-        rng = np.random.default_rng(46)
-        train = np.column_stack([rng.normal(size=50), 1e-17 * rng.normal(size=50), np.full(50, 0.3)])
-        std = fit_standardizer(train, mode)
-        assert std.scale[1] == 1.0 and std.scale[2] == 1.0
-        assert np.all(np.abs(apply_standardizer(std, train)[:, 1]) < 1e-15)
-        assert std.scale[0] > 0.1
-
-    def test_minmax_midpoint(self):
-        std = fit_standardizer(np.array([[0.0], [1.0]]), "minmax")
-        assert apply_standardizer(std, np.array([0.5]))[0] == 0.5
-
-    def test_round_trip_inversion(self):
-        rng = np.random.default_rng(44)
-        train = rng.normal(size=(40, 6)) * 3 + 1
-        for mode in ("zscore", "minmax", "none"):
-            std = fit_standardizer(train, mode)
-            out = apply_standardizer(std, train)
-            back = out * std.scale + std.shift
-            np.testing.assert_allclose(back, train, atol=1e-12)
-
-    def test_zscore_normalizes_train(self):
-        rng = np.random.default_rng(45)
-        train = rng.normal(size=(300, 4)) * np.array([1.0, 5.0, 0.2, 9.0])
-        out = apply_standardizer(fit_standardizer(train, "zscore"), train)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-8)
-
-    def test_dict_round_trip(self, tmp_path):
-        """The standardizer's mode, shift and scale survive the model file."""
-        x = np.random.default_rng(1).normal(size=(10, 3))
-        y = np.array([1] * 5 + [-1] * 5)
-        for mode in ("zscore", "minmax", "none"):
-            std = fit_standardizer(x, mode)
-            path = tmp_path / f"{mode}.json"
-            save_model(fit(x, y, standardizer=mode), str(path))
-            again = load_model(str(path)).standardizer
-            np.testing.assert_array_equal(again.shift, std.shift)
-            np.testing.assert_array_equal(again.scale, std.scale)
-            assert again.mode == std.mode
-
-    def test_zscore_needs_two_rows(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            fit_standardizer(np.ones((1, 3)), "zscore")
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            fit_standardizer(np.empty((0, 3)), "minmax")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            fit_standardizer(np.ones((3, 2)), "robust")
-
-    def test_dimension_mismatch_refused(self):
-        std = fit_standardizer(np.ones((3, 2)), "none")
-        with pytest.raises(ValueError, match=r"^feature dimension 3 does not match standardizer \(2\)$"):
-            apply_standardizer(std, np.ones((4, 3)))
