@@ -12,10 +12,13 @@ master seed. Row i's parameters come from a fixed block of uniforms, its
 family's ``Family.uniforms`` draws, of a counter-based Philox stream, so
 they depend on (master_seed, i) alone and row i can be regenerated by
 advancing the stream to its block; shot counts come from a second stream,
-drawn in row order. Rows are generated class by class, entangled first, in
-chunks. ``reproduce_tables`` runs its cells, each on its own seeds, on
-concurrent threads. Datasets and reports are bit-identical across reruns,
-chunk sizes and thread counts; wall time is outside the contract.
+drawn from the exact rows in row order. Rows are generated class by class,
+entangled first, in chunks. ``reproduce_tables`` runs its cells in units on
+concurrent threads: cells whose configs differ only in the shot count (and,
+for a family whose preset moves no parameter, the overlap) share one
+states stage, which tables 4 and 5 do. Datasets and reports are
+bit-identical across reruns, chunk sizes, thread counts and units; wall
+time is outside the contract.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from . import flda, labels, qops, states
-from .measure import check_pauli_words, exact_features, pauli_words, sampled_features
+from .measure import check_pauli_words, exact_features, pauli_words, sampled_features, shot_estimates
 
 OVERLAP_LEVELS = ("high", "medium", "low")
 OVERLAP_MARGIN = {"high": 0.0, "medium": 0.1, "low": 0.25}
@@ -123,7 +126,7 @@ class ExperimentReport:
     test_accuracy: float
     fisher_criterion: float
     confusion: dict
-    wall_time_seconds: float
+    wall_time_seconds: float  # in a unit of several configs, the first one run carries the states stage
 
     def deterministic_fields(self) -> dict:
         """Everything the determinism contract covers (wall time excluded)."""
@@ -141,6 +144,11 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
     bit_generator = np.random.Philox(np.random.SeedSequence([master_seed, 1]))
     bit_generator.advance(row * states.FAMILIES[family].uniforms // 4)
     return np.random.Generator(bit_generator)
+
+
+def _shot_rng(master_seed: int) -> np.random.Generator:
+    """The shot stream of a dataset, drawn in row order."""
+    return np.random.default_rng([master_seed, 3])
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -215,7 +223,7 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     spec = states.FAMILIES[config.family]
     words = pauli_words(spec.n_qubits)
     shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
-    rng, shot_rng = _sample_rng(config.master_seed, config.family), np.random.default_rng([config.master_seed, 3])
+    rng, shot_rng = _sample_rng(config.master_seed, config.family), _shot_rng(config.master_seed)
     try:
         x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
     except MemoryError:
@@ -379,45 +387,83 @@ def stratified_split(dataset: Dataset, split: float, master_seed: int):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Generate, split, fit and evaluate; emit the four table columns."""
+    return _run_unit([config])[0]
+
+
+def _run_unit(configs: list) -> list:
+    """The report of each of ``configs``, which share one states stage:
+    ``generate_dataset`` at ``shots=0`` and its split, once; then per config
+    its shot estimates of those rows, fit and evaluate. The rows are held in
+    split order, so each split is a view; exact configs run first, and the
+    last shot config draws over the rows in place, so only a shot config run
+    before it holds a second matrix. A config's wall time starts where the
+    one before it ended, the first's with the states stage."""
     t0 = time.perf_counter()
-    dataset = generate_dataset(config)
-    train_idx, test_idx = stratified_split(dataset, config.split, config.master_seed)
-    train, test = ((dataset.features[i], dataset.labels[i]) for i in (train_idx, test_idx))
-    names, dataset = dataset.feature_names, None  # frees the full matrix; both splits are copies
-    model = flda.fit(*train, feature_names=names, label_convention=config.label_convention)
-    test_metrics = flda.evaluate(model, *test)
-    return ExperimentReport(
-        config=asdict(config),
-        fld_threshold=model.threshold,
-        train_accuracy=model.train_accuracy,
-        test_accuracy=test_metrics["accuracy"],
-        fisher_criterion=model.fisher_j,
-        confusion=test_metrics["confusion"],
-        wall_time_seconds=time.perf_counter() - t0,
-    )
+    dataset = generate_dataset(replace(configs[0], shots=0))
+    train_idx, test_idx = stratified_split(dataset, configs[0].split, configs[0].master_seed)
+    order, n_train = np.concatenate([train_idx, test_idx]), len(train_idx)
+    exact, y, names, dataset = dataset.features[order], dataset.labels[order], dataset.feature_names, None
+    rows = np.argsort(order)  # where each dataset row lies in ``exact``
+    run = sorted(range(len(configs)), key=lambda i: configs[i].effective_shots != 0)
+    reports = [None] * len(configs)
+    for i in run:
+        config, x, shots = configs[i], exact, configs[i].effective_shots
+        if shots:  # one binomial call per _CHUNK_ROWS rows, in dataset row order
+            x, shot_rng = exact if i == run[-1] else np.empty_like(exact), _shot_rng(config.master_seed)
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                block = rows[start : start + _CHUNK_ROWS]
+                x[block] = shot_estimates(exact[block], shots, shot_rng)
+        model = flda.fit(x[:n_train], y[:n_train], feature_names=names, label_convention=config.label_convention)
+        test_metrics = flda.evaluate(model, x[n_train:], y[n_train:])
+        x = None  # frees a shot config's own matrix
+        reports[i] = ExperimentReport(
+            config=asdict(config),
+            fld_threshold=model.threshold,
+            train_accuracy=model.train_accuracy,
+            test_accuracy=test_metrics["accuracy"],
+            fisher_criterion=model.fisher_j,
+            confusion=test_metrics["confusion"],
+            wall_time_seconds=time.perf_counter() - t0,
+        )
+        t0 = time.perf_counter()
+    return reports
 
 
 def _run_cells(configs: list) -> list:
-    """``run_experiment`` of each config, in order, run by the calling thread
-    and one helper per further usable CPU, largest cell first. Once a cell
-    raises, no other cell starts; the helpers are joined and the first error in order is raised."""
+    """The report of each config, in order. Configs equal but for the shot
+    count, and for the overlap where the family's preset moves no parameter
+    (no Werner ``boundary`` or ``concurrence_floor``), form one unit
+    (:func:`_run_unit`). The calling thread takes the units largest first,
+    and one helper per further usable CPU takes them smallest first, so the
+    largest working sets (a shared unit holds two matrices for a while) run
+    one after another on one thread, not side by side. Once a unit raises,
+    no other unit starts; the helpers are joined and the error of the first
+    failing unit, by its first config, is raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cost = [c.n_samples * (4 ** states.FAMILIES[c.family].n_qubits - 1) for c in configs]  # rows x features
-    pending = sorted(range(len(configs)), key=lambda i: -cost[i])
+    units = {}
+    for i, c in enumerate(configs):
+        spec = states.FAMILIES[c.family]
+        overlap = c.overlap if spec.boundary is not None or spec.concurrence_floor is not None else "high"
+        units.setdefault(astuple(replace(c, shots=0, overlap=overlap)), []).append(i)
+    units = list(units.values())
+    cost = [sum(configs[i].n_samples * (4 ** states.FAMILIES[configs[i].family].n_qubits - 1) for i in unit)
+            for unit in units]  # rows x features
+    pending = sorted(range(len(units)), key=lambda u: -cost[u])
     reports, errors, lock = [None] * len(configs), {}, threading.Lock()
 
-    def work():
+    def work(end=0):
         while True:
             with lock:
                 if errors or not pending:
                     return
-                i = pending.pop(0)
+                u = pending.pop(end)
             try:
-                reports[i] = run_experiment(configs[i])
+                for i, report in zip(units[u], _run_unit([configs[i] for i in units[u]])):
+                    reports[i] = report
             except BaseException as exc:  # an interrupt too: raised below, once the helpers stop
-                errors[i] = exc
+                errors[u] = exc
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(cpus, len(configs)) - 1)]
+    helpers = [threading.Thread(target=work, args=(-1,), daemon=True) for _ in range(min(cpus, len(units)) - 1)]
     for helper in helpers:
         helper.start()
     work()
@@ -449,12 +495,14 @@ def reproduce_tables(
     profile: str = "ci",
     fmt: str = "csv",
 ) -> list:
-    """Run every (table, overlap) cell, on concurrent threads, and optionally
-    write the report file.
+    """Run every (table, overlap) cell and optionally write the report file.
 
-    One row per cell, in table order, with columns ``REPORT_COLUMNS``; tables
-    6 and 7 have a single high-overlap row. Rows carry the derived per-row
-    seed so each is independently re-runnable."""
+    The cells run in units on concurrent threads (:func:`_run_cells`); the
+    three cells of table 4 or 5 share one states stage, since their presets
+    change only the shot count. One row per cell, in table order, with
+    columns ``REPORT_COLUMNS``; tables 6 and 7 have a single high-overlap
+    row. Rows carry the derived per-row seed, and each equals
+    ``run_experiment`` of its cell alone."""
     _check_format(fmt)
     ids = list(table_ids)
     bad = [t for t in ids if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t not in TABLE_FAMILIES]

@@ -69,10 +69,16 @@ def exact_features(rho) -> np.ndarray:
 
 def sampled_features(rho, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Mean of ``shots`` simulated +-1 outcomes per Pauli word, for one state
-    or a stack; one ``binomial`` call draws every count, in row order."""
+    or a stack: :func:`shot_estimates` of its :func:`exact_features`."""
+    return shot_estimates(exact_features(rho), shots, rng)
+
+
+def shot_estimates(exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of ``shots`` simulated +-1 outcomes per exact expectation value;
+    one ``binomial`` call draws every count, in row order, so blocks of rows
+    drawn in turn from one generator give the bits of a single call."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    exact = exact_features(rho)
     p_plus = (1.0 + exact) / 2.0
     if np.any(p_plus < -1e-9) or np.any(p_plus > 1 + 1e-9):
         raise ValueError("outcome probability outside [0, 1]; upstream state is corrupted")

@@ -26,7 +26,7 @@ from entflda.experiments import (
     save_dataset,
     stratified_split,
 )
-from entflda.flda import MIN_SCALE, fit
+from entflda.flda import MIN_SCALE, evaluate, fit
 from entflda.measure import pauli_words
 from oracles import family_state, pauli_word, projections_by_class
 
@@ -663,6 +663,21 @@ class TestRunExperiment:
             b = run_experiment(cfg)
             assert a.deterministic_fields() == b.deterministic_fields()
 
+    @pytest.mark.parametrize("family, overlap", [("pptes-acin", "high"), ("pptes-acin", "low"), ("werner3", "medium")])
+    def test_report_is_the_plain_pipeline(self, family, overlap):
+        """``run_experiment`` reports what ``generate_dataset``, the split,
+        ``fit`` and ``evaluate`` give when called one after another, to the
+        bit, though it draws the shots from the exact rows in split order."""
+        config = ExperimentConfig(family=family, overlap=overlap, n_samples=300, master_seed=13)
+        dataset = generate_dataset(config)
+        train, test = stratified_split(dataset, config.split, config.master_seed)
+        model = fit(dataset.features[train], dataset.labels[train], feature_names=dataset.feature_names)
+        metrics = evaluate(model, dataset.features[test], dataset.labels[test])
+        report = run_experiment(config)
+        assert (report.fld_threshold, report.train_accuracy, report.fisher_criterion) == (
+            model.threshold, model.train_accuracy, model.fisher_j)
+        assert (report.test_accuracy, report.confusion) == (metrics["accuracy"], metrics["confusion"])
+
     def test_accuracy_ordering_across_presets(self):
         means = {}
         for overlap in ("high", "low"):
@@ -711,10 +726,10 @@ class TestReproduceTables:
         assert not out.exists()
 
     def test_unknown_format_refused_before_any_cell(self, tmp_path, monkeypatch):
-        def no_cell(config):
+        def no_cell(configs):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "run_experiment", no_cell)
+        monkeypatch.setattr(experiments, "_run_unit", no_cell)
         for out in (None, str(tmp_path / "r.xml")):
             with pytest.raises(ValueError, match=r"^unknown report format 'xml'; expected one of \('csv', 'json'\)$"):
                 reproduce_tables([1], out_path=out, fmt="xml")
@@ -758,36 +773,80 @@ class TestReproduceTables:
 
     @pytest.mark.parametrize("cpus", [1, 17])
     def test_failing_cell_stops_the_run(self, tmp_path, monkeypatch, capsys, cpus):
-        """After a cell raises, no further cell starts, the helpers are joined
-        and that cell's own error is raised; ``reproduce`` exits 1 with it.
-        On one CPU the cells run largest first up to table 4's first cell.
-        With one thread per cell, a barrier starts every cell before any
-        fails; each table-4 cell fails, and the first in table order is named."""
+        """After a unit of cells raises, no further unit starts, the helpers
+        are joined and the error of the first failing cell in table order is
+        raised; ``reproduce`` exits 1 with it. The 17 cells form 13 units
+        (tables 4 and 5 one each). On one CPU the units run largest first:
+        table 7's, then table 4's, which fails. With one thread per unit, a
+        barrier starts every unit before any fails; the units of tables 4 and
+        5 both fail, and table 4's first cell is named."""
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 40)
         self.usable_cpus(monkeypatch, cpus)
-        started, barrier, real = [], threading.Barrier(cpus, timeout=60), experiments.run_experiment
+        units = 13
+        started, barrier, real = [], threading.Barrier(min(cpus, units), timeout=60), experiments._run_unit
+        table_of = {family: table for table, family in experiments.TABLE_FAMILIES.items()}
 
-        def cell(config):
-            started.append((config.family, config.overlap))
+        def unit(configs):
+            started.append((configs[0].family, tuple(c.overlap for c in configs)))
             barrier.wait()
-            if config.family == "pptes-acin":
-                raise ValueError(f"table 4 {config.overlap} failed")
-            return real(config)
+            if configs[0].family in ("pptes-acin", "ppt-alt"):
+                raise ValueError(f"table {table_of[configs[0].family]} {configs[0].overlap} failed")
+            return real(configs)
 
-        monkeypatch.setattr(experiments, "run_experiment", cell)
+        monkeypatch.setattr(experiments, "_run_unit", unit)
         threads, out = threading.active_count(), tmp_path / "r.csv"
         with pytest.raises(ValueError, match="^table 4 high failed$"):
             reproduce_tables(range(1, 8), out_path=str(out))
         assert threading.active_count() == threads
         assert not out.exists()
         if cpus == 1:
-            werner3 = [("werner3", overlap) for overlap in experiments.OVERLAP_LEVELS]
-            assert started == [("werner4", "high"), *werner3, ("pptes-acin", "high")]
+            assert started == [("werner4", ("high",)), ("pptes-acin", experiments.OVERLAP_LEVELS)]
         else:
-            assert len(started) == 17
+            assert len(started) == units
+            assert ("ppt-alt", experiments.OVERLAP_LEVELS) in started
         assert cli.main(["reproduce", "--tables", "1..7", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: table 4 high failed\n"
         assert not out.exists()
+
+    def test_calling_thread_takes_the_largest_units(self, monkeypatch):
+        """With one helper, the calling thread takes units largest first and
+        the helper smallest first (cost: rows x features over a unit's
+        cells), so the largest units start one after another on the calling
+        thread while the helper works up from the smallest."""
+        monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 40)
+        self.usable_cpus(monkeypatch, 2)
+        started, real, main = {True: [], False: []}, experiments._run_unit, threading.main_thread()
+
+        def unit(configs):
+            cost = sum(c.n_samples * len(pauli_words(states.FAMILIES[c.family].n_qubits)) for c in configs)
+            started[threading.current_thread() is main].append((cost, configs[0].family, len(configs)))
+            return real(configs)
+
+        monkeypatch.setattr(experiments, "_run_unit", unit)
+        reproduce_tables(range(1, 8))
+        calling, helper = started[True], started[False]
+        assert len(calling) + len(helper) == 13
+        assert calling[0] == (40 * 255, "werner4", 1) and helper[0] == (40 * 15, "concurrence", 1)
+        assert [c for c, *_ in calling] == sorted((c for c, *_ in calling), reverse=True)
+        assert [c for c, *_ in helper] == sorted(c for c, *_ in helper)
+
+    def test_a_table_builds_its_states_once(self, monkeypatch):
+        """Tables 4 and 5, whose presets change only the shot count, build,
+        validate and label each row once for their three cells; table 1,
+        whose presets move the Werner parameter, once per cell."""
+        n = 60
+        monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: n)
+        validated, validate = [], experiments.qops.validate_states
+
+        def counted_validate(matrices):
+            validated.append(len(matrices))
+            validate(matrices)
+
+        monkeypatch.setattr(experiments.qops, "validate_states", counted_validate)
+        for tables, cells in (([4, 5], 2), ([1], 3)):
+            validated.clear()
+            reproduce_tables(tables)
+            assert sum(validated) == cells * n, tables
 
     def test_profile_sizes(self):
         assert profile_samples("ci", "werner2") == 4000

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entflda import experiments
 from entflda.experiments import OVERLAP_LEVELS, ExperimentConfig, generate_dataset, sample_family_params
-from entflda.measure import check_pauli_words, exact_features, pauli_words, sampled_features
+from entflda.measure import check_pauli_words, exact_features, pauli_words, sampled_features, shot_estimates
 from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import reconstruct_density
 
@@ -176,6 +177,47 @@ class TestSampledFeatures:
         not_a_state = np.diag([2.0, 0.0, 0.0, 0.0])  # <ZZ> = 2
         with pytest.raises(ValueError, match=r"^outcome probability outside \[0, 1\]"):
             sampled_features(not_a_state, 10, np.random.default_rng(0))
+
+
+class TestShotEstimates:
+    """Every shot estimate comes from ``shot_estimates`` of exact features."""
+
+    @pytest.mark.parametrize("shots", [1, 7, 512])
+    def test_sampled_features_is_shots_of_exact(self, shots):
+        one = state("concurrence", 1.1, 2.3)
+        stack = np.stack([state("werner3", p) for p in (0.1, 0.5, 0.9)])
+        for rho in (one, stack):
+            a = sampled_features(rho, shots, np.random.default_rng(9))
+            b = shot_estimates(exact_features(rho), shots, np.random.default_rng(9))
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, experiments._CHUNK_ROWS])
+    def test_blocks_from_one_generator_give_one_call(self, rows):
+        """Row blocks drawn in turn from one generator have the bits of one
+        call on the whole (n, d) matrix, whatever the block size."""
+        exact = generate_dataset(ExperimentConfig(family="werner3", overlap="low", n_samples=600, master_seed=4)).features
+        whole = shot_estimates(exact, 512, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        blocks = [shot_estimates(exact[start : start + rows], 512, rng) for start in range(0, len(exact), rows)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("family", ["werner2", "pptes-acin"])
+    def test_dataset_shots_are_drawn_from_its_exact_rows(self, family):
+        """A shot dataset is its exact dataset's rows measured by one call on
+        the shot stream ``[master_seed, 3]``: the two stages a table's cells
+        may share."""
+        config = ExperimentConfig(family=family, overlap="medium", n_samples=300, master_seed=8)
+        exact = generate_dataset(ExperimentConfig(family=family, overlap="medium", n_samples=300, master_seed=8, shots=0))
+        drawn = shot_estimates(exact.features, config.effective_shots, np.random.default_rng([8, 3]))
+        dataset = generate_dataset(config)
+        assert dataset.features.tobytes() == drawn.tobytes()
+        assert dataset.labels.tobytes() == exact.labels.tobytes()
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^shots must be >= 1, got 0$"):
+            shot_estimates(np.zeros(3), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^outcome probability outside \[0, 1\]"):
+            shot_estimates(np.array([0.5, -1.5]), 4, np.random.default_rng(0))
 
 
 def test_sampling_is_unbiased():
