@@ -168,7 +168,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("feature names in the dataset do not match the model's feature names")
     metrics = flda.evaluate(model, dataset.features, dataset.labels)
     print(f"fld threshold: {model.threshold!r}")
-    print(f"train accuracy: {model.train_accuracy!r}")
+    print(f"train accuracy: {json.dumps(model.train_accuracy)}")  # as the JSON report writes it: null if absent
     print(f"test accuracy: {metrics['accuracy']!r}")
     print(f"fisher criterion: {model.fisher_j!r}")
     print(f"confusion: {metrics['confusion']}")

@@ -7,18 +7,18 @@ concurrence floor. Other families see the shot count only, so tables 4 and
 5 stay flat across presets where the published accuracies fall; thresholds,
 Fisher magnitudes and that ordering are explicitly not reproduction targets.
 
-Determinism contract: a dataset draws from two streams keyed by its
-master seed. Row i's parameters come from a fixed block of uniforms, its
-family's ``Family.uniforms`` draws, of a counter-based Philox stream, so
-they depend on (master_seed, i) alone and row i can be regenerated by
-advancing the stream to its block; shot counts come from a second stream,
-drawn from the exact rows in row order. Rows are generated class by class,
-entangled first, in chunks. ``reproduce_tables`` runs its cells in units on
-concurrent threads: cells whose configs differ only in the shot count (and,
-for a family whose preset moves no parameter, the overlap) share one
-states stage, which tables 4 and 5 do. Datasets and reports are
-bit-identical across reruns, chunk sizes, thread counts and units; wall
-time is outside the contract.
+Determinism contract: a dataset is built in two stages on two streams keyed by
+its master seed. The states stage samples, builds, validates, labels and
+measures exact rows class by class (entangled first) in chunks; row i's
+parameters come from a fixed block of uniforms, its family's
+``Family.uniforms`` draws, of a counter-based Philox stream, so they depend on
+(master_seed, i) alone and row i can be regenerated by advancing the stream to
+its block. A shot config then draws its counts from the exact rows in row
+order at one site, :func:`_draw_shots`. ``reproduce_tables`` runs its cells in
+units on concurrent threads: cells whose configs differ only in the shot count
+(and, for a family whose preset moves no parameter, the overlap) share one
+states stage, as tables 4 and 5 do. Datasets and reports are bit-identical
+across reruns, chunk sizes, thread counts and units; wall time is not.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import flda, labels, qops, states
+# sampled_features is not called here: the benchmark's tracer looks it up as experiments.sampled_features.
 from .measure import check_pauli_words, exact_features, pauli_words, sampled_features, shot_estimates
 
 OVERLAP_LEVELS = ("high", "medium", "low")
@@ -146,9 +147,13 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
     return np.random.Generator(bit_generator)
 
 
-def _shot_rng(master_seed: int) -> np.random.Generator:
-    """The shot stream of a dataset, drawn in row order."""
-    return np.random.default_rng([master_seed, 3])
+def _draw_shots(exact: np.ndarray, out: np.ndarray, rows: np.ndarray, shots: int, master_seed: int) -> None:
+    """Dataset row i's ``shots``-shot estimates of ``exact[rows[i]]``, written to ``out[rows[i]]`` (``out`` may
+    be ``exact``): one ``shot_estimates`` call per ``_CHUNK_ROWS`` rows, in row order, on ``[master_seed, 3]``."""
+    rng = np.random.default_rng([master_seed, 3])
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[start : start + _CHUNK_ROWS]
+        out[block] = shot_estimates(exact[block], shots, rng)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -216,14 +221,14 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """Build the labeled feature matrix for a configuration: the entangled
-    rows, then the separable ones, each class in ``_CHUNK_ROWS``-row chunks
-    built, validated, labeled and measured as one stack and written in
-    place (see the determinism contract above)."""
+    """The labeled feature matrix of a configuration. The states stage writes
+    the exact rows, entangled then separable, each class in ``_CHUNK_ROWS``-row
+    chunks built, validated, labeled and measured as one stack; a shot config
+    then draws its estimates over the matrix in place (:func:`_draw_shots`)."""
     spec = states.FAMILIES[config.family]
     words = pauli_words(spec.n_qubits)
     shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
-    rng, shot_rng = _sample_rng(config.master_seed, config.family), _shot_rng(config.master_seed)
+    rng = _sample_rng(config.master_seed, config.family)
     try:
         x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
     except MemoryError:
@@ -236,7 +241,9 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
             stack = states.FAMILIES[name].stack(params)
             qops.validate_states(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
-            x[start:stop] = exact_features(stack) if shots == 0 else sampled_features(stack, shots, shot_rng)
+            x[start:stop] = exact_features(stack)
+    if shots:
+        _draw_shots(x, x, np.arange(n), shots, config.master_seed)
     return Dataset(features=x, labels=y, feature_names=words)
 
 
@@ -378,8 +385,7 @@ def stratified_split(dataset: Dataset, split: float, master_seed: int):
     for cls in flda.CLASS_ORDER:
         idx = np.flatnonzero(dataset.labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        n_train = int(round(split * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
+        n_train = min(max(int(round(split * len(idx))), 1), len(idx) - 1)
         train_idx.append(idx[:n_train])
         test_idx.append(idx[n_train:])
     return np.concatenate(train_idx), np.concatenate(test_idx)
@@ -393,11 +399,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _run_unit(configs: list) -> list:
     """The report of each of ``configs``, which share one states stage:
     ``generate_dataset`` at ``shots=0`` and its split, once; then per config
-    its shot estimates of those rows, fit and evaluate. The rows are held in
-    split order, so each split is a view; exact configs run first, and the
-    last shot config draws over the rows in place, so only a shot config run
-    before it holds a second matrix. A config's wall time starts where the
-    one before it ended, the first's with the states stage."""
+    its shots, drawn as ``generate_dataset`` draws them (:func:`_draw_shots`),
+    fit and evaluate. Rows are held in split order, so each split is a view;
+    exact configs run first, and the last shot config draws in place, so only a
+    shot config run before it holds a second matrix. A config's wall time
+    starts where the one before it ended, the first's with the states stage."""
     t0 = time.perf_counter()
     dataset = generate_dataset(replace(configs[0], shots=0))
     train_idx, test_idx = stratified_split(dataset, configs[0].split, configs[0].master_seed)
@@ -408,11 +414,9 @@ def _run_unit(configs: list) -> list:
     reports = [None] * len(configs)
     for i in run:
         config, x, shots = configs[i], exact, configs[i].effective_shots
-        if shots:  # one binomial call per _CHUNK_ROWS rows, in dataset row order
-            x, shot_rng = exact if i == run[-1] else np.empty_like(exact), _shot_rng(config.master_seed)
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                block = rows[start : start + _CHUNK_ROWS]
-                x[block] = shot_estimates(exact[block], shots, shot_rng)
+        if shots:
+            x = exact if i == run[-1] else np.empty_like(exact)
+            _draw_shots(exact, x, rows, shots, config.master_seed)
         model = flda.fit(x[:n_train], y[:n_train], feature_names=names, label_convention=config.label_convention)
         test_metrics = flda.evaluate(model, x[n_train:], y[n_train:])
         x = None  # frees a shot config's own matrix

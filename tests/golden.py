@@ -54,6 +54,9 @@ def commands():
                 yield f"gen {out}", argv, [out]
     yield "gen shots", ["gen", "--family", "werner3", "--n", "60", "--shots", "8", "--seed", "3",
                         "--out", "w3-shots.csv"], ["w3-shots.csv"]
+    # 600 rows a class at 2,048 shots: the shot draw runs over several chunks of each class.
+    yield "gen shots chunks", ["gen", "--family", "werner3", "--overlap", "medium", "--n", "1200", "--seed", "5",
+                               "--out", "w3-chunks.csv"], ["w3-chunks.csv"]
     yield "gen balance", ["gen", "--family", "biseparable", "--balance", "0.37", "--n", "601", "--seed", "4",
                           "--label-convention", "ppt-oracle", "--out", "bis.csv"], ["bis.csv"]
     yield "gen refusal balance", ["gen", "--family", "werner2", "--n", "40", "--balance", "nan", "--out", "x.csv"], []

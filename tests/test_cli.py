@@ -217,7 +217,7 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset)) == 0
         plain = capsys.readouterr().out
-        assert "train accuracy: None\n" in plain
+        assert "train accuracy: null\n" in plain
         assert run_cli("eval", "--model", str(model_path), "--test", str(werner2_dataset),
                        "--report-out", str(report)) == 0
         captured = capsys.readouterr()

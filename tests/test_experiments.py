@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -622,6 +623,75 @@ class TestGenerateDataset:
             assert back.labels.tobytes() == y.tobytes()
 
         round_trip()
+
+
+class TestShotDraw:
+    """Every shot estimate is drawn at one site: one ``shot_estimates`` call
+    per ``_CHUNK_ROWS`` dataset rows, in row order, over the exact rows, for
+    ``generate_dataset`` and a shared unit alike."""
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        """``(shots, exact block)`` of each ``experiments.shot_estimates``
+        call, with ``experiments.sampled_features`` refusing to run."""
+        calls, draw = [], experiments.shot_estimates
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("shots drawn through sampled_features")
+
+        def counted(exact, shots, rng):
+            calls.append((shots, exact.copy()))
+            return draw(exact, shots, rng)
+
+        monkeypatch.setattr(experiments, "sampled_features", refuse)
+        monkeypatch.setattr(experiments, "shot_estimates", counted)
+        return calls
+
+    @staticmethod
+    def assert_blocks_in_row_order(blocks, exact):
+        assert all(0 < len(block) <= experiments._CHUNK_ROWS for block in blocks)
+        assert len(blocks) == -(-len(exact) // experiments._CHUNK_ROWS)
+        assert np.concatenate(blocks).tobytes() == exact.tobytes()
+
+    def test_generate_dataset_draws_every_row_in_blocks(self, monkeypatch):
+        config = ExperimentConfig(family="werner3", overlap="medium", n_samples=600, master_seed=5)
+        exact = generate_dataset(dataclasses.replace(config, shots=0))
+        calls = self.record_draws(monkeypatch)
+        dataset = generate_dataset(config)
+        assert {shots for shots, _ in calls} == {2048}
+        self.assert_blocks_in_row_order([block for _, block in calls], exact.features)
+        assert dataset.labels.tobytes() == exact.labels.tobytes()
+
+    def test_shared_unit_draws_every_row_in_blocks(self, monkeypatch):
+        """Table 4's three presets share one unit: after the exact cell, each
+        shot preset draws every exact row once, in dataset row order, though
+        the unit holds the rows in split order."""
+        seed = experiments._table_seed(0, 4)
+        configs = [ExperimentConfig("pptes-acin", o, 600, master_seed=seed) for o in experiments.OVERLAP_LEVELS]
+        exact = generate_dataset(dataclasses.replace(configs[0], shots=0)).features
+        calls = self.record_draws(monkeypatch)
+        experiments._run_unit(configs)
+        for shots in (512, 2048):  # high, then medium
+            self.assert_blocks_in_row_order([block for s, block in calls if s == shots], exact)
+        assert [shots for shots, _ in calls] == sorted(shots for shots, _ in calls)
+
+    def test_draw_is_in_place(self):
+        """A 4,000-row ``werner4`` dataset at 512 shots peaks within a quarter
+        of its 7.8 MB feature matrix of the exact one: the estimates overwrite
+        the exact rows block by block (a draw over the whole matrix in one
+        call would add about three matrices)."""
+        config = ExperimentConfig(family="werner4", n_samples=4000, shots=512)
+        generate_dataset(config)  # warm-up: per-qubit-count caches
+        peaks = {}
+        for shots in (0, 512):
+            tracemalloc.start()
+            try:
+                generate_dataset(dataclasses.replace(config, shots=shots))
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        matrix = config.n_samples * 255 * 8
+        assert peaks[512] - peaks[0] <= matrix / 4, f"peaks {peaks[0] / 2**20:.1f} and {peaks[512] / 2**20:.1f} MB"
 
 
 class TestSplitAndLeakage:
