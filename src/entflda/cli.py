@@ -166,7 +166,11 @@ def _cmd_eval(args) -> int:
     dataset = experiments.load_dataset(args.test)
     if model.feature_names is not None and tuple(model.feature_names) != tuple(dataset.feature_names):
         raise ValueError("feature names in the dataset do not match the model's feature names")
-    metrics = flda.evaluate(model, dataset.features, dataset.labels)
+    try:
+        metrics = flda.evaluate(model, dataset.features, dataset.labels)
+    except flda.ProjectionOverflow as exc:  # named by file line, as a bad cell is
+        at = f"dataset file {args.test}, line {experiments.dataset_line(args.test, exc.row)}"
+        raise ValueError(f"{at}: features overflow float64: the projection is not finite") from None
     print(f"fld threshold: {model.threshold!r}")
     print(f"train accuracy: {json.dumps(model.train_accuracy)}")  # as the JSON report writes it: null if absent
     print(f"test accuracy: {metrics['accuracy']!r}")

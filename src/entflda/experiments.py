@@ -9,7 +9,8 @@ Fisher magnitudes and that ordering are explicitly not reproduction targets.
 
 Determinism contract: a dataset is built in two stages on two streams keyed by
 its master seed. The states stage samples, builds, validates, labels and
-measures exact rows class by class (entangled first) in chunks; row i's
+measures exact rows class by class (entangled first) in chunks, Werner and
+product rows by their families' closed forms with no state built; row i's
 parameters come from a fixed block of uniforms, its family's
 ``Family.uniforms`` draws, of a counter-based Philox stream, so they depend on
 (master_seed, i) alone and row i can be regenerated by advancing the stream to
@@ -223,7 +224,8 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
 def generate_dataset(config: ExperimentConfig) -> Dataset:
     """The labeled feature matrix of a configuration. The states stage writes
     the exact rows, entangled then separable, each class in ``_CHUNK_ROWS``-row
-    chunks built, validated, labeled and measured as one stack; a shot config
+    chunks built, validated, labeled and measured as one stack, or measured by
+    the family's closed form (``Family.features``) and labeled; a shot config
     then draws its estimates over the matrix in place (:func:`_draw_shots`)."""
     spec = states.FAMILIES[config.family]
     words = pauli_words(spec.n_qubits)
@@ -233,15 +235,22 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
         x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
     except MemoryError:
         raise ValueError(f"n_samples={n}: a {n} x {len(words)} feature matrix does not fit in memory") from None
+    closed = {}  # a family's closed-form feature map, built on its first chunk
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
             u = rng.random((stop - start, spec.uniforms))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
-            stack = states.FAMILIES[name].stack(params)
-            qops.validate_states(stack)
+            build, stack = states.FAMILIES[name], None
+            if name not in closed:
+                closed[name] = build.features and build.features(build)
+            if closed[name]:
+                x[start:stop] = closed[name](params)
+            else:
+                stack = build.stack(params)
+                qops.validate_states(stack)
+                x[start:stop] = exact_features(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
-            x[start:stop] = exact_features(stack)
     if shots:
         _draw_shots(x, x, np.arange(n), shots, config.master_seed)
     return Dataset(features=x, labels=y, feature_names=words)
@@ -376,6 +385,13 @@ def load_dataset(path: str) -> Dataset:
     if body.shape[1] != len(header) or not np.isfinite(features).all() or not np.isin(y, flda.CLASS_ORDER).all():
         raise _refusal(path, header, "a feature is not finite or a label is not -1 or +1")
     return Dataset(features=features, labels=y.astype(int), feature_names=tuple(header[:-1]))
+
+
+def dataset_line(path: str, row: int) -> int:
+    """The file line of matrix row ``row`` (from 0) of a dataset file, counting the header as line 1 and skipping
+    blank lines as :func:`load_dataset` does."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [line for line, cells in _csv_rows(path, fh) if cells][row + 1]
 
 
 def stratified_split(dataset: Dataset, split: float, master_seed: int):

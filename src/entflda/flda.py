@@ -70,6 +70,15 @@ class FldaModel:
     train_accuracy: float | None = None
 
 
+class ProjectionOverflow(ValueError):
+    """Finite features whose projection overflows float64; ``row`` is a matrix's first such row, None for a vector."""
+
+    def __init__(self, row: int | None):
+        at = "" if row is None else f" of row {row}"
+        super().__init__(f"features overflow float64: the projection{at} is not finite")
+        self.row = row
+
+
 def _refuse_non_finite(x: np.ndarray) -> None:
     """Refuse a non-finite feature, named by its column in a vector and by its row and column in a matrix."""
     if not np.isfinite(x).all():
@@ -257,8 +266,7 @@ def project(model: FldaModel, x: np.ndarray) -> float | np.ndarray:
     _refuse_non_finite(x)
     y = xs @ model.w
     if not np.isfinite(y).all():
-        at = f" of row {np.flatnonzero(~np.isfinite(y))[0]}" if np.ndim(y) else ""
-        raise ValueError(f"features overflow float64: the projection{at} is not finite")
+        raise ProjectionOverflow(int(np.flatnonzero(~np.isfinite(y))[0]) if np.ndim(y) else None)
     return float(y) if np.ndim(y) == 0 else y
 
 

@@ -6,8 +6,8 @@ labels by the sign of the minimum partial-transpose eigenvalue (with the
 bound-entangled family forced to -1, since it is PPT by construction).
 The conventions disagree for the diagonal ``ppt-alt`` state and for the
 four-qubit Werner boundary; experiments record which one produced the
-labels. Labelling reads the state, or stack of states, its caller built
-and builds none.
+labels. Labelling reads the parameter rows and, where the convention
+needs it, the state or stack of states its caller built; it builds none.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ def assign_label(family: str, row, rho, convention: str = "paper"):
     ``row`` is the family's parameter row, the layout its ``stack`` takes,
     and ``rho`` the (d, d) matrix built from it, giving an int; an (n, k)
     array of rows with the (n, d, d) stack built from them gives one label
-    per row.
+    per row. Werner and product rows are labeled from ``row`` alone, so
+    their ``rho`` may be None.
     ``paper``: Werner families entangled above their published mixing
     threshold, the circuit family entangled for C > 0, both PPT families
     and the biseparable family always entangled, products always separable.
@@ -106,16 +107,15 @@ def assign_label(family: str, row, rho, convention: str = "paper"):
     if convention not in LABEL_CONVENTIONS:
         raise ValueError(f"unknown label convention {convention!r}; expected one of {LABEL_CONVENTIONS}")
     spec = states.family(family)
-    matrices = np.asarray(rho)
-    rows, q = matrices.shape[:-2], np.asarray(row, dtype=float)
+    q = np.asarray(row, dtype=float)
     if spec.fixed_label is not None:
-        y = np.full(rows, spec.fixed_label)
+        y = np.full(q.shape[:-1], spec.fixed_label)
     elif spec.boundary is not None:
         y = np.where(q[..., 0] > spec.boundary[convention], ENTANGLED, SEPARABLE)
     elif convention == "paper" and spec.concurrence_floor is not None:
         y = np.where(np.asarray(concurrence_analytic(q[..., 0], q[..., 1])) > 0, ENTANGLED, SEPARABLE)
     elif convention == "paper":
-        y = np.full(rows, ENTANGLED)  # ppt-alt, biseparable
+        y = np.full(q.shape[:-1], ENTANGLED)  # ppt-alt, biseparable
     else:
-        y = np.where(np.all(_pt_minima(matrices) >= PPT_TOL, axis=-1), SEPARABLE, ENTANGLED)
+        y = np.where(np.all(_pt_minima(np.asarray(rho)) >= PPT_TOL, axis=-1), SEPARABLE, ENTANGLED)
     return int(y) if y.ndim == 0 else y

@@ -6,8 +6,9 @@ Each canonical family (``werner2``, ``werner3``, ``werner4``,
 which owns every fact about it but the overlap presets' margins and shot
 counts. Its ``stack`` builds a dataset chunk as one (n, d, d) array from an
 (n, k) parameter array, the one parameter layout; :func:`from_family` builds
-one validated state from one row of it. The array cores check the parameter
-ranges, so both refuse a bad row with one message. Everything here is pure.
+one validated state from one row of it, and ``features`` (where set) its
+exact features. The array cores check the parameter ranges, so all refuse
+a bad row with one message. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import DensityOperator, kron
+from .measure import exact_features
+from .qops import DensityOperator, kron, validate_states
 
 # Class labels: -1 entangled, +1 separable.
 ENTANGLED = -1
@@ -38,12 +40,19 @@ def _require(ok, message: str, **values) -> None:
         raise ValueError(message.format(**{k: np.broadcast_to(v, ok.shape).flat[i] for k, v in values.items()}))
 
 
+def _mixing(n_qubits: int, p) -> np.ndarray:
+    """Werner mixing parameters as a float array, refused outside [-1/3, 1] (1e-12 slack) or [0, 1] (GHZ)."""
+    text, lo, hi = ("-1/3", -1 / 3 - 1e-12, 1 + 1e-12) if n_qubits == 2 else ("0", 0, 1)
+    p = np.asarray(p, dtype=float)
+    _require((lo <= p) & (p <= hi), f"werner{n_qubits} mixing parameter p={{p}} outside [{text}, 1]", p=p)
+    return p
+
+
 def _werner2_matrix(p) -> np.ndarray:
     """Two-qubit Werner state p |psi-><psi-| + (1-p) I/4, a valid state for
     p in [-1/3, 1], with |psi-> = (|01> - |10>)/sqrt(2): diagonal (1-p,
     1+p, 1+p, 1-p)/4 and -p/2 between |01> and |10>."""
-    p = np.asarray(p, dtype=float)
-    _require((-1 / 3 - 1e-12 <= p) & (p <= 1 + 1e-12), "werner2 mixing parameter p={p} outside [-1/3, 1]", p=p)
+    p = _mixing(2, p)
     m = np.zeros(p.shape + (4, 4), dtype=complex)
     m[..., range(4), range(4)] = np.stack([1 - p, 1 + p, 1 + p, 1 - p], axis=-1) / 4
     m[..., 1, 2] = m[..., 2, 1] = (0.0 - 2 * p) / 4  # the XX and YY terms, -p/4 each; +0.0 at p = 0
@@ -53,8 +62,7 @@ def _werner2_matrix(p) -> np.ndarray:
 def _werner_ghz_matrix(n_qubits: int, p) -> np.ndarray:
     """n-qubit GHZ-based Werner state p |GHZ><GHZ| + (1-p) I/2^n, with
     |GHZ> = (|0...0> + |1...1>)/sqrt(2)."""
-    p = np.asarray(p, dtype=float)
-    _require((0 <= p) & (p <= 1), f"werner{n_qubits} mixing parameter p={{p}} outside [0, 1]", p=p)
+    p = _mixing(n_qubits, p)
     ghz = np.zeros(2**n_qubits)  # real: real stacks build and validate faster
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
     return _column(p) * np.outer(ghz, ghz) + (1 - _column(p)) * (np.eye(2**n_qubits) / 2**n_qubits)
@@ -108,18 +116,42 @@ def bloch_vectors(u: np.ndarray) -> np.ndarray:
     return r[..., None] * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
 
 
-def _bloch_matrix(bloch) -> np.ndarray:
-    """Single-qubit state (1/2)(I + b . sigma) per Bloch vector b (last axis)."""
+def _checked_bloch(bloch) -> np.ndarray:
+    """Bloch vectors (last axis) as a float array, refused if one is longer than 1."""
     b = np.asarray(bloch, dtype=float)
     r = float(np.max(np.linalg.norm(b, axis=-1)))
     if r > 1 + 1e-12:
         raise ValueError(f"Bloch vector length {r} exceeds 1")
+    return b
+
+
+def _bloch_matrix(bloch) -> np.ndarray:
+    """Single-qubit state (1/2)(I + b . sigma) per Bloch vector b (last axis)."""
+    b = _checked_bloch(bloch)
     x, y, z = np.moveaxis(b, -1, 0)
     m = np.zeros(b.shape[:-1] + (2, 2), dtype=complex)
     m[..., 0, 0], m[..., 1, 1] = (1 + z) / 2, (1 - z) / 2
     m[..., 0, 1] = m[..., 1, 0] = (0.0 + x) / 2  # 0.0 +, 0.0 -: a zero is +0.0
     m.imag[..., 0, 1], m.imag[..., 1, 0] = (0.0 - y) / 2, (0.0 + y) / 2
     return m
+
+
+def _product_features(q: np.ndarray) -> np.ndarray:
+    """Exact features of product rows: the Kronecker product of each qubit's (1, bx, by, bz), in
+    ``pauli_words`` order, less the identity's column; + 0.0 turns a -0.0 into +0.0."""
+    f = np.ones((len(q), 1))
+    for b in _checked_bloch(q.reshape(len(q), -1, 3)).swapaxes(0, 1):
+        f = (f[:, :, None] * np.insert(b, 0, 1.0, axis=1)[:, None]).reshape(len(q), -1)
+    return f[:, 1:] + 0.0
+
+
+def _werner_features(spec) -> Callable:
+    """``Family.features`` of a Werner family: the map to p g per row, g the exact features of its validated
+    state at p = 1 (white noise has none); + 0.0 as in :func:`_product_features`."""
+    g = spec.stack(np.ones((1, 1)))
+    validate_states(g)
+    g = exact_features(g)
+    return lambda q: _mixing(spec.n_qubits, q[:, 0])[:, None] * g + 0.0
 
 
 # A biseparable row holds BISEPARABLE_COMPONENTS component weights (unused
@@ -172,7 +204,10 @@ class Family:
     class; ``sample`` maps them to the entangled class where the overlap
     preset plays no part. ``describe`` maps a row to the ``params:`` object
     of ``inspect``; None prints the named parameters. ``width`` and
-    ``uniforms`` default to a Werner row's.
+    ``uniforms`` default to a Werner row's. ``features(family)``, called once
+    per dataset, returns a map from (n, k) parameter arrays to their exact
+    features that refuses what ``stack`` refuses; datasets use it in place
+    of stack, validation and ``exact_features``.
     """
 
     n_qubits: int
@@ -186,12 +221,16 @@ class Family:
     sample: Callable[[np.ndarray], np.ndarray] | None = None
     describe: Callable[[np.ndarray], dict] | None = None
     concurrence_floor: dict | None = None
+    features: Callable[[Family], Callable[[np.ndarray], np.ndarray]] | None = None
 
 
 FAMILIES = {
-    "werner2": Family(2, lambda q: _werner2_matrix(q[:, 0]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3}),
-    "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5}),
-    "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9}),
+    "werner2": Family(2, lambda q: _werner2_matrix(q[:, 0]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3},
+                      features=_werner_features),
+    "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5},
+                      features=_werner_features),
+    "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9},
+                      features=_werner_features),
     "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1"),
                           width=2, uniforms=512, concurrence_floor={"high": 0.1, "medium": 0.4, "low": 0.8}),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it. a, b, c log-uniform on [1/2, 2].
@@ -202,7 +241,7 @@ FAMILIES = {
     "biseparable": Family(3, _biseparable_matrix, width=5 * BISEPARABLE_COMPONENTS, uniforms=16,
                           sample=_biseparable_sample, describe=_biseparable_describe),
     "product-sep": Family(2, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
-                          fixed_label=SEPARABLE, width=None,
+                          fixed_label=SEPARABLE, width=None, features=lambda spec: _product_features,
                           describe=lambda q: {"components": [{"weight": 1.0, "blochs": q.reshape(-1, 3).tolist()}]}),
 }
 

@@ -251,19 +251,26 @@ class TestEval:
 
     def test_overflowing_feature_exits_one(self, werner2_dataset, tmp_path, capsys):
         """A finite 1e308 in the XX column (z-score scale below 1) standardizes
-        past float64: refused, naming the row, with no numpy warning."""
+        past float64: refused, naming the file line of the row as a bad cell
+        is named (the header is line 1; blank lines count as lines but hold no
+        row), with no numpy warning."""
         model_path, test = tmp_path / "model.json", tmp_path / "huge.csv"
         assert run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(model_path)) == 0
         assert load_model(str(model_path)).standardizer.scale[4] < 1.0
         lines = [line.split(",") for line in werner2_dataset.read_text().splitlines()]
         assert lines[0][4] == "XX"
-        lines[3][4] = "1e308"
-        test.write_text("".join(",".join(cells) + "\n" for cells in lines))
-        capsys.readouterr()
-        assert run_cli("eval", "--model", str(model_path), "--test", str(test)) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: features overflow float64: the projection of row 2 is not finite\n"
-        assert captured.out == ""
+        lines[3][4] = "1e308"  # matrix row 2
+        for blank_lines, line in (((), 4), ((2, 4), 6)):
+            with_blanks = list(lines)
+            for at in blank_lines:
+                with_blanks.insert(at, [""])
+            test.write_text("".join(",".join(cells) + "\n" for cells in with_blanks))
+            capsys.readouterr()
+            assert run_cli("eval", "--model", str(model_path), "--test", str(test)) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: dataset file {test}, line {line}: "
+                                    "features overflow float64: the projection is not finite\n")
+            assert captured.out == ""
 
 
 class TestBadDataset:

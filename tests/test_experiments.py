@@ -55,6 +55,35 @@ def sample(family, label, overlap, n, seed, convention="paper"):
     return sample_family_params(family, label, overlap, u, convention)
 
 
+def count_computed_rows(monkeypatch):
+    """``(computed, generators)``, filled as datasets are generated: per
+    chunk, ``("stack", n)`` for the n rows of a validated stack and
+    ``("closed", n)`` for the n rows a family's closed form computes, in call
+    order; and the row count of each Werner generating state validated."""
+    computed, generators = [], []
+    validate = qops.validate_states
+
+    def counted(record):
+        def check(matrices):
+            record(len(matrices))
+            validate(matrices)
+        return check
+
+    def counted_features(make):
+        def features(spec):
+            closed_form = make(spec)
+            return lambda q: (computed.append(("closed", len(q))), closed_form(q))[1]
+        return features
+
+    monkeypatch.setattr(qops, "validate_states", counted(lambda n: computed.append(("stack", n))))
+    monkeypatch.setattr(states, "validate_states", counted(generators.append))
+    for name, spec in states.FAMILIES.items():
+        if spec.features:
+            counted_spec = dataclasses.replace(spec, features=counted_features(spec.features))
+            monkeypatch.setitem(states.FAMILIES, name, counted_spec)
+    return computed, generators
+
+
 def csv_writer_bytes(dataset):
     """The reference bytes of a dataset file: ``csv.writer`` over the header
     and the per-cell ``repr`` of every feature, then the label."""
@@ -266,45 +295,39 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
     @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_one_state_per_row(self, family, convention, monkeypatch):
-        """Each row's state is built and validated exactly once, in a stack;
-        no row goes through ``from_family`` or ``DensityOperator``, the
-        single-state path ``inspect`` takes."""
-        validated = []
-        validate = qops.validate_states
-
-        def counted_validate(matrices):
-            validated.append(len(matrices))
-            validate(matrices)
+        """Each row is computed exactly once, in a chunk: by a validated stack
+        or, for Werner and product rows, by the family's closed form, whose
+        Werner generating state is validated once; no row goes through
+        ``from_family`` or ``DensityOperator``, the single-state path
+        ``inspect`` takes."""
+        computed, generators = count_computed_rows(monkeypatch)
 
         def per_state(*args, **kwargs):
             raise AssertionError("per-state construction in the batched path")
 
-        monkeypatch.setattr(qops, "validate_states", counted_validate)
         monkeypatch.setattr(qops.DensityOperator, "__init__", per_state)
         monkeypatch.setattr(states, "from_family", per_state)
         monkeypatch.setattr(experiments, "_CHUNK_ROWS", 10)
         cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
-        assert validated == [10, 2, 10, 2]
+        werner = states.FAMILIES[family].boundary is not None
+        entangled = "closed" if werner else "stack"
+        assert computed == [(entangled, 10), (entangled, 2), ("closed", 10), ("closed", 2)]
+        assert generators == ([1] if werner else [])
 
     def test_each_chunk_holds_one_class(self, monkeypatch):
         """Every ``sample_family_params`` call samples one class: all the
         entangled chunks come before the separable ones, none exceeds
         ``_CHUNK_ROWS`` rows, and the chunks of a class add up to its count.
-        Each chunk is validated as one stack of the rows it sampled."""
-        calls, validated = [], []
-        sample_rows, validate = experiments.sample_family_params, qops.validate_states
-
-        def counted_validate(matrices):
-            validated.append(len(matrices))
-            validate(matrices)
+        Each chunk's features are computed in one call on the rows it sampled."""
+        calls, (computed, _) = [], count_computed_rows(monkeypatch)
+        sample_rows = experiments.sample_family_params
 
         def recording(family, label, overlap, uniforms, convention="paper"):
             calls.append((label, len(uniforms)))
             return sample_rows(family, label, overlap, uniforms, convention)
 
         monkeypatch.setattr(experiments, "sample_family_params", recording)
-        monkeypatch.setattr(qops, "validate_states", counted_validate)
         cfg = ExperimentConfig(family="werner2", n_samples=601, balance=0.37, shots=4)
         assert (cfg.n_entangled, cfg.n_samples - cfg.n_entangled) == (222, 379)
         ds = generate_dataset(cfg)
@@ -313,7 +336,7 @@ class TestGenerateDataset:
         assert all(0 < rows <= experiments._CHUNK_ROWS for _, rows in calls)
         for label, count in ((labels.ENTANGLED, 222), (labels.SEPARABLE, 379)):
             assert sum(rows for cls, rows in calls if cls == label) == count
-        assert validated == [rows for _, rows in calls]
+        assert computed == [("closed", rows) for _, rows in calls]
         assert ds.labels.dtype == int and int(np.sum(ds.labels == labels.ENTANGLED)) == 222
 
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
@@ -357,23 +380,26 @@ class TestGenerateDataset:
                 build_family, row = row_parameters(cfg, i)
                 assert build_family == seen[i][0] and row.tobytes() == seen[i][1].tobytes(), (family, i)
 
-    @pytest.mark.parametrize(
+    CORRUPTIONS = pytest.mark.parametrize(
         "corrupt,message",
         [
             (lambda m: m + np.triu(np.full(m.shape, 1e-3j), 1), "not Hermitian"),
             (lambda m: 1.01 * m, "trace deviates"),
-            (lambda m: np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), "not positive semi-definite"),
+            (lambda m: np.diag(np.r_[1.2, -0.2, np.zeros(len(m) - 2)]).astype(complex), "not positive semi-definite"),
             (lambda m: np.full(m.shape, np.nan), "non-finite"),
         ],
         ids=["non-hermitian", "wrong-trace", "non-psd", "non-finite"],
     )
+
+    @CORRUPTIONS
     @pytest.mark.parametrize("position", [0, 6, 11])
     def test_invalid_row_anywhere_in_a_chunk_raises(self, corrupt, message, position, monkeypatch):
-        """A bad state at any position of a chunk raises the error a
-        DensityOperator of that state raises."""
+        """A bad state at any position of a chunk of stacked rows (the
+        entangled ``concurrence`` class) raises the error a DensityOperator of
+        that state raises."""
         with pytest.raises(ValueError, match=message):
             qops.DensityOperator(corrupt(np.eye(4, dtype=complex) / 4))
-        spec = states.FAMILIES["werner2"]
+        spec = states.FAMILIES["concurrence"]
         build = spec.stack
 
         def corrupted(params):
@@ -382,10 +408,39 @@ class TestGenerateDataset:
                 stack[position] = corrupt(stack[position])
             return stack
 
-        monkeypatch.setitem(states.FAMILIES, "werner2", states.Family(**{**vars(spec), "stack": corrupted}))
+        monkeypatch.setitem(states.FAMILIES, "concurrence", states.Family(**{**vars(spec), "stack": corrupted}))
         monkeypatch.setattr(experiments, "_CHUNK_ROWS", 12)
         with pytest.raises(ValueError, match=message):
-            generate_dataset(ExperimentConfig(family="werner2", n_samples=24, shots=4))
+            generate_dataset(ExperimentConfig(family="concurrence", n_samples=24, shots=4))
+
+    @CORRUPTIONS
+    @pytest.mark.parametrize("family", ["werner2", "werner4"])
+    def test_corrupted_werner_generating_state_raises(self, corrupt, message, family, monkeypatch):
+        """A Werner family's closed form reads its generating state (p = 1)
+        from the family's own stack and validates it: corrupted, the dataset
+        is refused with the message a DensityOperator of that state gives."""
+        spec = states.FAMILIES[family]
+        build = spec.stack
+        with pytest.raises(ValueError, match=message):
+            qops.DensityOperator(corrupt(build(np.ones((1, 1)))[0].astype(complex)))
+
+        def corrupted(params):
+            return np.stack([corrupt(m) for m in build(params).astype(complex)])
+
+        monkeypatch.setitem(states.FAMILIES, family, states.Family(**{**vars(spec), "stack": corrupted}))
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(ExperimentConfig(family=family, n_samples=24, shots=0))
+
+    @pytest.mark.parametrize("shots", [0, 16])
+    @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
+    @pytest.mark.parametrize("family", HEAD_FAMILIES)
+    def test_no_negative_zero_feature(self, family, convention, shots):
+        """Every zero feature is +0.0, on the stack path and the closed forms
+        alike (a negative p times a zero of g gives -0.0 before its + 0.0)."""
+        for overlap in ("high", "low"):
+            x = generate_dataset(ExperimentConfig(family=family, overlap=overlap, n_samples=200, shots=shots,
+                                                  label_convention=convention, master_seed=5)).features
+            assert not np.any((x == 0) & np.signbit(x)), overlap
 
     def test_low_overlap_exact_zz_signature(self):
         # shots=0 with entangled p > 0.5833 forces the ZZ feature below -0.45
@@ -901,22 +956,18 @@ class TestReproduceTables:
         assert [c for c, *_ in helper] == sorted(c for c, *_ in helper)
 
     def test_a_table_builds_its_states_once(self, monkeypatch):
-        """Tables 4 and 5, whose presets change only the shot count, build,
-        validate and label each row once for their three cells; table 1,
-        whose presets move the Werner parameter, once per cell."""
+        """Tables 4 and 5, whose presets change only the shot count, compute
+        each row once for their three cells; table 1, whose presets move the
+        Werner parameter, once per cell, validating its generating state
+        once per cell."""
         n = 60
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: n)
-        validated, validate = [], experiments.qops.validate_states
-
-        def counted_validate(matrices):
-            validated.append(len(matrices))
-            validate(matrices)
-
-        monkeypatch.setattr(experiments.qops, "validate_states", counted_validate)
-        for tables, cells in (([4, 5], 2), ([1], 3)):
-            validated.clear()
+        computed, generators = count_computed_rows(monkeypatch)
+        for tables, cells, generated in (([4, 5], 2, []), ([1], 3, [1, 1, 1])):
+            computed.clear(), generators.clear()
             reproduce_tables(tables)
-            assert sum(validated) == cells * n, tables
+            assert sum(rows for _, rows in computed) == cells * n, tables
+            assert generators == generated, tables
 
     def test_profile_sizes(self):
         assert profile_samples("ci", "werner2") == 4000

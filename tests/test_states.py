@@ -1,12 +1,16 @@
 """Tests for the state families, built one state at a time through
 ``from_family`` and as stacks."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from entflda import labels, states
 from entflda.experiments import sample_family_params
-from entflda.qops import kron, partial_transpose
+from entflda.measure import exact_features, pauli_words
+from entflda.qops import kron, partial_transpose, qubit_count, validate_states
 from entflda.states import ENTANGLED, FAMILIES, SEPARABLE, bloch_vectors, from_family
 from oracles import PAULI, expectation, family_state, hermitian_eigenvalues, pauli_word
 
@@ -288,16 +292,94 @@ class TestFromFamily:
         ("werner4", [[1.5]], r"werner4 mixing parameter p=1.5 outside \[0, 1\]"),
         ("concurrence", [[1.0, 1.0], [4.0, 1.0]], r"angles \(4.0, 1.0\) outside \[0, pi\]"),
         ("pptes-acin", [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "parameters must be positive, got a=0.0, b=1.0, c=1.0"),
+        ("product-sep", [[0.1, 0.2, 0.3, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, -1.5]],
+         "Bloch vector length 1.5 exceeds 1"),
     ],
 )
 def test_stack_refuses_out_of_range_rows(name, rows, message):
-    """The range check lives in the array core, so a stack refuses an
-    out-of-range row with the message ``from_family`` gives for that row,
-    naming the first bad row's values."""
+    """The range check lives in the array core, so a stack and, where the
+    family has one, its closed-form features refuse an out-of-range row with
+    the message ``from_family`` gives for that row, naming the first bad
+    row's values."""
     with pytest.raises(ValueError, match=message):
         FAMILIES[name].stack(np.array(rows))
     with pytest.raises(ValueError, match=message):
         from_family(name, rows[-1])
+    if FAMILIES[name].features:
+        with pytest.raises(ValueError, match=message):
+            FAMILIES[name].features(FAMILIES[name])(np.array(rows))
+
+
+CLOSED_FORM_FAMILIES = sorted(name for name, spec in FAMILIES.items() if spec.features)
+
+
+def werner_edges(name):
+    """Mixing parameters at and just past the ends of a Werner family's range."""
+    lo, slack = FAMILIES[name].p_min, 1e-12 if name == "werner2" else 0.0
+    return [lo - 2 * slack - 1e-15, lo - slack / 2, lo, 1.0, 1.0 + slack / 2, 1.0 + 2 * slack + 1e-15]
+
+
+@pytest.mark.parametrize("name", [n for n in CLOSED_FORM_FAMILIES if n.startswith("werner")])
+def test_closed_form_refuses_what_the_stack_refuses(name):
+    """At and just past each end of the mixing range, a Werner family's
+    closed form accepts exactly the rows its stack accepts, and refuses the
+    others with the stack's message."""
+    features = FAMILIES[name].features(FAMILIES[name])
+    for p in werner_edges(name):
+        outcomes = []
+        for build in (FAMILIES[name].stack, features):
+            try:
+                build(np.array([[0.5], [p]]))
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], p
+    assert sum(outcome is None for outcome in outcomes) in (0, 2)
+
+
+def closed_form_rows(name):
+    """Parameter rows spanning a closed-form family: each Werner family's
+    ``p_min``, boundaries and 1 and interior points; product rows of 2 and 3
+    qubits whose Bloch vectors have length 0, interior and 1."""
+    rng = np.random.default_rng(CLOSED_FORM_FAMILIES.index(name))
+    if name.startswith("werner"):
+        spec = FAMILIES[name]
+        ends = [spec.p_min, *spec.boundary.values(), 1.0]
+        return [np.array(ends + list(rng.uniform(spec.p_min, 1.0, 40)))[:, None]]
+    directions = rng.normal(size=(60, 3))
+    unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    lengths = np.r_[0.0, 1.0, rng.random(58)]
+    blochs = np.r_[unit * lengths[:, None], [[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]]
+    return [rng.permutation(blochs)[: 60 // qubits * qubits].reshape(-1, 3 * qubits) for qubits in (2, 3)]
+
+
+def product_traces(row, words):
+    """The exact Pauli traces of a product row, the rational products of its
+    Bloch components (identity letters contribute 1)."""
+    blochs = [[Fraction(v) for v in b] for b in row.reshape(-1, 3)]
+    return [math.prod(b["XYZ".index(c)] for b, c in zip(blochs, w) if c != "I") for w in words]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FAMILIES)
+def test_closed_form_matches_the_pauli_traces_of_the_stack(name):
+    """A family's closed-form features equal ``exact_features`` of its
+    built, validated stack column for column, in ``pauli_words`` order,
+    within 2.2e-16, and are never -0.0. At 3 qubits the stack's own sums
+    err by up to 3.3e-16 on product rows, so there the bound is 4.4e-16 and
+    the closed form is held to the exact traces, within two roundings of
+    products of numbers at most 1 in size (2.2e-16)."""
+    features = FAMILIES[name].features(FAMILIES[name])
+    for rows in closed_form_rows(name):
+        stack = FAMILIES[name].stack(rows)
+        validate_states(stack)
+        exact, closed, qubits = exact_features(stack), features(rows), qubit_count(stack)
+        assert closed.shape == exact.shape == (len(rows), 4**qubits - 1)
+        assert np.max(np.abs(closed - exact)) <= (4.4e-16 if name == "product-sep" and qubits == 3 else 2.2e-16)
+        assert not np.any((closed == 0) & np.signbit(closed))
+        if name == "product-sep":
+            for row, values in zip(rows, closed):
+                traces = product_traces(row, pauli_words(qubits))
+                assert max(abs(Fraction(v) - t) for v, t in zip(values.tolist(), traces)) <= 2.2e-16
 
 
 @pytest.mark.parametrize(
