@@ -233,19 +233,16 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     rng = _sample_rng(config.master_seed, config.family)
     try:
         x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses a shape beyond its array limit with a ValueError
         raise ValueError(f"n_samples={n}: a {n} x {len(words)} feature matrix does not fit in memory") from None
-    closed = {}  # a family's closed-form feature map, built on its first chunk
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
             u = rng.random((stop - start, spec.uniforms))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
             build, stack = states.FAMILIES[name], None
-            if name not in closed:
-                closed[name] = build.features and build.features(build)
-            if closed[name]:
-                x[start:stop] = closed[name](params)
+            if build.features:
+                x[start:stop] = build.features(params)
             else:
                 stack = build.stack(params)
                 qops.validate_states(stack)

@@ -13,6 +13,7 @@ import errno
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -225,6 +226,9 @@ def fit(
     except np.linalg.LinAlgError:
         raise ValueError("within-class scatter is singular; regularize by passing a positive epsilon") from None
     norm = np.linalg.norm(w)
+    if norm < math.sqrt(sys.float_info.min):  # w @ w underflowed (a ridge far above S_W): rescale w first
+        w = w / np.max(np.abs(w))
+        norm = np.linalg.norm(w)
     if not (np.isfinite(norm) and norm > 0.0 and w @ delta > 0):
         raise ValueError("within-class scatter is numerically singular; increase epsilon")
     w = w / norm
@@ -357,7 +361,7 @@ def save_model(model: FldaModel, path: str) -> None:
 
 
 def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max  # no OverflowError on a huge int
 
 
 def _check_document(doc, path: str) -> None:

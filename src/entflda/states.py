@@ -90,16 +90,19 @@ def _concurrence_matrix(theta0, theta1) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
+@np.errstate(over="ignore")
 def _pptes_matrix(a, b, c) -> np.ndarray:
     """Three-qubit bound-entangled state: diagonal (1, a, b, c, 1/c, 1/b,
     1/a, 1) plus unit corner couplings, normalized by 2 + a + 1/a + b + 1/b
     + c + 1/c. PPT under every cut for all positive parameters."""
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     _require((a > 0) & (b > 0) & (c > 0), "parameters must be positive, got a={a}, b={b}, c={c}", a=a, b=b, c=c)
+    norm = 2 + a + 1 / a + b + 1 / b + c + 1 / c  # finite only if every term is
+    _require(np.isfinite(norm), "parameters a={a}, b={b}, c={c} overflow the normalizer", a=a, b=b, c=c)
     diagonal = np.stack(np.broadcast_arrays(1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0), axis=-1)
     m = diagonal[..., None] * np.eye(8)
     m[..., 0, 7] = m[..., 7, 0] = 1.0
-    return m / _column(2 + a + 1 / a + b + 1 / b + c + 1 / c)
+    return m / _column(norm)
 
 
 def _ppt_alternative_matrix() -> np.ndarray:
@@ -143,15 +146,6 @@ def _product_features(q: np.ndarray) -> np.ndarray:
     for b in _checked_bloch(q.reshape(len(q), -1, 3)).swapaxes(0, 1):
         f = (f[:, :, None] * np.insert(b, 0, 1.0, axis=1)[:, None]).reshape(len(q), -1)
     return f[:, 1:] + 0.0
-
-
-def _werner_features(spec) -> Callable:
-    """``Family.features`` of a Werner family: the map to p g per row, g the exact features of its validated
-    state at p = 1 (white noise has none); + 0.0 as in :func:`_product_features`."""
-    g = spec.stack(np.ones((1, 1)))
-    validate_states(g)
-    g = exact_features(g)
-    return lambda q: _mixing(spec.n_qubits, q[:, 0])[:, None] * g + 0.0
 
 
 # A biseparable row holds BISEPARABLE_COMPONENTS component weights (unused
@@ -204,10 +198,10 @@ class Family:
     class; ``sample`` maps them to the entangled class where the overlap
     preset plays no part. ``describe`` maps a row to the ``params:`` object
     of ``inspect``; None prints the named parameters. ``width`` and
-    ``uniforms`` default to a Werner row's. ``features(family)``, called once
-    per dataset, returns a map from (n, k) parameter arrays to their exact
-    features that refuses what ``stack`` refuses; datasets use it in place
-    of stack, validation and ``exact_features``.
+    ``uniforms`` default to a Werner row's. ``features`` maps an (n, k)
+    parameter array to its (n, 4^N - 1) exact features in closed form,
+    refusing what ``stack`` refuses; datasets use it in place of stack,
+    validation and ``exact_features``.
     """
 
     n_qubits: int
@@ -221,16 +215,23 @@ class Family:
     sample: Callable[[np.ndarray], np.ndarray] | None = None
     describe: Callable[[np.ndarray], dict] | None = None
     concurrence_floor: dict | None = None
-    features: Callable[[Family], Callable[[np.ndarray], np.ndarray]] | None = None
+    features: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _werner(n_qubits: int, matrix: Callable, p_min: float, paper: float, oracle: float) -> Family:
+    """A Werner family's record, with states ``matrix(p)``: ``features`` maps a row to p g, g the exact features
+    of its state at p = 1 (white noise has none), validated once here; + 0.0 as in :func:`_product_features`."""
+    g = matrix(np.ones(1))
+    validate_states(g)
+    g = exact_features(g)
+    return Family(n_qubits, lambda q: matrix(q[:, 0]), ("p",), p_min, {"paper": paper, "ppt-oracle": oracle},
+                  features=lambda q: _mixing(n_qubits, q[:, 0])[:, None] * g + 0.0)
 
 
 FAMILIES = {
-    "werner2": Family(2, lambda q: _werner2_matrix(q[:, 0]), ("p",), -1 / 3, {"paper": 1 / 3, "ppt-oracle": 1 / 3},
-                      features=_werner_features),
-    "werner3": Family(3, lambda q: _werner_ghz_matrix(3, q[:, 0]), ("p",), 0.0, {"paper": 1 / 5, "ppt-oracle": 1 / 5},
-                      features=_werner_features),
-    "werner4": Family(4, lambda q: _werner_ghz_matrix(4, q[:, 0]), ("p",), 0.0, {"paper": 1 / 7, "ppt-oracle": 1 / 9},
-                      features=_werner_features),
+    "werner2": _werner(2, _werner2_matrix, -1 / 3, 1 / 3, 1 / 3),
+    "werner3": _werner(3, lambda p: _werner_ghz_matrix(3, p), 0.0, 1 / 5, 1 / 5),
+    "werner4": _werner(4, lambda p: _werner_ghz_matrix(4, p), 0.0, 1 / 7, 1 / 9),
     "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1"),
                           width=2, uniforms=512, concurrence_floor={"high": 0.1, "medium": 0.4, "low": 0.8}),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it. a, b, c log-uniform on [1/2, 2].
@@ -241,7 +242,7 @@ FAMILIES = {
     "biseparable": Family(3, _biseparable_matrix, width=5 * BISEPARABLE_COMPONENTS, uniforms=16,
                           sample=_biseparable_sample, describe=_biseparable_describe),
     "product-sep": Family(2, lambda q: kron(*_bloch_matrix(q.reshape(len(q), -1, 3)).swapaxes(0, 1)),
-                          fixed_label=SEPARABLE, width=None, features=lambda spec: _product_features,
+                          fixed_label=SEPARABLE, width=None, features=_product_features,
                           describe=lambda q: {"components": [{"weight": 1.0, "blochs": q.reshape(-1, 3).tolist()}]}),
 }
 

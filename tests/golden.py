@@ -63,6 +63,9 @@ def commands():
     yield "gen refusal n", ["gen", "--family", "werner2", "--n", "10", "--out", "x.csv"], []
     yield "gen refusal family", ["gen", "--family", "product-sep", "--n", "40", "--out", "x.csv"], []
     yield "gen huge n", ["gen", "--family", "werner2", "--n", "10000000000000", "--out", "x.csv"], []
+    # Shapes numpy itself refuses: beyond its array size limit, and beyond its dimension limit.
+    for n in ("4611686018427387904", "100000000000000000000"):
+        yield f"gen huge n {n}", ["gen", "--family", "werner2", "--n", n, "--out", "x.csv"], []
     yield "gen missing dir", ["gen", "--family", "werner2", "--n", "40", "--out", "missing/x.csv"], []
     for family, data in (("werner2", "werner2-low-paper.csv"), ("concurrence", "concurrence-high-paper.csv"),
                          ("werner4", "werner4-high-paper.csv")):
@@ -77,6 +80,9 @@ def commands():
                                          "--format", fmt], [report]
     argv = ["fit", "--train", "werner2-low-paper.csv", "--epsilon", "0.01", "--model-out", "e.json"]
     yield "fit epsilon", argv, ["e.json"]
+    # A ridge at which |w|^2 underflows.
+    argv = ["fit", "--train", "werner2-low-paper.csv", "--epsilon", "1e200", "--model-out", "e200.json"]
+    yield "fit epsilon 1e200", argv, ["e200.json"]
     yield "fit missing dir", ["fit", "--train", "werner2-low-paper.csv", "--model-out", "missing/m.json"], []
     yield "fit missing file", ["fit", "--train", "absent.csv", "--model-out", "m.json"], []
     yield "eval mismatch", ["eval", "--model", "werner2-zscore.json", "--test", "werner3-high-paper.csv"], []
@@ -115,7 +121,8 @@ def inspect_commands():
         ["concurrence", "--theta0", "4", "--theta1", "1"], ["concurrence", "--theta0", "1"],
         ["pptes-acin", "--a", "0", "--b", "1", "--c", "1"], ["pptes-acin", "--a", "1"],
         ["product-sep", "--n-qubits", "0"], ["product-sep", "--n-qubits", "7"], ["biseparable", "--seed", "-3"],
-        ["w-state"],
+        ["w-state"], ["pptes-acin", "--a", "1e-320", "--b", "1", "--c", "1"],
+        ["pptes-acin", "--a", "1e308", "--b", "1e308", "--c", "1e-308"],
     ]
     for argv in cases + refusals:
         yield "inspect " + " ".join(argv), ["inspect", "--family", *argv], []

@@ -94,15 +94,16 @@ class TestGen:
         assert not (tmp_path / "x.csv").exists()
 
     def test_row_count_beyond_memory_exits_one(self, tmp_path, capsys):
-        """A feature matrix of 1.07 PiB, whose allocation fails at once."""
-        code = run_cli("gen", "--family", "werner2", "--n", "10000000000000", "--out", str(tmp_path / "x.csv"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == (
-            "error: n_samples=10000000000000: a 10000000000000 x 15 feature matrix does not fit in memory\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
+        """A feature matrix of 1.07 PiB, whose allocation fails at once, and
+        two whose shape numpy refuses: beyond its size limit, and beyond its
+        dimension limit."""
+        for n in ("10000000000000", "4611686018427387904", "100000000000000000000"):
+            code = run_cli("gen", "--family", "werner2", "--n", n, "--out", str(tmp_path / "x.csv"))
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"error: n_samples={n}: a {n} x 15 feature matrix does not fit in memory\n"
+            assert not (tmp_path / "x.csv").exists()
 
     def test_prints_class_counts(self, tmp_path, capsys):
         assert run_cli("gen", "--family", "werner2", "--n", "24", "--shots", "2", "--seed", "2",
@@ -159,6 +160,12 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err == "error: within-class scatter is numerically singular; increase epsilon\n"
         assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
+    def test_ridge_far_above_the_scatter_exits_zero(self, werner2_dataset, tmp_path):
+        """A ridge at which |w|^2 underflows still fits, to a unit direction."""
+        model_path = tmp_path / "m.json"
+        assert run_cli("fit", "--train", str(werner2_dataset), "--epsilon", "1e200", "--model-out", str(model_path)) == 0
+        assert abs(np.linalg.norm(load_model(str(model_path)).w) - 1.0) <= 1e-15
 
     def test_single_row_per_class_with_epsilon(self, tmp_path):
         train = tmp_path / "tiny.csv"
@@ -398,11 +405,13 @@ class TestBadModel:
             (lambda doc: doc.update(label_convention="majority"), "key 'label_convention': expected null or one of"),
             (lambda doc: doc.update(standardizer=[0.0]), "key 'standardizer': expected an object"),
             (lambda doc: doc["standardizer"].pop("shift"), "key 'standardizer.shift': missing"),
+            (lambda doc: doc.update(threshold=10**400), "key 'threshold': expected a finite number"),
+            (lambda doc: _edit_w(doc, lambda w: [-(10**400)] + w[1:]), "key 'w': expected a nonempty list of finite"),
         ],
         ids=["missing-w", "short-w", "string-threshold", "nan-in-w", "unknown-mode", "short-names", "one-mean",
              "zero-scale", "zero-w", "round-off-scale", "string-train-accuracy", "nan-train-accuracy",
              "train-accuracy-above-one", "infinite-epsilon", "negative-epsilon", "nan-fisher-j", "negative-fisher-j",
-             "unknown-label-convention", "list-standardizer", "missing-shift"],
+             "unknown-label-convention", "list-standardizer", "missing-shift", "huge-int-threshold", "huge-int-in-w"],
     )
     def test_bad_document(self, werner2_dataset, tmp_path, capsys, edit, message):
         model_path = tmp_path / "model.json"
@@ -707,14 +716,19 @@ class TestInspect:
             (["werner4", "--p", "1.5"], "werner4 mixing parameter p=1.5", "[0, 1]"),
             (["concurrence", "--theta0", "4", "--theta1", "1"], "(4.0, 1.0)", "[0, pi]"),
             (["pptes-acin", "--a", "0", "--b", "1", "--c", "1"], "a=0.0", "positive"),
+            (["pptes-acin", "--a", "1e-320", "--b", "1", "--c", "1"], "a=1e-320, b=1.0, c=1.0", "overflow"),
+            (["pptes-acin", "--a", "1e308", "--b", "1e308", "--c", "1e-308"], "a=1e+308, b=1e+308, c=1e-308",
+             "overflow"),
         ],
-        ids=["werner2", "werner3", "werner4", "concurrence", "pptes-acin"],
+        ids=["werner2", "werner3", "werner4", "concurrence", "pptes-acin", "pptes-acin-tiny", "pptes-acin-huge"],
     )
     def test_out_of_range_parameter_exits_one(self, capsys, argv, value, valid):
+        """One line on stderr, naming the bad values, and no numpy warning."""
         assert run_cli("inspect", "--family", *argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and value in captured.err and valid in captured.err
+        assert captured.err.count("\n") == 1 and "Warning" not in captured.err
 
     def test_missing_parameter_exits_one(self, capsys):
         code = run_cli("inspect", "--family", "werner2")

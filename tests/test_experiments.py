@@ -59,7 +59,8 @@ def count_computed_rows(monkeypatch):
     """``(computed, generators)``, filled as datasets are generated: per
     chunk, ``("stack", n)`` for the n rows of a validated stack and
     ``("closed", n)`` for the n rows a family's closed form computes, in call
-    order; and the row count of each Werner generating state validated."""
+    order; and the row count of each Werner generating state validated
+    (none: each record validates its own when it is built)."""
     computed, generators = [], []
     validate = qops.validate_states
 
@@ -69,11 +70,8 @@ def count_computed_rows(monkeypatch):
             validate(matrices)
         return check
 
-    def counted_features(make):
-        def features(spec):
-            closed_form = make(spec)
-            return lambda q: (computed.append(("closed", len(q))), closed_form(q))[1]
-        return features
+    def counted_features(closed_form):
+        return lambda q: (computed.append(("closed", len(q))), closed_form(q))[1]
 
     monkeypatch.setattr(qops, "validate_states", counted(lambda n: computed.append(("stack", n))))
     monkeypatch.setattr(states, "validate_states", counted(generators.append))
@@ -296,8 +294,8 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_one_state_per_row(self, family, convention, monkeypatch):
         """Each row is computed exactly once, in a chunk: by a validated stack
-        or, for Werner and product rows, by the family's closed form, whose
-        Werner generating state is validated once; no row goes through
+        or, for Werner and product rows, by the family's closed form, with no
+        Werner generating state validated; no row goes through
         ``from_family`` or ``DensityOperator``, the single-state path
         ``inspect`` takes."""
         computed, generators = count_computed_rows(monkeypatch)
@@ -313,14 +311,14 @@ class TestGenerateDataset:
         werner = states.FAMILIES[family].boundary is not None
         entangled = "closed" if werner else "stack"
         assert computed == [(entangled, 10), (entangled, 2), ("closed", 10), ("closed", 2)]
-        assert generators == ([1] if werner else [])
+        assert generators == []
 
     def test_each_chunk_holds_one_class(self, monkeypatch):
         """Every ``sample_family_params`` call samples one class: all the
         entangled chunks come before the separable ones, none exceeds
         ``_CHUNK_ROWS`` rows, and the chunks of a class add up to its count.
         Each chunk's features are computed in one call on the rows it sampled."""
-        calls, (computed, _) = [], count_computed_rows(monkeypatch)
+        calls, (computed, generators) = [], count_computed_rows(monkeypatch)
         sample_rows = experiments.sample_family_params
 
         def recording(family, label, overlap, uniforms, convention="paper"):
@@ -337,6 +335,7 @@ class TestGenerateDataset:
         for label, count in ((labels.ENTANGLED, 222), (labels.SEPARABLE, 379)):
             assert sum(rows for cls, rows in calls if cls == label) == count
         assert computed == [("closed", rows) for _, rows in calls]
+        assert generators == []
         assert ds.labels.dtype == int and int(np.sum(ds.labels == labels.ENTANGLED)) == 222
 
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
@@ -415,21 +414,37 @@ class TestGenerateDataset:
 
     @CORRUPTIONS
     @pytest.mark.parametrize("family", ["werner2", "werner4"])
-    def test_corrupted_werner_generating_state_raises(self, corrupt, message, family, monkeypatch):
-        """A Werner family's closed form reads its generating state (p = 1)
-        from the family's own stack and validates it: corrupted, the dataset
-        is refused with the message a DensityOperator of that state gives."""
+    def test_corrupted_werner_generating_state_raises(self, corrupt, message, family):
+        """A Werner record reads its generating state (p = 1) from its own
+        matrix function and validates it when it is built: corrupted, the
+        record is refused with the message a DensityOperator of that state
+        gives."""
         spec = states.FAMILIES[family]
         build = spec.stack
         with pytest.raises(ValueError, match=message):
             qops.DensityOperator(corrupt(build(np.ones((1, 1)))[0].astype(complex)))
 
-        def corrupted(params):
-            return np.stack([corrupt(m) for m in build(params).astype(complex)])
+        def corrupted(p):
+            return np.stack([corrupt(m) for m in build(p[:, None]).astype(complex)])
 
-        monkeypatch.setitem(states.FAMILIES, family, states.Family(**{**vars(spec), "stack": corrupted}))
         with pytest.raises(ValueError, match=message):
-            generate_dataset(ExperimentConfig(family=family, n_samples=24, shots=0))
+            states._werner(spec.n_qubits, corrupted, spec.p_min, spec.boundary["paper"], spec.boundary["ppt-oracle"])
+
+    @pytest.mark.parametrize("family", ["werner2", "werner3", "werner4"])
+    def test_werner_record_validates_its_generating_state_once(self, family, monkeypatch):
+        """Building a Werner record validates its one p = 1 state once; its
+        stack and closed form, called after, validate nothing."""
+        spec, shapes = states.FAMILIES[family], []
+        validate = states.validate_states
+        monkeypatch.setattr(states, "validate_states", lambda m: (shapes.append(m.shape), validate(m)))
+        record = states._werner(spec.n_qubits, lambda p: spec.stack(p[:, None]), spec.p_min,
+                                spec.boundary["paper"], spec.boundary["ppt-oracle"])
+        d = 2**spec.n_qubits
+        assert shapes == [(1, d, d)]
+        rows = np.array([[spec.p_min], [0.5], [1.0]])
+        record.stack(rows), record.features(rows)
+        assert shapes == [(1, d, d)]
+        np.testing.assert_array_equal(record.features(rows), spec.features(rows))
 
     @pytest.mark.parametrize("shots", [0, 16])
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
@@ -958,16 +973,15 @@ class TestReproduceTables:
     def test_a_table_builds_its_states_once(self, monkeypatch):
         """Tables 4 and 5, whose presets change only the shot count, compute
         each row once for their three cells; table 1, whose presets move the
-        Werner parameter, once per cell, validating its generating state
-        once per cell."""
+        Werner parameter, once per cell, validating no generating state."""
         n = 60
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: n)
         computed, generators = count_computed_rows(monkeypatch)
-        for tables, cells, generated in (([4, 5], 2, []), ([1], 3, [1, 1, 1])):
-            computed.clear(), generators.clear()
+        for tables, cells in (([4, 5], 2), ([1], 3)):
+            computed.clear()
             reproduce_tables(tables)
             assert sum(rows for _, rows in computed) == cells * n, tables
-            assert generators == generated, tables
+        assert generators == []
 
     def test_profile_sizes(self):
         assert profile_samples("ci", "werner2") == 4000

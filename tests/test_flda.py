@@ -235,6 +235,20 @@ class TestFit:
         model = fit(x, y)
         assert abs(np.linalg.norm(model.w) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["none", "zscore"])
+    @pytest.mark.parametrize("epsilon", [1e160, 1e200])
+    def test_ridge_far_above_the_scatter_gives_the_mean_difference(self, epsilon, mode):
+        """At a ridge so large that the solved w has |w|^2 below the smallest
+        normal double, w is still a unit vector, and is delta / |delta|, the
+        direction the ridge dominates (delta the standardized mean difference)."""
+        x, y = two_gaussian_problem(np.random.default_rng(22))
+        model = fit(x, y, epsilon=epsilon, standardizer=mode)
+        xs = apply_standardizer(model.standardizer, x)
+        delta = xs[y == 1].mean(axis=0) - xs[y == -1].mean(axis=0)
+        assert abs(np.linalg.norm(model.w) - 1.0) <= 1e-15
+        assert np.max(np.abs(model.w - delta / np.linalg.norm(delta))) <= 1e-12
+        assert model.fisher_j > 0
+
     def test_identical_means_rejected(self):
         rows = np.array([[0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="means coincide"):

@@ -294,6 +294,8 @@ class TestFromFamily:
         ("pptes-acin", [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "parameters must be positive, got a=0.0, b=1.0, c=1.0"),
         ("product-sep", [[0.1, 0.2, 0.3, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, -1.5]],
          "Bloch vector length 1.5 exceeds 1"),
+        ("pptes-acin", [[1.0, 1.0, 1.0], [1e-320, 1.0, 1.0]], "parameters a=1e-320, b=1.0, c=1.0 overflow"),
+        ("pptes-acin", [[1.0, 1.0, 1.0], [1e308, 1e308, 1e-308]], "parameters a=1e[+]308, b=1e[+]308, c=1e-308 overflow"),
     ],
 )
 def test_stack_refuses_out_of_range_rows(name, rows, message):
@@ -307,7 +309,7 @@ def test_stack_refuses_out_of_range_rows(name, rows, message):
         from_family(name, rows[-1])
     if FAMILIES[name].features:
         with pytest.raises(ValueError, match=message):
-            FAMILIES[name].features(FAMILIES[name])(np.array(rows))
+            FAMILIES[name].features(np.array(rows))
 
 
 CLOSED_FORM_FAMILIES = sorted(name for name, spec in FAMILIES.items() if spec.features)
@@ -324,7 +326,7 @@ def test_closed_form_refuses_what_the_stack_refuses(name):
     """At and just past each end of the mixing range, a Werner family's
     closed form accepts exactly the rows its stack accepts, and refuses the
     others with the stack's message."""
-    features = FAMILIES[name].features(FAMILIES[name])
+    features = FAMILIES[name].features
     for p in werner_edges(name):
         outcomes = []
         for build in (FAMILIES[name].stack, features):
@@ -368,7 +370,7 @@ def test_closed_form_matches_the_pauli_traces_of_the_stack(name):
     err by up to 3.3e-16 on product rows, so there the bound is 4.4e-16 and
     the closed form is held to the exact traces, within two roundings of
     products of numbers at most 1 in size (2.2e-16)."""
-    features = FAMILIES[name].features(FAMILIES[name])
+    features = FAMILIES[name].features
     for rows in closed_form_rows(name):
         stack = FAMILIES[name].stack(rows)
         validate_states(stack)
