@@ -74,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True, help="model path")
     ev.add_argument("--test", required=True, help="evaluation dataset path")
     ev.add_argument("--report-out", default=None, help="optional metrics report path")
-    ev.add_argument("--format", default="csv", choices=experiments.REPORT_FORMATS)
+    ev.add_argument("--format", default=None, choices=experiments.REPORT_FORMATS)  # None: csv
 
     ins = sub.add_parser("inspect", help="print spectra, PPT cuts and labels for one state")
     ins.add_argument("--family", required=True, choices=states.FAMILIES)
     for name in dict.fromkeys(key for spec in states.FAMILIES.values() for key in spec.params):
         ins.add_argument(f"--{name}", type=float, default=None, help=_PARAM_HELP.get(name))
     ins.add_argument("--seed", type=_seed, default=None, help="seed for the random families")
-    ins.add_argument("--n-qubits", type=int, default=2, help="register size for product-sep")
+    ins.add_argument("--n-qubits", type=int, default=None, help="register size for product-sep")  # None: 2
 
     rep = sub.add_parser("reproduce", help="re-run the benchmark tables and compare to reference values")
     rep.add_argument("--tables", default="1..7", help="comma list and/or ranges, e.g. 1,3 or 1..7")
@@ -160,6 +160,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.format and not args.report_out:
+        raise ValueError("--format applies only with --report-out")
     if args.report_out:
         flda.check_output_dir(args.report_out)
     model = flda.load_model(args.model)
@@ -197,20 +199,25 @@ def _cmd_eval(args) -> int:
 
 
 def _inspect_row(args) -> np.ndarray:
-    """The family's parameter row, from its flags or, for the families
-    without scalar parameters, from the dataset sampler at ``--seed``."""
+    """The family's parameter row, from its flags or, for the families without scalar parameters, from the dataset
+    sampler at ``--seed``; a flag the family does not read (``--n-qubits`` but for product-sep) is refused."""
     spec = states.FAMILIES[args.family]
+    if any(getattr(args, name) is None for name in spec.params):
+        flags = [f"--{name}" for name in spec.params]
+        listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
+        raise ValueError(f"{args.family} requires {listed}")
+    takes = set(spec.params) if spec.params else {"seed", "n_qubits"} if spec.width is None else {"seed"}
+    extra = [key for key, value in vars(args).items() if value is not None and key not in {"command", "family", *takes}]
+    if extra:
+        raise ValueError(f"--{extra[0].replace('_', '-')} does not apply to {args.family}")
     if spec.params:
-        if any(getattr(args, name) is None for name in spec.params):
-            flags = [f"--{name}" for name in spec.params]
-            listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
-            raise ValueError(f"{args.family} requires {listed}")
         return np.array([getattr(args, name) for name in spec.params])
     rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
     if spec.width is None:  # a Bloch vector per qubit
-        if not 1 <= args.n_qubits <= qops.MAX_QUBITS:
-            raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {args.n_qubits}")
-        return states.bloch_vectors(rng.random((args.n_qubits, 3))).ravel()
+        n_qubits = 2 if args.n_qubits is None else args.n_qubits
+        if not 1 <= n_qubits <= qops.MAX_QUBITS:
+            raise ValueError(f"--n-qubits must lie in 1..{qops.MAX_QUBITS}, got {n_qubits}")
+        return states.bloch_vectors(rng.random((n_qubits, 3))).ravel()
     return experiments.sample_family_params(args.family, labels.ENTANGLED, "high", rng.random((1, spec.uniforms)))[1][0]
 
 

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,11 +304,13 @@ def evaluate(model: FldaModel, features: np.ndarray, labels: np.ndarray) -> dict
 
 
 def _temp_beside(path: str) -> tuple:
-    """``(fd, name)`` of a new temp file beside ``path`` (refused if a directory); an ``OSError`` names ``path``."""
+    """``(fd, name)`` of a new, uniquely named temp file beside ``path`` (refused if a directory), created with
+    the mode open() gives ``path``; an ``OSError`` names ``path``. The name adds 13 characters to ``path``'s."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = os.fspath(path) + f".{os.urandom(4).hex()}.tmp"
     try:
-        return tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+        return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
 
@@ -331,9 +332,6 @@ def atomic_write(path: str, text) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -249,10 +249,9 @@ FAMILIES = {
 
 def family(name: str) -> Family:
     """The registry record of a canonical family name."""
-    try:
+    if isinstance(name, str) and name in FAMILIES:
         return FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}") from None
+    raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
 
 
 def from_family(name: str, row) -> DensityOperator:

@@ -88,6 +88,8 @@ def commands():
     yield "eval mismatch", ["eval", "--model", "werner2-zscore.json", "--test", "werner3-high-paper.csv"], []
     yield "eval missing dir", ["eval", "--model", "werner2-zscore.json", "--test", "werner2-low-paper.csv",
                                "--report-out", "missing/r.csv"], []
+    yield "eval format without report", ["eval", "--model", "werner2-zscore.json", "--test", "werner2-low-paper.csv",
+                                         "--format", "json"], []
     yield from inspect_commands()
     for seed in ("0", "7"):
         out = f"r{seed}.csv"
@@ -123,6 +125,9 @@ def inspect_commands():
         ["product-sep", "--n-qubits", "0"], ["product-sep", "--n-qubits", "7"], ["biseparable", "--seed", "-3"],
         ["w-state"], ["pptes-acin", "--a", "1e-320", "--b", "1", "--c", "1"],
         ["pptes-acin", "--a", "1e308", "--b", "1e308", "--c", "1e-308"],
+        # Flags the family does not read.
+        ["werner2", "--p", "0.4", "--a", "3", "--theta0", "1", "--n-qubits", "5", "--seed", "3"],
+        ["ppt-alt", "--p", "0.4"], ["biseparable", "--n-qubits", "3"],
     ]
     for argv in cases + refusals:
         yield "inspect " + " ".join(argv), ["inspect", "--family", *argv], []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,14 @@ class TestFit:
 
 
 class TestEval:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_without_report_exits_one(self, tmp_path, capsys, fmt):
+        """``--format`` sets the report's format only; without ``--report-out`` it is refused before any work."""
+        code = run_cli("eval", "--model", str(tmp_path / "m.json"), "--test", str(tmp_path / "a.csv"), "--format", fmt)
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --format applies only with --report-out\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_on_training_set_matches_fit(self, werner2_dataset, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run_cli("fit", "--train", str(werner2_dataset), "--model-out", str(model_path))
@@ -568,7 +577,7 @@ def test_every_registered_family(name, capsys):
         assert label in (-1, 1)
         assert spec.fixed_label in (None, label)
     flags = [arg for key, value in zip(spec.params, row.tolist()) for arg in (f"--{key}", repr(value))]
-    assert run_cli("inspect", "--family", name, "--seed", "0", *flags) == 0
+    assert run_cli("inspect", "--family", name, *(flags or ["--seed", "0"])) == 0
     assert capsys.readouterr().out == INSPECT_STDOUT[name]
     if name == "product-sep":
         assert run_cli("inspect", "--family", name, "--seed", "0", "--n-qubits", "1") == 0
@@ -651,6 +660,24 @@ class TestOutputCheckedFirst:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
 
+class TestOutputMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_each_writer_gives_the_mode_open_gives(self, tmp_path, capsys, umask):
+        """Every file written gets 0o666 less the umask, as a file open() creates does."""
+        data, model, report, tables = (tmp_path / name for name in ("d.csv", "m.json", "r.csv", "t.csv"))
+        saved = os.umask(umask)
+        try:
+            assert run_cli("gen", "--family", "werner2", "--n", "40", "--out", str(data)) == 0
+            assert run_cli("fit", "--train", str(data), "--model-out", str(model)) == 0
+            assert run_cli("eval", "--model", str(model), "--test", str(data), "--report-out", str(report)) == 0
+            assert run_cli("reproduce", "--tables", "6", "--out", str(tables)) == 0
+        finally:
+            os.umask(saved)
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "r.csv", "t.csv"]
+        assert {stat.S_IMODE(path.stat().st_mode) for path in (data, model, report, tables)} == {0o666 & ~umask}
+
+
 class TestInspect:
     def test_werner2_critical_eigenvalue(self, capsys):
         assert run_cli("inspect", "--family", "werner2", "--p", "0.5") == 0
@@ -729,6 +756,27 @@ class TestInspect:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and value in captured.err and valid in captured.err
         assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["werner2", "--p", "0.4", "--a", "3", "--theta0", "1", "--n-qubits", "5", "--seed", "3"], "--theta0"),
+            (["werner2", "--p", "0.4", "--a", "3"], "--a"),
+            (["ppt-alt", "--p", "0.4"], "--p"),
+            (["product-sep", "--c", "1"], "--c"),
+            (["werner2", "--p", "0.4", "--seed", "3"], "--seed"),
+            (["concurrence", "--theta0", "1", "--theta1", "2", "--seed", "0"], "--seed"),
+            (["werner3", "--p", "0.2", "--n-qubits", "3"], "--n-qubits"),
+            (["biseparable", "--n-qubits", "3"], "--n-qubits"),
+            (["ppt-alt", "--seed", "1", "--n-qubits", "2"], "--n-qubits"),
+        ],
+    )
+    def test_flag_the_family_does_not_read_exits_one(self, capsys, argv, flag):
+        """A parameter flag of another family, ``--n-qubits`` but for
+        product-sep, and ``--seed`` for a family with named parameters change
+        nothing, so they are refused, the first one given named."""
+        assert run_cli("inspect", "--family", *argv) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} does not apply to {argv[0]}\n")
 
     def test_missing_parameter_exits_one(self, capsys):
         code = run_cli("inspect", "--family", "werner2")

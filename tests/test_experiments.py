@@ -27,7 +27,7 @@ from entflda.experiments import (
     save_dataset,
     stratified_split,
 )
-from entflda.flda import MIN_SCALE, evaluate, fit
+from entflda.flda import MIN_SCALE, evaluate, fit, save_model
 from entflda.measure import pauli_words
 from oracles import family_state, pauli_word, projections_by_class
 
@@ -117,6 +117,10 @@ class TestConfigValidation:
             ({"family": "werner2", "master_seed": -3}, "master_seed"),
             ({"family": "werner2", "balance": 1.0}, "balance"),
             ({"family": "werner2", "shots": 2**63}, "shots"),
+            ({"family": "werner2", "balance": "0.5"}, "^balance must be a number, got '0.5'$"),
+            ({"family": "werner2", "balance": None}, "^balance must be a number, got None$"),
+            ({"family": "werner2", "balance": np.array([0.5])}, r"^balance must be a number, got array\(\[0\.5\]\)$"),
+            ({"family": ["werner2"]}, r"^unknown family \['werner2'\]"),
         ],
     )
     def test_rejections(self, kwargs, message):
@@ -801,7 +805,10 @@ class TestRunExperiment:
         for rows in chunk_sizes(cfg.n_samples):
             monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
             b = run_experiment(cfg)
-            assert a.deterministic_fields() == b.deterministic_fields()
+            assert a == b
+        # == is the determinism contract: the wall time is kept on the report but not compared.
+        assert dataclasses.replace(a, wall_time_seconds=a.wall_time_seconds + 1.0) == a
+        assert run_experiment(dataclasses.replace(cfg, master_seed=22)) != a
 
     @pytest.mark.parametrize("family, overlap", [("pptes-acin", "high"), ("pptes-acin", "low"), ("werner3", "medium")])
     def test_report_is_the_plain_pipeline(self, family, overlap):
@@ -874,6 +881,24 @@ class TestReproduceTables:
             with pytest.raises(ValueError, match=r"^unknown report format 'xml'; expected one of \('csv', 'json'\)$"):
                 reproduce_tables([1], out_path=out, fmt="xml")
         assert not (tmp_path / "r.xml").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3", None])
+    def test_bad_seed_refused_before_the_output_check(self, monkeypatch, seed):
+        """The seed is checked as ``ExperimentConfig`` checks ``master_seed``,
+        before the output directory and before any cell."""
+        monkeypatch.setattr(experiments, "_run_unit", lambda configs: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+            reproduce_tables([6], out_path="/nonexistent-dir/r.csv", seed=seed)
+
+    def test_writers_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        """No writer sets the process umask, even for a moment: a file
+        another thread created meanwhile would get the wrong mode."""
+        monkeypatch.setattr(os, "umask", lambda mask: pytest.fail("os.umask was called"))
+        dataset = generate_dataset(ExperimentConfig(family="werner2", n_samples=40, master_seed=1))
+        save_dataset(dataset, str(tmp_path / "d.csv"))
+        save_model(fit(dataset.features, dataset.labels), str(tmp_path / "m.json"))
+        reproduce_tables([6], out_path=str(tmp_path / "t.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "t.csv"]
 
     def test_empty_table_ids_refused(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -748,6 +748,13 @@ class TestSerialization:
 
 
 class TestAtomicWrite:
+    def test_long_target_name_is_written(self, tmp_path):
+        """A 242-byte target name is written: with the temp file's 13 added
+        characters the name stays within the usual 255-byte limit."""
+        path = tmp_path / ("a" * 238 + ".csv")
+        atomic_write(str(path), "x\n")
+        assert path.read_text() == "x\n" and list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path, error):
         """An iterable that raises mid-write: the exception propagates, the
