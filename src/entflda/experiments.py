@@ -7,7 +7,7 @@ concurrence floor. Other families see the shot count only, so tables 4 and
 5 stay flat across presets where the published accuracies fall; thresholds,
 Fisher magnitudes and that ordering are explicitly not reproduction targets.
 
-Determinism contract: a dataset is built in two stages on two streams keyed by
+Determinism contract: a dataset is built in two stages on streams keyed by
 its master seed. The states stage samples, builds, validates, labels and
 measures exact rows class by class (entangled first) in chunks, Werner and
 product rows by their families' closed forms with no state built; row i's
@@ -15,7 +15,8 @@ parameters come from a fixed block of uniforms, its family's
 ``Family.uniforms`` draws, of a counter-based Philox stream, so they depend on
 (master_seed, i) alone and row i can be regenerated by advancing the stream to
 its block. A shot config then draws its counts from the exact rows in row
-order at one site, :func:`_draw_shots`. ``reproduce_tables`` runs its cells in
+order at one site, :func:`_draw_shots`, on a binomial and an alias-table
+stream. ``reproduce_tables`` runs its cells in
 units on concurrent threads: cells whose configs differ only in the shot count
 (and, for a family whose preset moves no parameter, the overlap) share one
 states stage, as tables 4 and 5 do. Datasets and reports are bit-identical
@@ -146,13 +147,14 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
     return np.random.Generator(bit_generator)
 
 
-def _draw_shots(exact: np.ndarray, out: np.ndarray, rows: np.ndarray, shots: int, master_seed: int) -> None:
-    """Dataset row i's ``shots``-shot estimates of ``exact[rows[i]]``, written to ``out[rows[i]]`` (``out`` may
-    be ``exact``): one ``shot_estimates`` call per ``_CHUNK_ROWS`` rows, in row order, on ``[master_seed, 3]``."""
-    rng = np.random.default_rng([master_seed, 3])
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[start : start + _CHUNK_ROWS]
-        out[block] = shot_estimates(exact[block], shots, rng)
+def _draw_shots(exact: np.ndarray, out: np.ndarray, shots: int, master_seed: int, rows=None) -> None:
+    """Dataset row i's ``shots``-shot estimates of ``exact[rows[i]]`` (no ``rows``: ``exact[i]``) into that row of
+    ``out``, which may be ``exact``: a ``shot_estimates`` call per ``_CHUNK_ROWS`` rows, in row order, on
+    ``[master_seed, 3]`` (binomial) and ``[master_seed, 5]`` (alias table)."""
+    rng, half_rng = (np.random.default_rng([master_seed, stream]) for stream in (3, 5))
+    for start in range(0, len(exact), _CHUNK_ROWS):
+        block = slice(start, start + _CHUNK_ROWS) if rows is None else rows[start : start + _CHUNK_ROWS]
+        out[block] = shot_estimates(exact[block], shots, rng, half_rng)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -203,17 +205,15 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
         return "product-sep", states.bloch_vectors(u[:, : 3 * spec.n_qubits].reshape(n, -1, 3)).reshape(n, -1)
 
     if spec.concurrence_floor is not None:
-        # At the low preset a pair passes with probability 0.134, so all of
-        # a row's uniforms / 2 pairs fail with probability below 1e-16.
+        # C = sin(theta0) sin(theta1 / 2) >= c_min only in [lo, pi - lo] x [2 lo, pi], lo = asin(c_min); a pair
+        # from it passes with probability 0.801 at 0.8, so all uniforms / 2 = 24 fail with probability < 1e-16.
         c_min = spec.concurrence_floor[overlap]
-        pairs, first = np.pi * u.reshape(n, -1, 2), np.full(n, -1)
-        for stop in (16, None):  # most rows accept one of their first 16 pairs
-            pending = np.flatnonzero(first < 0)
-            accepted = labels.concurrence_analytic(pairs[pending, :stop, 0], pairs[pending, :stop, 1]) >= c_min
-            first[pending] = np.where(accepted.any(axis=1), accepted.argmax(axis=1), -1)
-        if np.any(first < 0):
+        lo = math.asin(c_min)
+        pairs = lo * np.array([1.0, 2.0]) + (np.pi - 2 * lo) * u.reshape(n, -1, 2)
+        accepted = labels.concurrence_analytic(pairs[..., 0], pairs[..., 1]) >= c_min
+        if not accepted.any(axis=1).all():
             raise RuntimeError(f"rejection sampling failed to reach concurrence {c_min}")
-        return family, pairs[np.arange(n), first]
+        return family, pairs[np.arange(n), accepted.argmax(axis=1)]
     if spec.sample is None:
         raise ValueError(f"family {family!r} has no entangled class")
     return family, spec.sample(u)
@@ -247,7 +247,7 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
                 x[start:stop] = exact_features(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
     if shots:
-        _draw_shots(x, x, np.arange(n), shots, config.master_seed)
+        _draw_shots(x, x, shots, config.master_seed)
     return Dataset(features=x, labels=y, feature_names=words)
 
 
@@ -429,7 +429,7 @@ def _run_unit(configs: list) -> list:
         config, x, shots = configs[i], exact, configs[i].effective_shots
         if shots:
             x = exact if i == run[-1] else np.empty_like(exact)
-            _draw_shots(exact, x, rows, shots, config.master_seed)
+            _draw_shots(exact, x, shots, config.master_seed, rows)
         model = flda.fit(x[:n_train], y[:n_train], feature_names=names, label_convention=config.label_convention)
         test_metrics = flda.evaluate(model, x[n_train:], y[n_train:])
         x = None  # frees a shot config's own matrix

@@ -188,6 +188,8 @@ def fit(
     class). Features so large that their statistics overflow float64 are
     refused, with no numpy warning.
     """
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (type(None), int, float, np.integer, np.floating)):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     eps = None if epsilon is None else float(epsilon)
     if eps is not None and not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
@@ -196,6 +198,8 @@ def fit(
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     _check_rows(x, y)
+    if not (feature_names is None or np.iterable(feature_names)):
+        raise ValueError(f"feature_names must be an iterable of names, got {feature_names!r}")
     names = tuple(feature_names) if feature_names is not None else None
     if names is not None and len(names) != x.shape[1]:
         raise ValueError(f"{len(names)} feature names for {x.shape[1]} feature columns")

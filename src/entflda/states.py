@@ -192,7 +192,8 @@ class Family:
     parameter per label convention above which the state is entangled.
     ``concurrence_floor`` maps an overlap preset to the concurrence an
     entangled row must reach; a row keeps the first of its ``uniforms`` / 2
-    angle pairs that does. Under ``paper``, C > 0 is entangled.
+    angle pairs, drawn from the box that bounds C >= floor, that does. Under
+    ``paper``, C > 0 is entangled.
     ``fixed_label`` is a class that holds under every convention. A dataset
     row takes ``uniforms`` draws, whole Philox outputs of four, for either
     class; ``sample`` maps them to the entangled class where the overlap
@@ -233,7 +234,7 @@ FAMILIES = {
     "werner3": _werner(3, lambda p: _werner_ghz_matrix(3, p), 0.0, 1 / 5, 1 / 5),
     "werner4": _werner(4, lambda p: _werner_ghz_matrix(4, p), 0.0, 1 / 7, 1 / 9),
     "concurrence": Family(2, lambda q: _concurrence_matrix(q[:, 0], q[:, 1]), ("theta0", "theta1"),
-                          width=2, uniforms=512, concurrence_floor={"high": 0.1, "medium": 0.4, "low": 0.8}),
+                          width=2, uniforms=48, concurrence_floor={"high": 0.1, "medium": 0.4, "low": 0.8}),
     # Bound entangled: PPT under every cut, so the transpose oracle cannot see it. a, b, c log-uniform on [1/2, 2].
     "pptes-acin": Family(3, lambda q: _pptes_matrix(*q.T), ("a", "b", "c"), fixed_label=ENTANGLED, width=3,
                          uniforms=12, sample=lambda u: np.exp(np.log(0.5) + u[:, :3] * (np.log(2.0) - np.log(0.5)))),

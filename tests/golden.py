@@ -54,6 +54,9 @@ def commands():
                 yield f"gen {out}", argv, [out]
     yield "gen shots", ["gen", "--family", "werner3", "--n", "60", "--shots", "8", "--seed", "3",
                         "--out", "w3-shots.csv"], ["w3-shots.csv"]
+    # 4,097 shots, one above the largest count drawn from an alias table: every count is binomial.
+    yield "gen shots above table", ["gen", "--family", "werner3", "--n", "60", "--shots", "4097", "--seed", "3",
+                                    "--out", "w3-above.csv"], ["w3-above.csv"]
     # 600 rows a class at 2,048 shots: the shot draw runs over several chunks of each class.
     yield "gen shots chunks", ["gen", "--family", "werner3", "--overlap", "medium", "--n", "1200", "--seed", "5",
                                "--out", "w3-chunks.csv"], ["w3-chunks.csv"]

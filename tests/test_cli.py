@@ -466,13 +466,13 @@ INSPECT_STDOUT = {
     ),
     "concurrence": (
         "family: concurrence\n"
-        'params: {"theta0": 2.0010741575072397, "theta1": 0.8475599579967072}\n'
+        'params: {"theta0": 1.9736359594733879, "theta1": 0.9938471215570693}\n'
         "eigenvalues: 0.000000 0.000000 0.000000 1.000000\n"
-        "min PT eigenvalue 0|1: -0.186864\n"
+        "min PT eigenvalue 0|1: -0.219281\n"
         "PPT under all cuts: False\n"
         "label (paper): -1\n"
         "label (ppt-oracle): -1\n"
-        "concurrence: 0.373727\n"
+        "concurrence: 0.438562\n"
     ),
     "ppt-alt": (
         "family: ppt-alt\n"

@@ -173,8 +173,48 @@ class TestSampleFamilyParams:
             _, params = sample("concurrence", -1, overlap, 50, 3 + seed)
             assert np.all(labels.concurrence_analytic(params[:, 0], params[:, 1]) >= floor)
 
+    @pytest.mark.parametrize("overlap", experiments.OVERLAP_LEVELS)
+    def test_concurrence_box_holds_the_accepted_region(self, overlap):
+        """C = sin(theta0) sin(theta1 / 2) >= c needs both factors >= c, so
+        every accepted pair lies in [lo, pi - lo] x [2 lo, pi], lo = asin(c):
+        C is c on the box's edges and below c just outside them, and no pair
+        of a 1,001 x 1,001 grid over [0, pi]^2 outside the box is accepted.
+        The box's largest draw stays inside [0, pi]^2."""
+        c = states.FAMILIES["concurrence"].concurrence_floor[overlap]
+        lo = np.arcsin(c)
+        edges = np.array([[lo, np.pi], [np.pi - lo, np.pi], [np.pi / 2, 2 * lo]])
+        np.testing.assert_allclose(labels.concurrence_analytic(edges[:, 0], edges[:, 1]), c, rtol=1e-15)
+        outside = np.array([[lo - 1e-9, np.pi], [np.pi - lo + 1e-9, np.pi], [np.pi / 2, 2 * lo - 1e-9]])
+        assert np.all(labels.concurrence_analytic(outside[:, 0], outside[:, 1]) < c)
+        t0, t1 = np.meshgrid(*[np.linspace(0, np.pi, 1001)] * 2, indexing="ij")
+        accepted = labels.concurrence_analytic(t0, t1) >= c
+        in_box = (lo <= t0) & (t0 <= np.pi - lo) & (2 * lo <= t1)
+        assert accepted.any() and not np.any(accepted & ~in_box)
+        largest = np.full((1, states.FAMILIES["concurrence"].uniforms), 1 - 2**-53)  # the largest [0, 1) double
+        _, corner = sample_family_params("concurrence", -1, overlap, largest)
+        assert np.all(corner <= np.pi)
+
+    @pytest.mark.parametrize("overlap", experiments.OVERLAP_LEVELS)
+    def test_concurrence_box_matches_the_square(self, overlap):
+        """The first accepted pair from the box has the distribution of the
+        first accepted pair from [0, pi]^2, uniform over the accepted region:
+        two-sample Kolmogorov-Smirnov tests on theta0, theta1 and C at a
+        fixed seed."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(31)
+        c = states.FAMILIES["concurrence"].concurrence_floor[overlap]
+        _, box = sample("concurrence", -1, overlap, 4000, 30)
+        square = np.pi * rng.random((4000, 256, 2))
+        accepted = labels.concurrence_analytic(square[..., 0], square[..., 1]) >= c
+        assert accepted.any(axis=1).all()
+        square = square[np.arange(4000), accepted.argmax(axis=1)]
+        for a, b in ((box[:, 0], square[:, 0]), (box[:, 1], square[:, 1]),
+                     (labels.concurrence_analytic(*box.T), labels.concurrence_analytic(*square.T))):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
+
     def test_concurrence_without_accepted_pair_fails_loudly(self):
-        u = np.full((3, states.FAMILIES["concurrence"].uniforms), 0.999)  # every candidate near (pi, pi): C = 0
+        # Every candidate is the box's corner (asin 0.8, 2 asin 0.8), where C = 0.8^2 < 0.8.
+        u = np.zeros((3, states.FAMILIES["concurrence"].uniforms))
         with pytest.raises(RuntimeError, match="concurrence 0.8"):
             sample_family_params("concurrence", -1, "low", u)
 
@@ -713,9 +753,9 @@ class TestShotDraw:
         def refuse(*args, **kwargs):
             raise AssertionError("shots drawn through sampled_features")
 
-        def counted(exact, shots, rng):
+        def counted(exact, shots, rng, half_rng):
             calls.append((shots, exact.copy()))
-            return draw(exact, shots, rng)
+            return draw(exact, shots, rng, half_rng)
 
         monkeypatch.setattr(experiments, "sampled_features", refuse)
         monkeypatch.setattr(experiments, "shot_estimates", counted)
@@ -838,8 +878,10 @@ class TestRunExperiment:
         assert means["low"] >= means["high"]
 
     def test_biseparable_high_accuracy(self):
-        report = run_experiment(ExperimentConfig(family="biseparable", overlap="high", n_samples=400, master_seed=4))
-        assert report.test_accuracy >= 0.99
+        """Mean over ten master seeds: one seed's 80 test rows show shot noise, not the family's separability."""
+        accs = [run_experiment(ExperimentConfig(family="biseparable", overlap="high", n_samples=400, master_seed=s))
+                .test_accuracy for s in range(10)]
+        assert np.mean(accs) >= 0.99, accs
 
     def test_projection_export(self):
         cfg = ExperimentConfig(family="werner2", overlap="low", n_samples=60, master_seed=6)
@@ -1018,12 +1060,16 @@ class TestReproduceTables:
     def test_within_table_orderings(self, tmp_path):
         # Fisher values must grow strictly as overlap decreases. Accuracies
         # for the PPT families saturate near 1.0 at every preset, so the
-        # accuracy ordering is asserted up to a two-test-sample tie.
+        # accuracy ordering is asserted up to a two-test-sample tie. Their
+        # presets move only the shot count (tables 4 and 5 are flat by
+        # construction), so their ordering is asserted on the mean of seeds
+        # 0-2, where one seed's shot noise is as large as the tie.
         for table in (1, 4, 5):
-            rows = reproduce_tables([table], seed=0)
+            runs = [reproduce_tables([table], seed=seed) for seed in ((0,) if table == 1 else (0, 1, 2))]
+            rows = runs[0]
             js = [r["fisher_j"] for r in rows]
-            accs = [r["test_acc"] for r in rows]
             assert js[0] < js[1] < js[2], (table, js)
+            accs = np.mean([[r["test_acc"] for r in run] for run in runs], axis=0)
             n_test = profile_samples("ci", rows[0]["family"]) // 5
             tol = 2.0 / n_test
             assert accs[2] >= accs[1] - tol >= accs[0] - 2 * tol, (table, accs)

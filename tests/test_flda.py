@@ -1,6 +1,7 @@
 """Tests for the Fisher discriminant core."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -263,6 +264,24 @@ class TestFit:
         x, y = two_gaussian_problem(np.random.default_rng(24))
         with pytest.raises(ValueError, match="epsilon must be finite"):
             fit(x, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [[0.1], "1", True, np.array(0.1)], ids=["list", "text", "bool", "array"])
+    def test_epsilon_of_another_type_refused(self, epsilon):
+        """A ridge that is not a real number is refused by name, not passed to
+        ``float`` (which reads "1" and True as 1.0)."""
+        x, y = two_gaussian_problem(np.random.default_rng(24))
+        with pytest.raises(ValueError, match=f"^epsilon must be a number, got {re.escape(repr(epsilon))}$"):
+            fit(x, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [2, np.float32(0.5), np.int64(3)])
+    def test_integer_and_numpy_epsilon_accepted(self, epsilon):
+        x, y = two_gaussian_problem(np.random.default_rng(24))
+        assert fit(x, y, epsilon=epsilon).epsilon == float(epsilon)
+
+    def test_feature_names_not_iterable_refused(self):
+        x, y = two_gaussian_problem(np.random.default_rng(29), n_features=3)
+        with pytest.raises(ValueError, match="^feature_names must be an iterable of names, got 5$"):
+            fit(x, y, feature_names=5)
 
     @pytest.mark.parametrize("mode", STANDARDIZER_MODES)
     @pytest.mark.parametrize("value", NON_FINITE)

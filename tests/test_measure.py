@@ -1,5 +1,6 @@
 """Tests for Pauli feature extraction and shot sampling."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ import pytest
 
 from entflda import experiments
 from entflda.experiments import OVERLAP_LEVELS, ExperimentConfig, generate_dataset, sample_family_params
-from entflda.measure import check_pauli_words, exact_features, pauli_words, sampled_features, shot_estimates
+from entflda.measure import (
+    TABLE_MAX_SHOTS,
+    _half_table,
+    check_pauli_words,
+    exact_features,
+    pauli_words,
+    sampled_features,
+    shot_estimates,
+)
 from entflda.states import FAMILIES, bloch_vectors, from_family
 from oracles import reconstruct_density
 
@@ -188,36 +197,104 @@ class TestShotEstimates:
         stack = np.stack([state("werner3", p) for p in (0.1, 0.5, 0.9)])
         for rho in (one, stack):
             a = sampled_features(rho, shots, np.random.default_rng(9))
-            b = shot_estimates(exact_features(rho), shots, np.random.default_rng(9))
+            rng = np.random.default_rng(9)
+            b = shot_estimates(exact_features(rho), shots, rng, rng)
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7, experiments._CHUNK_ROWS])
     def test_blocks_from_one_generator_give_one_call(self, rows):
-        """Row blocks drawn in turn from one generator have the bits of one
-        call on the whole (n, d) matrix, whatever the block size."""
+        """Row blocks drawn in turn from one pair of generators (binomial and
+        alias table) have the bits of one call on the whole (n, d) matrix,
+        whatever the block size."""
         exact = generate_dataset(ExperimentConfig(family="werner3", overlap="low", n_samples=600, master_seed=4)).features
-        whole = shot_estimates(exact, 512, np.random.default_rng(11))
-        rng = np.random.default_rng(11)
-        blocks = [shot_estimates(exact[start : start + rows], 512, rng) for start in range(0, len(exact), rows)]
+        whole = shot_estimates(exact, 512, np.random.default_rng(11), np.random.default_rng(12))
+        rng, half_rng = np.random.default_rng(11), np.random.default_rng(12)
+        blocks = [shot_estimates(exact[i : i + rows], 512, rng, half_rng) for i in range(0, len(exact), rows)]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("family", ["werner2", "pptes-acin"])
     def test_dataset_shots_are_drawn_from_its_exact_rows(self, family):
         """A shot dataset is its exact dataset's rows measured by one call on
-        the shot stream ``[master_seed, 3]``: the two stages a table's cells
-        may share."""
+        the shot streams ``[master_seed, 3]`` (binomial) and ``[master_seed,
+        5]`` (alias table): the two stages a table's cells may share."""
         config = ExperimentConfig(family=family, overlap="medium", n_samples=300, master_seed=8)
         exact = generate_dataset(ExperimentConfig(family=family, overlap="medium", n_samples=300, master_seed=8, shots=0))
-        drawn = shot_estimates(exact.features, config.effective_shots, np.random.default_rng([8, 3]))
+        streams = np.random.default_rng([8, 3]), np.random.default_rng([8, 5])
+        drawn = shot_estimates(exact.features, config.effective_shots, *streams)
         dataset = generate_dataset(config)
         assert dataset.features.tobytes() == drawn.tobytes()
         assert dataset.labels.tobytes() == exact.labels.tobytes()
 
     def test_refusals(self):
         with pytest.raises(ValueError, match=r"^shots must be >= 1, got 0$"):
-            shot_estimates(np.zeros(3), 0, np.random.default_rng(0))
+            shot_estimates(np.zeros(3), 0, np.random.default_rng(0), np.random.default_rng(1))
         with pytest.raises(ValueError, match=r"^outcome probability outside \[0, 1\]"):
-            shot_estimates(np.array([0.5, -1.5]), 4, np.random.default_rng(0))
+            shot_estimates(np.array([0.5, -1.5]), 4, np.random.default_rng(0), np.random.default_rng(1))
+
+
+class TestHalfTable:
+    """Zero expectations draw their counts, Binomial(shots, 1/2), from an
+    alias table on the second generator; every other count is binomial."""
+
+    @pytest.mark.parametrize("shots", [1, 16, 512, 2048])
+    def test_table_gives_the_exact_pmf(self, shots):
+        """The mass each bin's threshold and alias give count k is
+        C(shots, k) / 2^shots within 1e-15."""
+        threshold, pick = _half_table(shots)
+        n = shots + 1
+        assert threshold.shape == (n,) and np.all((0 <= threshold) & (threshold <= 1))
+        assert pick[0::2].tobytes() == (2.0 * np.arange(n) / shots - 1.0).tobytes()
+        alias = np.rint((pick[1::2] + 1.0) * shots / 2).astype(int)
+        assert pick[1::2].tobytes() == pick[2 * alias].tobytes()
+        implied = threshold.copy()
+        np.add.at(implied, alias, 1.0 - threshold)
+        exact = np.array([math.comb(shots, k) / 2**shots for k in range(n)])
+        np.testing.assert_allclose(implied / n, exact, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shots", [16, 512])
+    def test_counts_pass_a_chi_square(self, shots):
+        """10^6 counts drawn at a fixed seed fit Binomial(shots, 1/2): a
+        chi-square over the counts, tails pooled to an expected 5 or more."""
+        stats = pytest.importorskip("scipy.stats")
+        est = shot_estimates(np.zeros(10**6), shots, np.random.default_rng(0), np.random.default_rng(40))
+        counts = np.rint((est + 1.0) * shots / 2).astype(int)
+        observed = np.bincount(counts, minlength=shots + 1)
+        expected = stats.binom.pmf(np.arange(shots + 1), shots, 0.5) * len(counts)
+        lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+        pooled_obs = [observed[: lo + 1].sum(), *observed[lo + 1 : hi], observed[hi:].sum()]
+        pooled_exp = [expected[: lo + 1].sum(), *expected[lo + 1 : hi], expected[hi:].sum()]
+        pooled_exp = np.array(pooled_exp) * len(counts) / sum(pooled_exp)
+        assert stats.chisquare(pooled_obs, pooled_exp).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shots", [TABLE_MAX_SHOTS, TABLE_MAX_SHOTS + 1])
+    def test_table_up_to_its_cap(self, shots):
+        """At the cap, zero expectations take one uniform each from the
+        second generator and the rest are binomial on the first; above it,
+        every count is one binomial call, with the second generator unread."""
+        exact = np.array([[0.0, 0.5, 0.0], [-0.25, 0.0, 1.0]])
+        rng, half_rng = np.random.default_rng(1), np.random.default_rng(2)
+        got = shot_estimates(exact, shots, rng, half_rng)
+        binomial, half = np.random.default_rng(1), np.random.default_rng(2)
+        if shots <= TABLE_MAX_SHOTS:
+            zero = exact == 0
+            want = np.empty_like(exact)
+            want[~zero] = 2.0 * binomial.binomial(shots, (1.0 + exact[~zero]) / 2.0) / shots - 1.0
+            half.random(zero.sum())
+            assert np.all(np.abs(got[zero]) < 0.2)
+            got[zero] = want[zero] = 0.0
+        else:
+            want = 2.0 * binomial.binomial(shots, (1.0 + exact) / 2.0) / shots - 1.0
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == binomial.bit_generator.state
+        assert half_rng.bit_generator.state == half.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_estimates_are_float64(dtype):
+    """Counts are written into the estimates' own buffer, which is float64
+    whatever the exact values' dtype."""
+    est = shot_estimates(np.array([0, 1, 0, -1], dtype=dtype), 512, np.random.default_rng(0), np.random.default_rng(1))
+    assert est.dtype == np.float64 and est.tolist()[1::2] == [1.0, -1.0]
 
 
 def test_sampling_is_unbiased():
