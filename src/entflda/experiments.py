@@ -8,9 +8,9 @@ concurrence floor. Other families see the shot count only, so tables 4 and
 Fisher magnitudes and that ordering are explicitly not reproduction targets.
 
 Determinism contract: a dataset is built in two stages on streams keyed by
-its master seed. The states stage samples, builds, validates, labels and
-measures exact rows class by class (entangled first) in chunks, Werner and
-product rows by their families' closed forms with no state built; row i's
+its master seed. The states stage samples, measures (each family's closed
+form) and labels exact rows class by class (entangled first) in blocks,
+building states only where a ``ppt-oracle`` label reads them; row i's
 parameters come from a fixed block of uniforms, its family's
 ``Family.uniforms`` draws, of a counter-based Philox stream, so they depend on
 (master_seed, i) alone and row i can be regenerated by advancing the stream to
@@ -20,7 +20,7 @@ stream. ``reproduce_tables`` runs its cells in
 units on concurrent threads: cells whose configs differ only in the shot count
 (and, for a family whose preset moves no parameter, the overlap) share one
 states stage, as tables 4 and 5 do. Datasets and reports are bit-identical
-across reruns, chunk sizes, thread counts and units; wall time is not.
+across reruns, block and chunk sizes, thread counts and units; wall time is not.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import flda, labels, qops, states
-# sampled_features is not called here: the benchmark's tracer looks it up as experiments.sampled_features.
+# exact_features and sampled_features are not called here: the benchmark's tracer looks them up in this module.
 from .measure import check_pauli_words, exact_features, pauli_words, sampled_features, shot_estimates
 
 OVERLAP_LEVELS = ("high", "medium", "low")
@@ -84,19 +84,13 @@ class ExperimentConfig:
         if states.family(self.family).fixed_label == labels.SEPARABLE:
             raise ValueError(f"family {self.family!r} has no entangled class and cannot head a dataset")
         for name in ("n_samples", "shots", "master_seed"):
-            value = getattr(self, name)
-            if value is None and name == "shots":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer is stored as an int
+            if name != "shots" or self.shots is not None:  # a numpy integer is stored as an int
+                setattr(self, name, flda.check_integer(name, getattr(self, name)))
         if self.overlap not in OVERLAP_LEVELS:
             raise ValueError(f"overlap {self.overlap!r} not one of {OVERLAP_LEVELS}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples={self.n_samples} is below the minimum of 20")
-        if not isinstance(self.balance, (int, float, np.integer, np.floating)):
-            raise ValueError(f"balance must be a number, got {self.balance!r}")
-        if not (0.0 < self.balance < 1.0):
+        if not (0.0 < flda.check_number("balance", self.balance) < 1.0):
             raise ValueError(f"balance={self.balance} must lie strictly inside (0, 1)")
         if min(self.n_entangled, self.n_samples - self.n_entangled) < 10:
             raise ValueError("balance leaves fewer than 10 samples in one class")
@@ -136,7 +130,8 @@ class ExperimentReport:
     wall_time_seconds: float = field(compare=False)  # a unit's first config run also times the states stage
 
 
-# Rows per generation chunk and per written block; the bytes do not depend on it.
+# Rows per states-stage block, and per shot-draw and written block; the bytes depend on neither.
+_STATES_ROWS = 2048
 _CHUNK_ROWS = 256
 
 
@@ -221,10 +216,11 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
     """The labeled feature matrix of a configuration. The states stage writes
-    the exact rows, entangled then separable, each class in ``_CHUNK_ROWS``-row
-    chunks built, validated, labeled and measured as one stack, or measured by
-    the family's closed form (``Family.features``) and labeled; a shot config
-    then draws its estimates over the matrix in place (:func:`_draw_shots`)."""
+    the exact rows, entangled then separable, each class in ``_STATES_ROWS``-row
+    blocks measured by the family's closed form (``Family.features``) and
+    labeled, a block's stack built and validated only for a ``ppt-oracle``
+    label that reads it; a shot config then draws its estimates over the
+    matrix in place (:func:`_draw_shots`)."""
     spec = states.FAMILIES[config.family]
     words = pauli_words(spec.n_qubits)
     shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
@@ -234,17 +230,15 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     except (MemoryError, ValueError):  # numpy refuses a shape beyond its array limit with a ValueError
         raise ValueError(f"n_samples={n}: a {n} x {len(words)} feature matrix does not fit in memory") from None
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
-        for start in range(lo, hi, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, hi)
+        for start in range(lo, hi, _STATES_ROWS):
+            stop = min(start + _STATES_ROWS, hi)
             u = rng.random((stop - start, spec.uniforms))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
             build, stack = states.FAMILIES[name], None
-            if build.features:
-                x[start:stop] = build.features(params)
-            else:
-                stack = build.stack(params)
+            x[start:stop] = build.features(params)
+            if config.label_convention == "ppt-oracle" and build.fixed_label is None and build.boundary is None:
+                stack = build.stack(params)  # the transpose oracle reads the states
                 qops.validate_states(stack)
-                x[start:stop] = exact_features(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
     if shots:
         _draw_shots(x, x, shots, config.master_seed)
@@ -521,12 +515,15 @@ def reproduce_tables(
     row. Rows carry the derived per-row seed, and each equals
     ``run_experiment`` of its cell alone."""
     _check_format(fmt)
-    ids = list(table_ids)
-    bad = [t for t in ids if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t not in TABLE_FAMILIES]
+    ids, bad = list(table_ids), []
+    for t in ids:
+        try:
+            bad += [] if flda.check_integer("table id", t) in TABLE_FAMILIES else [t]
+        except ValueError:
+            bad.append(t)
     if bad or not ids:
         raise ValueError(f"unknown table ids {bad}; valid ids are 1..7" if bad else "no table ids given")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:  # as master_seed is checked
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    flda.check_integer("seed", seed, nonnegative=True)
     if out_path is not None:
         flda.check_output_dir(out_path)
 

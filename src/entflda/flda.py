@@ -169,6 +169,21 @@ def _refuse_overflow(*values) -> None:
         raise ValueError("features overflow float64: their scale, scatter or Fisher criterion is not finite")
 
 
+def check_integer(name: str, value, nonnegative: bool = False) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it is no int or numpy integer (a bool is none) or, if
+    ``nonnegative``, is negative."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or nonnegative and value < 0:
+        raise ValueError(f"{name} must be {'a nonnegative' if nonnegative else 'an'} integer, got {value!r}")
+    return int(value)
+
+
+def check_number(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is no int, float or numpy number (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def fit(
     features: np.ndarray,
@@ -188,9 +203,7 @@ def fit(
     class). Features so large that their statistics overflow float64 are
     refused, with no numpy warning.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (type(None), int, float, np.integer, np.floating)):
-        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
-    eps = None if epsilon is None else float(epsilon)
+    eps = None if epsilon is None else check_number("epsilon", epsilon)
     if eps is not None and not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     if label_convention not in (None, *LABEL_CONVENTIONS):

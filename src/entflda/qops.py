@@ -60,7 +60,8 @@ def validate_states(matrices: np.ndarray) -> None:
     m = np.asarray(matrices)
     if not np.all(np.isfinite(m)):
         raise ValueError("density matrix contains non-finite entries")
-    herm_err = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+    dev = m - m.conj().swapaxes(-1, -2)  # a real m's conj() is m itself, not a copy
+    herm_err = np.max(np.abs(dev, out=dev if np.isrealobj(dev) else None))  # a real dev's abs in place
     if herm_err > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
     tr_err = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))

@@ -199,6 +199,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         p1, p2 = tmp_path / "default_chunks.csv", tmp_path / "other_chunks.csv"
         save_dataset(generate_dataset(cfg), str(p1))
         for rows in (1, 7, cfg.n_samples):
+            monkeypatch.setattr(experiments, "_STATES_ROWS", rows)
             monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
             save_dataset(generate_dataset(cfg), str(p2))
             assert p1.read_bytes() == p2.read_bytes(), rows

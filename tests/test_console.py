@@ -1,7 +1,8 @@
 """The console-script session of CI, run through ``cli.main`` with tmp
 paths: every command's exit code, the byte equality of reruns and the
 refusal of bad headers. CI itself runs ``entflda --help``, two ``gen`` and
-a ``fit`` and ``eval`` under each standardizer through the installed script."""
+a ``fit`` and ``eval`` under each standardizer, and the biseparable ``gen``,
+``fit`` and ``eval`` below, through the installed script."""
 
 import pytest
 
@@ -85,6 +86,19 @@ def test_biseparable_blocks_ending_mid_chunk(tmp_path, capsys):
                    "--label-convention", "ppt-oracle", "--out", path) == 0
         assert capsys.readouterr().out.endswith("class counts: entangled(-1)=222 separable(+1)=379\n")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_biseparable_closed_form_and_stack_paths(tmp_path, capsys):
+    """Paper labels read no state (closed-form features only), oracle labels read the block's stack; a model fit
+    on one evaluates on the other, whose features are the same."""
+    paper, oracle, model = tmp_path / "b.csv", tmp_path / "b-oracle.csv", tmp_path / "b.json"
+    assert run("gen", "--family", "biseparable", "--n", "200", "--seed", "3", "--out", paper) == 0
+    assert run("gen", "--family", "biseparable", "--n", "200", "--seed", "3", "--label-convention", "ppt-oracle",
+               "--out", oracle) == 0
+    assert paper.read_bytes() == oracle.read_bytes()  # every biseparable row is NPT under some cut
+    assert run("fit", "--train", paper, "--model-out", model) == 0
+    assert run("eval", "--model", model, "--test", oracle) == 0
+    assert "test accuracy: 1.0\n" in capsys.readouterr().out
 
 
 def test_reproduce_bytes_do_not_depend_on_cell_threads(tmp_path, capsys):

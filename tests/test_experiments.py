@@ -57,10 +57,10 @@ def sample(family, label, overlap, n, seed, convention="paper"):
 
 def count_computed_rows(monkeypatch):
     """``(computed, generators)``, filled as datasets are generated: per
-    chunk, ``("stack", n)`` for the n rows of a validated stack and
+    block, ``("stack", n)`` for the n rows of a validated stack and
     ``("closed", n)`` for the n rows a family's closed form computes, in call
-    order; and the row count of each Werner generating state validated
-    (none: each record validates its own when it is built)."""
+    order; and the row count of each generating state validated (none: each
+    record validates its own when it is built)."""
     computed, generators = [], []
     validate = qops.validate_states
 
@@ -76,10 +76,14 @@ def count_computed_rows(monkeypatch):
     monkeypatch.setattr(qops, "validate_states", counted(lambda n: computed.append(("stack", n))))
     monkeypatch.setattr(states, "validate_states", counted(generators.append))
     for name, spec in states.FAMILIES.items():
-        if spec.features:
-            counted_spec = dataclasses.replace(spec, features=counted_features(spec.features))
-            monkeypatch.setitem(states.FAMILIES, name, counted_spec)
+        monkeypatch.setitem(states.FAMILIES, name, dataclasses.replace(spec, features=counted_features(spec.features)))
     return computed, generators
+
+
+def set_block_rows(monkeypatch, states_rows, chunk_rows):
+    """Generate in ``states_rows``-row states blocks and draw shots (and write) in ``chunk_rows``-row chunks."""
+    monkeypatch.setattr(experiments, "_STATES_ROWS", states_rows)
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
 
 
 def csv_writer_bytes(dataset):
@@ -121,6 +125,7 @@ class TestConfigValidation:
             ({"family": "werner2", "balance": None}, "^balance must be a number, got None$"),
             ({"family": "werner2", "balance": np.array([0.5])}, r"^balance must be a number, got array\(\[0\.5\]\)$"),
             ({"family": ["werner2"]}, r"^unknown family \['werner2'\]"),
+            ({"family": "werner2", "balance": True}, "^balance must be a number, got True$"),
         ],
     )
     def test_rejections(self, kwargs, message):
@@ -296,7 +301,7 @@ class TestGenerateDataset:
                                            label_convention=convention)
                     reference = generate_dataset(cfg)
                     for rows in chunk_sizes(cfg.n_samples):
-                        monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+                        set_block_rows(monkeypatch, rows, rows)
                         ds = generate_dataset(cfg)
                         assert ds.features.tobytes() == reference.features.tobytes(), (family, convention, shots, rows)
                         assert ds.labels.tobytes() == reference.labels.tobytes(), (family, convention, shots, rows)
@@ -304,13 +309,14 @@ class TestGenerateDataset:
 
     def test_chunk_size_does_not_change_output_property(self, monkeypatch):
         """Property: for any family, convention, row count, class balance,
-        seed and shot count, a dataset built in chunks of any size has the
-        bytes of the one built in a single chunk, so the class boundary may
-        fall at any offset inside a chunk and the last chunk may be short."""
+        seed and shot count, a dataset built in states blocks and shot chunks
+        of any sizes has the bytes of the one built in a single block and
+        chunk, so the class boundary may fall at any offset inside a block and
+        the last block may be short."""
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
 
-        whole = experiments._CHUNK_ROWS
+        whole = (experiments._STATES_ROWS, experiments._CHUNK_ROWS)
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
         @hypothesis.given(
@@ -320,14 +326,15 @@ class TestGenerateDataset:
             balance=st.floats(0.2, 0.8),
             seed=st.integers(0, 2**32 - 1),
             shots=st.sampled_from([0, 16]),
+            block=st.integers(1, 125),
             rows=st.integers(1, 125),
         )
-        def invariant(family, convention, n_samples, balance, seed, shots, rows):
+        def invariant(family, convention, n_samples, balance, seed, shots, block, rows):
             cfg = ExperimentConfig(family=family, n_samples=n_samples, balance=balance, shots=shots,
                                    label_convention=convention, master_seed=seed)
-            monkeypatch.setattr(experiments, "_CHUNK_ROWS", whole)
+            set_block_rows(monkeypatch, *whole)
             reference = generate_dataset(cfg)
-            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+            set_block_rows(monkeypatch, block, rows)
             ds = generate_dataset(cfg)
             assert ds.features.tobytes() == reference.features.tobytes()
             assert ds.labels.tobytes() == reference.labels.tobytes()
@@ -337,10 +344,12 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("convention", labels.LABEL_CONVENTIONS)
     @pytest.mark.parametrize("family", HEAD_FAMILIES)
     def test_one_state_per_row(self, family, convention, monkeypatch):
-        """Each row is computed exactly once, in a chunk: by a validated stack
-        or, for Werner and product rows, by the family's closed form, with no
-        Werner generating state validated; no row goes through
-        ``from_family`` or ``DensityOperator``, the single-state path
+        """Each row's features are computed exactly once, in a block, by its
+        family's closed form, with no generating state validated; a block's
+        stack is built and validated once, after its features, only where a
+        ``ppt-oracle`` label reads the states (the entangled class of a
+        family with no Werner boundary and no fixed label). No row goes
+        through ``from_family`` or ``DensityOperator``, the single-state path
         ``inspect`` takes."""
         computed, generators = count_computed_rows(monkeypatch)
 
@@ -349,19 +358,56 @@ class TestGenerateDataset:
 
         monkeypatch.setattr(qops.DensityOperator, "__init__", per_state)
         monkeypatch.setattr(states, "from_family", per_state)
-        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 10)
+        set_block_rows(monkeypatch, 10, 3)
         cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
-        werner = states.FAMILIES[family].boundary is not None
-        entangled = "closed" if werner else "stack"
-        assert computed == [(entangled, 10), (entangled, 2), ("closed", 10), ("closed", 2)]
+        oracle = convention == "ppt-oracle" and family in ("concurrence", "ppt-alt", "biseparable")
+        entangled = [("closed", 10), ("stack", 10), ("closed", 2), ("stack", 2)] if oracle else []
+        assert computed == (entangled or [("closed", 10), ("closed", 2)]) + [("closed", 10), ("closed", 2)]
         assert generators == []
+
+    @pytest.mark.parametrize("family", HEAD_FAMILIES)
+    def test_paper_generation_builds_no_state(self, family, monkeypatch):
+        """Under ``paper`` no label reads a state, so generation calls no
+        family's ``stack`` and no ``qops.validate_states``: every feature
+        comes from a closed form."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was built or validated")
+
+        monkeypatch.setattr(qops, "validate_states", refuse)
+        for name, spec in states.FAMILIES.items():
+            monkeypatch.setitem(states.FAMILIES, name, dataclasses.replace(spec, stack=refuse))
+        for overlap in experiments.OVERLAP_LEVELS:
+            ds = generate_dataset(ExperimentConfig(family=family, overlap=overlap, n_samples=40, shots=0))
+            assert ds.features.shape == (40, 4 ** states.FAMILIES[family].n_qubits - 1)
+
+    def test_biseparable_zero_traces_are_exact_and_drawn_from_the_alias_stream(self):
+        """A biseparable state's Pauli traces vanish exactly on every word
+        whose last two letters are not II, XX, YY or ZZ (its second factor is
+        a Werner pair): those cells are +0.0 in the exact rows, and a shot
+        config draws each of them, in row order, from the ``[seed, 5]``
+        alias-table stream, as Binomial(s, 1/2)."""
+        from entflda.measure import _half_table
+
+        cfg = ExperimentConfig(family="biseparable", n_samples=300, shots=0, master_seed=8)
+        exact = generate_dataset(cfg).features
+        zero = np.array([w[1:] not in ("II", "XX", "YY", "ZZ") for w in pauli_words(3)])
+        assert zero.sum() == 48
+        cells = exact[: cfg.n_entangled, zero]
+        assert np.all(cells == 0) and not np.any(np.signbit(cells))
+        shots = 64
+        drawn = generate_dataset(dataclasses.replace(cfg, shots=shots)).features
+        threshold, pick = _half_table(shots)
+        at_zero = exact == 0  # every zero cell in row order, the separable rows' too
+        u = np.random.default_rng([cfg.master_seed, 5]).random(np.count_nonzero(at_zero)) * len(threshold)
+        k = np.floor(u).astype(int)
+        np.testing.assert_array_equal(drawn[at_zero], pick[2 * k + (u - k >= threshold[k])])
 
     def test_each_chunk_holds_one_class(self, monkeypatch):
         """Every ``sample_family_params`` call samples one class: all the
-        entangled chunks come before the separable ones, none exceeds
-        ``_CHUNK_ROWS`` rows, and the chunks of a class add up to its count.
-        Each chunk's features are computed in one call on the rows it sampled."""
+        entangled blocks come before the separable ones, none exceeds
+        ``_STATES_ROWS`` rows, and the blocks of a class add up to its count.
+        Each block's features are computed in one call on the rows it sampled."""
         calls, (computed, generators) = [], count_computed_rows(monkeypatch)
         sample_rows = experiments.sample_family_params
 
@@ -370,12 +416,13 @@ class TestGenerateDataset:
             return sample_rows(family, label, overlap, uniforms, convention)
 
         monkeypatch.setattr(experiments, "sample_family_params", recording)
+        monkeypatch.setattr(experiments, "_STATES_ROWS", 100)
         cfg = ExperimentConfig(family="werner2", n_samples=601, balance=0.37, shots=4)
         assert (cfg.n_entangled, cfg.n_samples - cfg.n_entangled) == (222, 379)
         ds = generate_dataset(cfg)
         classes = [label for label, _ in calls]
         assert classes == sorted(classes) and set(classes) == {labels.ENTANGLED, labels.SEPARABLE}
-        assert all(0 < rows <= experiments._CHUNK_ROWS for _, rows in calls)
+        assert all(0 < rows <= experiments._STATES_ROWS for _, rows in calls) and len(calls) == 3 + 4
         for label, count in ((labels.ENTANGLED, 222), (labels.SEPARABLE, 379)):
             assert sum(rows for cls, rows in calls if cls == label) == count
         assert computed == [("closed", rows) for _, rows in calls]
@@ -414,7 +461,7 @@ class TestGenerateDataset:
             return result
 
         monkeypatch.setattr(experiments, "sample_family_params", recording)
-        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 16)
+        set_block_rows(monkeypatch, 16, 16)
         for family in ("werner3", "concurrence", "biseparable"):
             seen.clear()
             cfg = ExperimentConfig(family=family, n_samples=40, master_seed=12, shots=8)
@@ -437,9 +484,10 @@ class TestGenerateDataset:
     @CORRUPTIONS
     @pytest.mark.parametrize("position", [0, 6, 11])
     def test_invalid_row_anywhere_in_a_chunk_raises(self, corrupt, message, position, monkeypatch):
-        """A bad state at any position of a chunk of stacked rows (the
-        entangled ``concurrence`` class) raises the error a DensityOperator of
-        that state raises."""
+        """A bad state at any position of a block of stacked rows (the
+        entangled ``concurrence`` class under ``ppt-oracle``, whose labels
+        read the states) raises the error a DensityOperator of that state
+        raises."""
         with pytest.raises(ValueError, match=message):
             qops.DensityOperator(corrupt(np.eye(4, dtype=complex) / 4))
         spec = states.FAMILIES["concurrence"]
@@ -452,9 +500,10 @@ class TestGenerateDataset:
             return stack
 
         monkeypatch.setitem(states.FAMILIES, "concurrence", states.Family(**{**vars(spec), "stack": corrupted}))
-        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 12)
+        monkeypatch.setattr(experiments, "_STATES_ROWS", 12)
         with pytest.raises(ValueError, match=message):
-            generate_dataset(ExperimentConfig(family="concurrence", n_samples=24, shots=4))
+            generate_dataset(ExperimentConfig(family="concurrence", n_samples=24, shots=4,
+                                              label_convention="ppt-oracle"))
 
     @CORRUPTIONS
     @pytest.mark.parametrize("family", ["werner2", "werner4"])
@@ -843,7 +892,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(family="concurrence", overlap="medium", n_samples=80, master_seed=21)
         a = run_experiment(cfg)
         for rows in chunk_sizes(cfg.n_samples):
-            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+            set_block_rows(monkeypatch, rows, rows)
             b = run_experiment(cfg)
             assert a == b
         # == is the determinism contract: the wall time is kept on the report but not compared.

@@ -789,3 +789,31 @@ class TestAtomicWrite:
             atomic_write(str(path), lines())
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestArgumentHelpers:
+    """The library's integer and number checks name the argument they refuse; a bool is neither."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(-4), np.uint8(7)])
+    def test_integer_helper_accepts_integers(self, value):
+        assert flda.check_integer("n", value) == int(value) and type(flda.check_integer("n", value)) is int
+
+    @pytest.mark.parametrize("value", [2.0, True, "3", None, np.float64(1.0), np.bool_(True), [1]])
+    def test_integer_helper_refuses_other_types_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {re.escape(repr(value))}$"):
+            flda.check_integer("count", value)
+
+    def test_integer_helper_refuses_a_negative_when_asked(self):
+        assert flda.check_integer("seed", 0, nonnegative=True) == 0
+        for value in (-1, 1.5):
+            with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {value}$"):
+                flda.check_integer("seed", value, nonnegative=True)
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.float32(0.25), np.int16(-3), float("nan")])
+    def test_number_helper_accepts_numbers_as_floats(self, value):
+        assert repr(flda.check_number("x", value)) == repr(float(value))
+
+    @pytest.mark.parametrize("value", [False, "0.5", None, [0.5], np.array(0.5), 1j])
+    def test_number_helper_refuses_other_types_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^ratio must be a number, got {re.escape(repr(value))}$"):
+            flda.check_number("ratio", value)

@@ -192,7 +192,7 @@ class TestClosedFormsMatchPauliSums:
 
     def test_ppt_alternative(self):
         expected = sum(pauli_word(s) for s in ("III", "IZZ", "ZIZ", "ZZI")) / 8.0
-        assert states._ppt_alternative_matrix().tobytes() == expected.tobytes()
+        assert states._PPT_ALTERNATIVE[0].tobytes() == expected.tobytes()
 
 
 def biseparable_row(components):
@@ -307,12 +307,14 @@ def test_stack_refuses_out_of_range_rows(name, rows, message):
         FAMILIES[name].stack(np.array(rows))
     with pytest.raises(ValueError, match=message):
         from_family(name, rows[-1])
-    if FAMILIES[name].features:
-        with pytest.raises(ValueError, match=message):
-            FAMILIES[name].features(np.array(rows))
+    with pytest.raises(ValueError, match=message):
+        FAMILIES[name].features(np.array(rows))
 
 
-CLOSED_FORM_FAMILIES = sorted(name for name, spec in FAMILIES.items() if spec.features)
+# Every family has a closed form; the Werner and product families keep the row seeds they had when they were the
+# only ones (``closed_form_rows`` seeds by position).
+FIRST_CLOSED_FORMS = ["product-sep", "werner2", "werner3", "werner4"]
+CLOSED_FORM_FAMILIES = FIRST_CLOSED_FORMS + sorted(set(FAMILIES) - set(FIRST_CLOSED_FORMS))
 
 
 def werner_edges(name):
@@ -342,12 +344,29 @@ def test_closed_form_refuses_what_the_stack_refuses(name):
 def closed_form_rows(name):
     """Parameter rows spanning a closed-form family: each Werner family's
     ``p_min``, boundaries and 1 and interior points; product rows of 2 and 3
-    qubits whose Bloch vectors have length 0, interior and 1."""
+    qubits whose Bloch vectors have length 0, interior and 1; concurrence
+    angles at the corners and edges of [0, pi]^2 and inside; bound-entangled
+    parameters at the symmetric point, far from it and in the sampled range;
+    ``ppt-alt``'s empty rows; biseparable rows as sampled, with signed-zero
+    and unit Bloch vectors and p at -1/3, 0 and 1."""
     rng = np.random.default_rng(CLOSED_FORM_FAMILIES.index(name))
     if name.startswith("werner"):
         spec = FAMILIES[name]
         ends = [spec.p_min, *spec.boundary.values(), 1.0]
         return [np.array(ends + list(rng.uniform(spec.p_min, 1.0, 40)))[:, None]]
+    if name == "concurrence":
+        edges = np.array([[0.0, 0.0], [0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi], [np.pi / 2, np.pi], [np.pi / 2, 0.0]])
+        return [np.r_[edges, rng.uniform(0, np.pi, (60, 2))]]
+    if name == "pptes-acin":
+        sampled = np.exp(rng.uniform(-np.log(2), np.log(2), (60, 3)))
+        return [np.r_[[[1.0, 1.0, 1.0], [2.0, 3.0, 0.5], [1e-3, 1e3, 7.0]], sampled]]
+    if name == "ppt-alt":
+        return [np.empty((1, 0)), np.empty((7, 0))]
+    if name == "biseparable":
+        rows = FAMILIES[name].sample(rng.random((60, FAMILIES[name].uniforms)))
+        rows[:3, 3:12] = signed_zero_blochs(rng, 9).reshape(3, 9)
+        rows[:3, 12:] = [[-1 / 3, -0.0, 1.0], [0.0, 1.0, -1 / 3], [1.0, -1 / 3, 0.0]]
+        return [rows]
     directions = rng.normal(size=(60, 3))
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     lengths = np.r_[0.0, 1.0, rng.random(58)]
@@ -362,6 +381,16 @@ def product_traces(row, words):
     return [math.prod(b["XYZ".index(c)] for b, c in zip(blochs, w) if c != "I") for w in words]
 
 
+def biseparable_traces(row, words):
+    """The exact Pauli traces of a biseparable row, sum_j w_j tr(P a_j)
+    tr(Q W(p_j)) for the word P Q: a Werner pair's traces are 1 on II, -p on
+    XX, YY and ZZ and 0 on every other word."""
+    f = [Fraction(v) for v in row.tolist()]
+    pair = {"II": lambda j: 1, "XX": lambda j: -f[12 + j], "YY": lambda j: -f[12 + j], "ZZ": lambda j: -f[12 + j]}
+    return [sum(f[j] * (1 if w[0] == "I" else f[3 + 3 * j + "XYZ".index(w[0])]) * pair.get(w[1:], lambda j: 0)(j)
+                for j in range(3)) for w in words]
+
+
 @pytest.mark.parametrize("name", CLOSED_FORM_FAMILIES)
 def test_closed_form_matches_the_pauli_traces_of_the_stack(name):
     """A family's closed-form features equal ``exact_features`` of its
@@ -369,19 +398,93 @@ def test_closed_form_matches_the_pauli_traces_of_the_stack(name):
     within 2.2e-16, and are never -0.0. At 3 qubits the stack's own sums
     err by up to 3.3e-16 on product rows, so there the bound is 4.4e-16 and
     the closed form is held to the exact traces, within two roundings of
-    products of numbers at most 1 in size (2.2e-16)."""
+    products of numbers at most 1 in size (2.2e-16). Biseparable rows are
+    held to their exact traces within four roundings of terms whose weights
+    sum to one (4.4e-16), and to the stack within 8.9e-16."""
     features = FAMILIES[name].features
+    bound = {"biseparable": 8.9e-16, "product-sep": 4.4e-16}
     for rows in closed_form_rows(name):
         stack = FAMILIES[name].stack(rows)
         validate_states(stack)
         exact, closed, qubits = exact_features(stack), features(rows), qubit_count(stack)
         assert closed.shape == exact.shape == (len(rows), 4**qubits - 1)
-        assert np.max(np.abs(closed - exact)) <= (4.4e-16 if name == "product-sep" and qubits == 3 else 2.2e-16)
+        assert np.max(np.abs(closed - exact)) <= (bound.get(name, 2.2e-16) if qubits == 3 else 2.2e-16)
         assert not np.any((closed == 0) & np.signbit(closed))
-        if name == "product-sep":
-            for row, values in zip(rows, closed):
-                traces = product_traces(row, pauli_words(qubits))
-                assert max(abs(Fraction(v) - t) for v, t in zip(values.tolist(), traces)) <= 2.2e-16
+        exact_traces = {"product-sep": (product_traces, 2.2e-16), "biseparable": (biseparable_traces, 4.4e-16)}
+        traces, tolerance = exact_traces.get(name, (None, None))
+        for row, values in zip(rows, closed if traces else []):
+            expected = traces(row, pauli_words(qubits))
+            assert max(abs(Fraction(v) - t) for v, t in zip(values.tolist(), expected)) <= tolerance
+
+
+def stack_refusal(name, rows):
+    """The message of what ``stack`` plus ``validate_states`` refuses in ``rows``, or None (an infinite weight
+    times a zero entry warns on the way)."""
+    try:
+        with np.errstate(invalid="ignore"):
+            validate_states(FAMILIES[name].stack(np.array(rows, dtype=float)))
+    except ValueError as exc:
+        return str(exc)
+
+
+def refusal_parity(name, rows):
+    """The closed form refuses ``rows`` exactly when the stack and its validation do, with the same message."""
+    expected = stack_refusal(name, rows)
+    assert expected is not None, rows
+    with pytest.raises(ValueError) as refused:
+        FAMILIES[name].features(np.array(rows, dtype=float))
+    assert str(refused.value) == expected
+
+
+def mixture(weights, blochs=((0.0, 0.0, 0.3),) * 3, bc_p=(0.5, 0.5, 0.5)):
+    return [*weights, *np.ravel(blochs), *bc_p]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [mixture([0.6, 0.6, 0.0])],
+        [mixture([0.5, 0.5, 0.0]), mixture([0.3, 0.3, 0.3])],
+        [mixture([1.0, 0.0, 1e-9])],
+        [mixture([np.nan, 0.5, 0.5])],
+        [mixture([0.5, 0.5, 0.0], [(0.0, np.nan, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])],
+        [mixture([np.inf, 0.0, 0.0])],
+        [mixture([0.5, 0.5, 0.0], [(0.0, 0.8, 0.8), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])],
+        [mixture([0.5, 0.5, 0.0], bc_p=(0.5, -0.5, 0.5))],
+        [mixture([0.5, 0.5, 0.0], bc_p=(0.5, 1.5, 0.5))],
+        [mixture([0.5, 0.5, 0.0], bc_p=(np.nan, 0.5, 0.5))],
+        [mixture([1.5, -0.5, 0.0])],
+    ],
+    ids=["weights-1.2", "second-row", "weights-1+1e-9", "nan-weight", "nan-bloch", "inf-weight", "long-bloch",
+         "p-below", "p-above", "nan-p", "negative-weight"],
+)
+def test_biseparable_closed_form_refuses_what_the_stack_refuses(rows):
+    """Weights that do not sum to one (``TRACE_TOL``), a non-finite weight or
+    Bloch component, a Bloch vector longer than 1, a p outside [-1/3, 1] and
+    a negative weight: each refused with the message the stack and
+    ``validate_states`` give."""
+    refusal_parity("biseparable", rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [[1.0, -2.0, 1.0]], [[1.0, 1.0, np.nan]], [[1e-320, 1.0, 1.0]],
+     [[1e308, 1e308, 1e-308]], [[1.0, np.inf, 1.0]]],
+    ids=["zero", "negative", "nan", "tiny", "overflow", "inf"],
+)
+def test_pptes_closed_form_refuses_what_the_stack_refuses(rows):
+    """A parameter that is not positive, and a normalizer that overflows."""
+    refusal_parity("pptes-acin", rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 1.0], [4.0, 1.0]], [[-0.1, 1.0]], [[1.0, np.pi + 1e-12]], [[np.nan, 1.0]], [[1.0, -np.inf]]],
+    ids=["theta0-above", "theta0-below", "theta1-above", "nan", "inf"],
+)
+def test_concurrence_closed_form_refuses_what_the_stack_refuses(rows):
+    """Angles outside [0, pi], or not numbers."""
+    refusal_parity("concurrence", rows)
 
 
 @pytest.mark.parametrize(
