@@ -16,11 +16,9 @@ parameters come from a fixed block of uniforms, its family's
 (master_seed, i) alone and row i can be regenerated by advancing the stream to
 its block. A shot config then draws its counts from the exact rows in row
 order at one site, :func:`_draw_shots`, on a binomial and an alias-table
-stream. ``reproduce_tables`` runs its cells in
-units on concurrent threads: cells whose configs differ only in the shot count
-(and, for a family whose preset moves no parameter, the overlap) share one
-states stage, as tables 4 and 5 do. Datasets and reports are bit-identical
-across reruns, block and chunk sizes, thread counts and units; wall time is not.
+stream. ``reproduce_tables`` runs each cell as one :func:`run_experiment` on
+concurrent threads. Datasets and reports are bit-identical across reruns,
+block and chunk sizes and thread counts; wall time is not.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -127,7 +125,7 @@ class ExperimentReport:
     test_accuracy: float
     fisher_criterion: float
     confusion: dict
-    wall_time_seconds: float = field(compare=False)  # a unit's first config run also times the states stage
+    wall_time_seconds: float = field(compare=False)  # the whole cell: generation, split, fit and evaluation
 
 
 # Rows per states-stage block, and per shot-draw and written block; the bytes depend on neither.
@@ -142,14 +140,12 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
     return np.random.Generator(bit_generator)
 
 
-def _draw_shots(exact: np.ndarray, out: np.ndarray, shots: int, master_seed: int, rows=None) -> None:
-    """Dataset row i's ``shots``-shot estimates of ``exact[rows[i]]`` (no ``rows``: ``exact[i]``) into that row of
-    ``out``, which may be ``exact``: a ``shot_estimates`` call per ``_CHUNK_ROWS`` rows, in row order, on
-    ``[master_seed, 3]`` (binomial) and ``[master_seed, 5]`` (alias table)."""
+def _draw_shots(x: np.ndarray, shots: int, master_seed: int) -> None:
+    """Overwrite each exact row of ``x`` with its ``shots``-shot estimates: a ``shot_estimates`` call per
+    ``_CHUNK_ROWS`` rows, in row order, on ``[master_seed, 3]`` (binomial) and ``[master_seed, 5]`` (alias table)."""
     rng, half_rng = (np.random.default_rng([master_seed, stream]) for stream in (3, 5))
-    for start in range(0, len(exact), _CHUNK_ROWS):
-        block = slice(start, start + _CHUNK_ROWS) if rows is None else rows[start : start + _CHUNK_ROWS]
-        out[block] = shot_estimates(exact[block], shots, rng, half_rng)
+    for start in range(0, len(x), _CHUNK_ROWS):
+        x[start : start + _CHUNK_ROWS] = shot_estimates(x[start : start + _CHUNK_ROWS], shots, rng, half_rng)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -241,7 +237,7 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
                 qops.validate_states(stack)
             y[start:stop] = labels.assign_label(name, params, stack, config.label_convention)
     if shots:
-        _draw_shots(x, x, shots, config.master_seed)
+        _draw_shots(x, shots, config.master_seed)
     return Dataset(features=x, labels=y, feature_names=words)
 
 
@@ -397,69 +393,38 @@ def stratified_split(dataset: Dataset, split: float, master_seed: int):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Generate, split, fit and evaluate; emit the four table columns."""
-    return _run_unit([config])[0]
-
-
-def _run_unit(configs: list) -> list:
-    """The report of each of ``configs``, which share one states stage:
-    ``generate_dataset`` at ``shots=0`` and its split, once; then per config
-    its shots, drawn as ``generate_dataset`` draws them (:func:`_draw_shots`),
-    fit and evaluate. Rows are held in split order, so each split is a view
-    (rows in dataset order, each split gathered per config, measured 3.6-5 MB
-    more ``tables-ci`` peak RSS); exact configs run first, and the last shot
-    config draws in place, so only a shot config run before it holds a second
-    matrix. A config's wall time starts where the one before it ended, the
-    first's with the states stage."""
+    """Generate, split, fit and evaluate; emit the four table columns. The
+    rows are gathered in split order and the dataset dropped, so each split
+    is a view and one matrix is held while fitting (each split gathered on
+    its own measured about 6% more ``tables-ci`` peak RSS)."""
     t0 = time.perf_counter()
-    dataset = generate_dataset(replace(configs[0], shots=0))
-    train_idx, test_idx = stratified_split(dataset, configs[0].split, configs[0].master_seed)
+    dataset = generate_dataset(config)
+    train_idx, test_idx = stratified_split(dataset, config.split, config.master_seed)
     order, n_train = np.concatenate([train_idx, test_idx]), len(train_idx)
-    exact, y, names, dataset = dataset.features[order], dataset.labels[order], dataset.feature_names, None
-    rows = np.argsort(order)  # where each dataset row lies in ``exact``
-    run = sorted(range(len(configs)), key=lambda i: configs[i].effective_shots != 0)
-    reports = [None] * len(configs)
-    for i in run:
-        config, x, shots = configs[i], exact, configs[i].effective_shots
-        if shots:
-            x = exact if i == run[-1] else np.empty_like(exact)
-            _draw_shots(exact, x, shots, config.master_seed, rows)
-        model = flda.fit(x[:n_train], y[:n_train], feature_names=names, label_convention=config.label_convention)
-        test_metrics = flda.evaluate(model, x[n_train:], y[n_train:])
-        x = None  # frees a shot config's own matrix
-        reports[i] = ExperimentReport(
-            config=asdict(config),
-            fld_threshold=model.threshold,
-            train_accuracy=model.train_accuracy,
-            test_accuracy=test_metrics["accuracy"],
-            fisher_criterion=model.fisher_j,
-            confusion=test_metrics["confusion"],
-            wall_time_seconds=time.perf_counter() - t0,
-        )
-        t0 = time.perf_counter()
-    return reports
+    x, y, names, dataset = dataset.features[order], dataset.labels[order], dataset.feature_names, None
+    model = flda.fit(x[:n_train], y[:n_train], feature_names=names, label_convention=config.label_convention)
+    test_metrics = flda.evaluate(model, x[n_train:], y[n_train:])
+    return ExperimentReport(
+        config=asdict(config),
+        fld_threshold=model.threshold,
+        train_accuracy=model.train_accuracy,
+        test_accuracy=test_metrics["accuracy"],
+        fisher_criterion=model.fisher_j,
+        confusion=test_metrics["confusion"],
+        wall_time_seconds=time.perf_counter() - t0,
+    )
 
 
 def _run_cells(configs: list) -> list:
-    """The report of each config, in order. Configs equal but for the shot
-    count, and for the overlap where the family's preset moves no parameter
-    (no Werner ``boundary`` or ``concurrence_floor``), form one unit
-    (:func:`_run_unit`). The calling thread takes the units largest first,
-    and one helper per further usable CPU takes them smallest first, so the
-    largest working sets (a shared unit holds two matrices for a while) run
-    one after another on one thread, not side by side. Once a unit raises,
-    no other unit starts; the helpers are joined and the error of the first
-    failing unit, by its first config, is raised."""
+    """The :func:`run_experiment` report of each config, in order. The
+    calling thread takes the configs largest first (rows x features), and
+    one helper per further usable CPU takes them smallest first, so the
+    largest working sets run one after another on one thread, not side by
+    side. Once a cell raises, no other cell starts; the helpers are joined
+    and the error of the first failing cell is raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    units = {}
-    for i, c in enumerate(configs):
-        spec = states.FAMILIES[c.family]
-        overlap = c.overlap if spec.boundary is not None or spec.concurrence_floor is not None else "high"
-        units.setdefault(astuple(replace(c, shots=0, overlap=overlap)), []).append(i)
-    units = list(units.values())
-    cost = [sum(configs[i].n_samples * (4 ** states.FAMILIES[configs[i].family].n_qubits - 1) for i in unit)
-            for unit in units]  # rows x features
-    pending = sorted(range(len(units)), key=lambda u: -cost[u])
+    cost = [c.n_samples * (4 ** states.FAMILIES[c.family].n_qubits - 1) for c in configs]  # rows x features
+    pending = sorted(range(len(configs)), key=lambda i: -cost[i])
     reports, errors, lock = [None] * len(configs), {}, threading.Lock()
 
     def work(end=0):
@@ -467,14 +432,13 @@ def _run_cells(configs: list) -> list:
             with lock:
                 if errors or not pending:
                     return
-                u = pending.pop(end)
+                i = pending.pop(end)
             try:
-                for i, report in zip(units[u], _run_unit([configs[i] for i in units[u]])):
-                    reports[i] = report
+                reports[i] = run_experiment(configs[i])
             except BaseException as exc:  # an interrupt too: raised below, once the helpers stop
-                errors[u] = exc
+                errors[i] = exc
 
-    helpers = [threading.Thread(target=work, args=(-1,), daemon=True) for _ in range(min(cpus, len(units)) - 1)]
+    helpers = [threading.Thread(target=work, args=(-1,), daemon=True) for _ in range(min(cpus, len(configs)) - 1)]
     for helper in helpers:
         helper.start()
     work()
@@ -508,12 +472,10 @@ def reproduce_tables(
 ) -> list:
     """Run every (table, overlap) cell and optionally write the report file.
 
-    The cells run in units on concurrent threads (:func:`_run_cells`); the
-    three cells of table 4 or 5 share one states stage, since their presets
-    change only the shot count. One row per cell, in table order, with
+    Each cell is one ``run_experiment``, the cells running on concurrent
+    threads (:func:`_run_cells`). One row per cell, in table order, with
     columns ``REPORT_COLUMNS``; tables 6 and 7 have a single high-overlap
-    row. Rows carry the derived per-row seed, and each equals
-    ``run_experiment`` of its cell alone."""
+    row. Rows carry the derived per-row seed."""
     _check_format(fmt)
     ids, bad = list(table_ids), []
     for t in ids:

@@ -176,10 +176,12 @@ def _kron_features(factors) -> np.ndarray:
 BISEPARABLE_COMPONENTS = 3
 
 
+@np.errstate(invalid="ignore")
 def _biseparable_matrix(q: np.ndarray) -> np.ndarray:
     """Mixtures of A|BC products, a Bloch state on qubit 0 times a Werner
     pair, one per biseparable row of ``q``. The weights must be nonnegative;
-    that they sum to one is left to the trace check of the state built."""
+    that they sum to one, and that they are finite (an infinite one times a
+    zero entry is NaN), is left to the checks of the state built."""
     k = BISEPARABLE_COMPONENTS
     if np.any(q[:, :k] < 0):
         raise ValueError("mixture weights must be nonnegative")

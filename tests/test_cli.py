@@ -619,7 +619,7 @@ _COMMAND_WORK = pytest.mark.parametrize(
         (["fit", "--train", "train.csv", "--model-out"], [(experiments, "load_dataset"), (flda, "fit")]),
         (["eval", "--model", "m.json", "--test", "t.csv", "--report-out"],
          [(flda, "load_model"), (experiments, "load_dataset"), (flda, "evaluate")]),
-        (["reproduce", "--out"], [(experiments, "_run_unit")]),
+        (["reproduce", "--out"], [(experiments, "run_experiment")]),
     ],
     ids=["gen", "fit", "eval", "reproduce"],
 )
@@ -649,7 +649,7 @@ class TestOutputCheckedFirst:
         assert list(tmp_path.iterdir()) == []
 
     def test_reproduce_tables_refuses_before_any_cell(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_run_unit", _no_work)
+        monkeypatch.setattr(experiments, "run_experiment", _no_work)
         with pytest.raises(FileNotFoundError, match="'/nonexistent-dir/r.csv'"):
             experiments.reproduce_tables([1, 7], out_path="/nonexistent-dir/r.csv")
 

@@ -790,8 +790,7 @@ class TestGenerateDataset:
 
 class TestShotDraw:
     """Every shot estimate is drawn at one site: one ``shot_estimates`` call
-    per ``_CHUNK_ROWS`` dataset rows, in row order, over the exact rows, for
-    ``generate_dataset`` and a shared unit alike."""
+    per ``_CHUNK_ROWS`` dataset rows, in row order, over the exact rows."""
 
     @staticmethod
     def record_draws(monkeypatch):
@@ -824,19 +823,6 @@ class TestShotDraw:
         assert {shots for shots, _ in calls} == {2048}
         self.assert_blocks_in_row_order([block for _, block in calls], exact.features)
         assert dataset.labels.tobytes() == exact.labels.tobytes()
-
-    def test_shared_unit_draws_every_row_in_blocks(self, monkeypatch):
-        """Table 4's three presets share one unit: after the exact cell, each
-        shot preset draws every exact row once, in dataset row order, though
-        the unit holds the rows in split order."""
-        seed = experiments._table_seed(0, 4)
-        configs = [ExperimentConfig("pptes-acin", o, 600, master_seed=seed) for o in experiments.OVERLAP_LEVELS]
-        exact = generate_dataset(dataclasses.replace(configs[0], shots=0)).features
-        calls = self.record_draws(monkeypatch)
-        experiments._run_unit(configs)
-        for shots in (512, 2048):  # high, then medium
-            self.assert_blocks_in_row_order([block for s, block in calls if s == shots], exact)
-        assert [shots for shots, _ in calls] == sorted(shots for shots, _ in calls)
 
     def test_draw_is_in_place(self):
         """A 4,000-row ``werner4`` dataset at 512 shots peaks within a quarter
@@ -903,7 +889,7 @@ class TestRunExperiment:
     def test_report_is_the_plain_pipeline(self, family, overlap):
         """``run_experiment`` reports what ``generate_dataset``, the split,
         ``fit`` and ``evaluate`` give when called one after another, to the
-        bit, though it draws the shots from the exact rows in split order."""
+        bit, though it fits the rows gathered in split order."""
         config = ExperimentConfig(family=family, overlap=overlap, n_samples=300, master_seed=13)
         dataset = generate_dataset(config)
         train, test = stratified_split(dataset, config.split, config.master_seed)
@@ -964,10 +950,10 @@ class TestReproduceTables:
         assert not out.exists()
 
     def test_unknown_format_refused_before_any_cell(self, tmp_path, monkeypatch):
-        def no_cell(configs):
+        def no_cell(config):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_run_unit", no_cell)
+        monkeypatch.setattr(experiments, "run_experiment", no_cell)
         for out in (None, str(tmp_path / "r.xml")):
             with pytest.raises(ValueError, match=r"^unknown report format 'xml'; expected one of \('csv', 'json'\)$"):
                 reproduce_tables([1], out_path=out, fmt="xml")
@@ -977,7 +963,7 @@ class TestReproduceTables:
     def test_bad_seed_refused_before_the_output_check(self, monkeypatch, seed):
         """The seed is checked as ``ExperimentConfig`` checks ``master_seed``,
         before the output directory and before any cell."""
-        monkeypatch.setattr(experiments, "_run_unit", lambda configs: pytest.fail("a cell ran"))
+        monkeypatch.setattr(experiments, "run_experiment", lambda config: pytest.fail("a cell ran"))
         with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
             reproduce_tables([6], out_path="/nonexistent-dir/r.csv", seed=seed)
 
@@ -1029,75 +1015,100 @@ class TestReproduceTables:
 
     @pytest.mark.parametrize("cpus", [1, 17])
     def test_failing_cell_stops_the_run(self, tmp_path, monkeypatch, capsys, cpus):
-        """After a unit of cells raises, no further unit starts, the helpers
-        are joined and the error of the first failing cell in table order is
-        raised; ``reproduce`` exits 1 with it. The 17 cells form 13 units
-        (tables 4 and 5 one each). On one CPU the units run largest first:
-        table 7's, then table 4's, which fails. With one thread per unit, a
-        barrier starts every unit before any fails; the units of tables 4 and
-        5 both fail, and table 4's first cell is named."""
+        """After a cell raises, no further cell starts, the helpers are
+        joined and the error of the first failing cell in table order is
+        raised; ``reproduce`` exits 1 with it. On one CPU the 17 cells run
+        largest first: table 7's, then the 3-qubit cells in table order,
+        table 3's three and table 4's first, which fails. With one thread per
+        cell, a barrier starts every cell before any fails; the cells of
+        tables 4 and 5 all fail, and table 4's first is named."""
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 40)
         self.usable_cpus(monkeypatch, cpus)
-        units = 13
-        started, barrier, real = [], threading.Barrier(min(cpus, units), timeout=60), experiments._run_unit
+        cells = 17
+        started, barrier, real = [], threading.Barrier(min(cpus, cells), timeout=60), experiments.run_experiment
         table_of = {family: table for table, family in experiments.TABLE_FAMILIES.items()}
 
-        def unit(configs):
-            started.append((configs[0].family, tuple(c.overlap for c in configs)))
+        def cell(config):
+            started.append((config.family, config.overlap))
             barrier.wait()
-            if configs[0].family in ("pptes-acin", "ppt-alt"):
-                raise ValueError(f"table {table_of[configs[0].family]} {configs[0].overlap} failed")
-            return real(configs)
+            if config.family in ("pptes-acin", "ppt-alt"):
+                raise ValueError(f"table {table_of[config.family]} {config.overlap} failed")
+            return real(config)
 
-        monkeypatch.setattr(experiments, "_run_unit", unit)
+        monkeypatch.setattr(experiments, "run_experiment", cell)
         threads, out = threading.active_count(), tmp_path / "r.csv"
         with pytest.raises(ValueError, match="^table 4 high failed$"):
             reproduce_tables(range(1, 8), out_path=str(out))
         assert threading.active_count() == threads
         assert not out.exists()
         if cpus == 1:
-            assert started == [("werner4", ("high",)), ("pptes-acin", experiments.OVERLAP_LEVELS)]
+            assert started == [("werner4", "high"), *(("werner3", o) for o in experiments.OVERLAP_LEVELS),
+                               ("pptes-acin", "high")]
         else:
-            assert len(started) == units
-            assert ("ppt-alt", experiments.OVERLAP_LEVELS) in started
+            assert len(started) == cells
+            assert {("ppt-alt", o) for o in experiments.OVERLAP_LEVELS} <= set(started)
         assert cli.main(["reproduce", "--tables", "1..7", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: table 4 high failed\n"
         assert not out.exists()
 
-    def test_calling_thread_takes_the_largest_units(self, monkeypatch):
-        """With one helper, the calling thread takes units largest first and
-        the helper smallest first (cost: rows x features over a unit's
-        cells), so the largest units start one after another on the calling
-        thread while the helper works up from the smallest."""
+    def test_calling_thread_takes_the_largest_cells(self, monkeypatch):
+        """With one helper, the calling thread takes cells largest first and
+        the helper smallest first (cost: a cell's rows x features), so the
+        largest cells start one after another on the calling thread while
+        the helper works up from the smallest."""
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: 40)
         self.usable_cpus(monkeypatch, 2)
-        started, real, main = {True: [], False: []}, experiments._run_unit, threading.main_thread()
+        started, real, main = {True: [], False: []}, experiments.run_experiment, threading.main_thread()
 
-        def unit(configs):
-            cost = sum(c.n_samples * len(pauli_words(states.FAMILIES[c.family].n_qubits)) for c in configs)
-            started[threading.current_thread() is main].append((cost, configs[0].family, len(configs)))
-            return real(configs)
+        def cell(config):
+            cost = config.n_samples * len(pauli_words(states.FAMILIES[config.family].n_qubits))
+            started[threading.current_thread() is main].append((cost, config.family, config.overlap))
+            return real(config)
 
-        monkeypatch.setattr(experiments, "_run_unit", unit)
+        monkeypatch.setattr(experiments, "run_experiment", cell)
         reproduce_tables(range(1, 8))
         calling, helper = started[True], started[False]
-        assert len(calling) + len(helper) == 13
-        assert calling[0] == (40 * 255, "werner4", 1) and helper[0] == (40 * 15, "concurrence", 1)
+        assert len(calling) + len(helper) == 17
+        assert calling[0] == (40 * 255, "werner4", "high") and helper[0] == (40 * 15, "concurrence", "low")
         assert [c for c, *_ in calling] == sorted((c for c, *_ in calling), reverse=True)
         assert [c for c, *_ in helper] == sorted(c for c, *_ in helper)
 
-    def test_a_table_builds_its_states_once(self, monkeypatch):
-        """Tables 4 and 5, whose presets change only the shot count, compute
-        each row once for their three cells; table 1, whose presets move the
-        Werner parameter, once per cell, validating no generating state."""
+    def test_each_cell_computes_its_rows_once(self, monkeypatch):
+        """Every cell computes its own n rows once, by its family's closed
+        form: 6n rows for the six cells of tables 4 and 5, 3n for table 1's
+        three; no generating state is validated."""
         n = 60
         monkeypatch.setattr(experiments, "profile_samples", lambda profile, family: n)
         computed, generators = count_computed_rows(monkeypatch)
-        for tables, cells in (([4, 5], 2), ([1], 3)):
+        for tables, cells in (([4, 5], 6), ([1], 3)):
             computed.clear()
             reproduce_tables(tables)
             assert sum(rows for _, rows in computed) == cells * n, tables
+            assert {kind for kind, _ in computed} == {"closed"}, tables
         assert generators == []
+
+    @pytest.mark.parametrize("table", [4, 5])
+    def test_a_table_peaks_as_its_largest_cell(self, monkeypatch, table):
+        """On one CPU, the tracemalloc peak of ``reproduce_tables`` of table 4
+        or 5 is within 5% of the largest ``run_experiment`` peak over its
+        cells: the cells run one after another, each holding one matrix."""
+        self.usable_cpus(monkeypatch, 1)
+        family, seed = experiments.TABLE_FAMILIES[table], experiments._table_seed(0, table)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reproduce_tables([table])  # warm-up: per-qubit-count caches
+        configs = [ExperimentConfig(family, o, profile_samples("ci", family), master_seed=seed)
+                   for o in experiments.OVERLAP_LEVELS]
+        cell = max(peak(lambda: run_experiment(config)) for config in configs)
+        table_peak = peak(lambda: reproduce_tables([table]))
+        assert table_peak <= 1.05 * cell, f"table {table_peak / 2**20:.2f} MB, largest cell {cell / 2**20:.2f} MB"
 
     def test_profile_sizes(self):
         assert profile_samples("ci", "werner2") == 4000
