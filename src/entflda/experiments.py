@@ -18,7 +18,7 @@ its block. A shot config then draws its counts from the exact rows in row
 order at one site, :func:`_draw_shots`, on a binomial and an alias-table
 stream. ``reproduce_tables`` runs each cell as one :func:`run_experiment` on
 concurrent threads. Datasets and reports are bit-identical across reruns,
-block and chunk sizes and thread counts; wall time is not.
+block sizes and thread counts; wall time is not.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class ExperimentReport:
     wall_time_seconds: float = field(compare=False)  # the whole cell: generation, split, fit and evaluation
 
 
-# Rows per states-stage block, and per shot-draw and written block; the bytes depend on neither.
-_STATES_ROWS = 2048
-_CHUNK_ROWS = 256
+# Cells per block of every blocked stage: a stage takes max(1, _BLOCK_CELLS // width) rows a block, width being
+# the cells of its widest per-row array, so only a single row wider than that exceeds it; no byte depends on it.
+_BLOCK_CELLS = 2**16
 
 
 def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Generator:
@@ -141,11 +141,12 @@ def _sample_rng(master_seed: int, family: str, row: int = 0) -> np.random.Genera
 
 
 def _draw_shots(x: np.ndarray, shots: int, master_seed: int) -> None:
-    """Overwrite each exact row of ``x`` with its ``shots``-shot estimates: a ``shot_estimates`` call per
-    ``_CHUNK_ROWS`` rows, in row order, on ``[master_seed, 3]`` (binomial) and ``[master_seed, 5]`` (alias table)."""
+    """Overwrite each exact row of ``x`` with its ``shots``-shot estimates, a ``shot_estimates`` call per
+    ``_BLOCK_CELLS`` // words rows in row order on ``[master_seed, 3]`` (binomial) and ``[master_seed, 5]`` (alias)."""
     rng, half_rng = (np.random.default_rng([master_seed, stream]) for stream in (3, 5))
-    for start in range(0, len(x), _CHUNK_ROWS):
-        x[start : start + _CHUNK_ROWS] = shot_estimates(x[start : start + _CHUNK_ROWS], shots, rng, half_rng)
+    rows = max(1, _BLOCK_CELLS // x.shape[1])
+    for start in range(0, len(x), rows):
+        x[start : start + rows] = shot_estimates(x[start : start + rows], shots, rng, half_rng)
 
 
 def _werner_intervals(spec: states.Family, family: str, overlap: str, convention: str):
@@ -200,34 +201,38 @@ def sample_family_params(family: str, label: int, overlap: str, uniforms: np.nda
         # from it passes with probability 0.801 at 0.8, so all uniforms / 2 = 24 fail with probability < 1e-16.
         c_min = spec.concurrence_floor[overlap]
         lo = math.asin(c_min)
+        # Pair 0 passes for 79-92% of rows (low to high), so all 24 are scored only for the rows it fails.
         pairs = lo * np.array([1.0, 2.0]) + (np.pi - 2 * lo) * u.reshape(n, -1, 2)
-        accepted = labels.concurrence_analytic(pairs[..., 0], pairs[..., 1]) >= c_min
+        chosen = pairs[:, 0].copy()
+        rejected = np.flatnonzero(labels.concurrence_analytic(chosen[:, 0], chosen[:, 1]) < c_min)
+        accepted = labels.concurrence_analytic(pairs[rejected, :, 0], pairs[rejected, :, 1]) >= c_min
         if not accepted.any(axis=1).all():
             raise RuntimeError(f"rejection sampling failed to reach concurrence {c_min}")
-        return family, pairs[np.arange(n), accepted.argmax(axis=1)]
+        chosen[rejected] = pairs[rejected, accepted.argmax(axis=1)]
+        return family, chosen
     if spec.sample is None:
         raise ValueError(f"family {family!r} has no entangled class")
     return family, spec.sample(u)
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """The labeled feature matrix of a configuration. The states stage writes
-    the exact rows, entangled then separable, each class in ``_STATES_ROWS``-row
-    blocks measured by the family's closed form (``Family.features``) and
-    labeled, a block's stack built and validated only for a ``ppt-oracle``
-    label that reads it; a shot config then draws its estimates over the
-    matrix in place (:func:`_draw_shots`)."""
+    """The labeled feature matrix of a configuration. The states stage writes the exact rows, entangled then
+    separable, each class in blocks of ``_BLOCK_CELLS`` // max(words, ``Family.uniforms``) rows measured by the
+    family's closed form (``Family.features``) and labeled, a block's stack built and validated only for a
+    ``ppt-oracle`` label that reads it; a shot config then draws its estimates over the matrix in place
+    (:func:`_draw_shots`)."""
     spec = states.FAMILIES[config.family]
     words = pauli_words(spec.n_qubits)
     shots, n, n_entangled = config.effective_shots, config.n_samples, config.n_entangled
+    rows = max(1, _BLOCK_CELLS // max(len(words), spec.uniforms))
     rng = _sample_rng(config.master_seed, config.family)
     try:
         x, y = np.empty((n, len(words))), np.empty(n, dtype=int)
     except (MemoryError, ValueError):  # numpy refuses a shape beyond its array limit with a ValueError
         raise ValueError(f"n_samples={n}: a {n} x {len(words)} feature matrix does not fit in memory") from None
     for label, lo, hi in ((labels.ENTANGLED, 0, n_entangled), (labels.SEPARABLE, n_entangled, n)):
-        for start in range(lo, hi, _STATES_ROWS):
-            stop = min(start + _STATES_ROWS, hi)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
             u = rng.random((stop - start, spec.uniforms))
             name, params = sample_family_params(config.family, label, config.overlap, u, config.label_convention)
             build, stack = states.FAMILIES[name], None
@@ -262,24 +267,25 @@ def _check_writable(path: str, header: list, x: np.ndarray, y: np.ndarray) -> No
 
 
 def _row_texts(x: np.ndarray, y: list):
-    """The CRLF-ended text of each row, ``_CHUNK_ROWS`` rows at a time: each
-    block calls ``repr`` once per distinct double (keyed on its bit pattern,
-    so ``-0.0`` keeps its sign) and indexes the table with the cells."""
-    for start in range(0, len(x), _CHUNK_ROWS):
-        block = x[start : start + _CHUNK_ROWS]
+    """The CRLF-ended text of each row, ``_BLOCK_CELLS`` // (written columns) rows at a time: each block calls
+    ``repr`` once per distinct double (keyed on its bit pattern, so ``-0.0`` keeps its sign) and indexes the
+    table with the cells."""
+    rows = max(1, _BLOCK_CELLS // (x.shape[1] + 1))  # the features and the label
+    for start in range(0, len(x), rows):
+        block = x[start : start + rows]
         bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
         table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         # numpy 1.x returns a flat inverse, 2.x one of the block's shape.
-        for cells, label in zip(table[inverse.reshape(block.shape)].tolist(), y[start : start + _CHUNK_ROWS]):
+        for cells, label in zip(table[inverse.reshape(block.shape)].tolist(), y[start : start + rows]):
             yield f"{','.join(cells)},{label}\r\n"
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Delimited text: feature Pauli words + "label" header, repr-precision
     rows, CRLF line ends (the bytes ``csv.writer`` gives), written in
-    ``_CHUNK_ROWS``-row blocks through a per-block ``repr`` table. A dataset
-    :func:`load_dataset` would refuse (bad header words included) raises its
-    ``ValueError``, with the reader's message, before any write."""
+    ``_BLOCK_CELLS``-cell blocks (:func:`_row_texts`) through a per-block
+    ``repr`` table. A dataset :func:`load_dataset` would refuse (bad header
+    words included) raises its ``ValueError``, with the reader's message, before any write."""
     x, y = np.ascontiguousarray(dataset.features, dtype=np.float64), np.asarray(dataset.labels)
     header = [*dataset.feature_names, "label"]
     _check_writable(path, header, x, y)

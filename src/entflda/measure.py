@@ -97,12 +97,13 @@ def shot_estimates(exact: np.ndarray, shots: int, rng: np.random.Generator, half
     one binomial on ``rng``, both in row order, so row blocks drawn in turn give the bits of a single call."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    est = (1.0 + np.asarray(exact, dtype=float)) / 2.0  # float64 whatever the input: the counts go into it
-    if np.any(est < -1e-9) or np.any(est > 1 + 1e-9):
+    exact = np.asarray(exact, dtype=float)
+    est = (1.0 + exact) / 2.0  # float64 whatever the input: the counts go into it
+    if est.size and (est.min() < -1e-9 or est.max() > 1 + 1e-9):
         raise ValueError("outcome probability outside [0, 1]; upstream state is corrupted")
-    np.clip(est, 0.0, 1.0, out=est)
     half = (exact == 0) & (shots <= TABLE_MAX_SHOTS)
-    est[~half] = 2.0 * rng.binomial(shots, est[~half]) / shots - 1.0
+    drawn = ~half  # a zero one's probability is exactly 1/2, so only these need the clip
+    est[drawn] = 2.0 * rng.binomial(shots, np.clip(est[drawn], 0.0, 1.0)) / shots - 1.0
     if half.any():  # in place on the uniforms' buffers; "clip" lets take write to them unbuffered
         threshold, pick = _half_table(int(shots))
         u = half_rng.random(np.count_nonzero(half)) * len(threshold)

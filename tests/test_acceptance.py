@@ -198,11 +198,11 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         cfg = ExperimentConfig(family="werner3", overlap="high", n_samples=60, master_seed=99)
         p1, p2 = tmp_path / "default_chunks.csv", tmp_path / "other_chunks.csv"
         save_dataset(generate_dataset(cfg), str(p1))
-        for rows in (1, 7, cfg.n_samples):
-            monkeypatch.setattr(experiments, "_STATES_ROWS", rows)
-            monkeypatch.setattr(experiments, "_CHUNK_ROWS", rows)
+        # Cell budgets of one cell (below a row's 63 words: one-row blocks), 7 rows and the whole dataset.
+        for cells in (1, 7 * 63, cfg.n_samples * 64):
+            monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
             save_dataset(generate_dataset(cfg), str(p2))
-            assert p1.read_bytes() == p2.read_bytes(), rows
+            assert p1.read_bytes() == p2.read_bytes(), cells
 
 
 def test_criterion_11_pauli_completeness():

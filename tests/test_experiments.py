@@ -80,10 +80,16 @@ def count_computed_rows(monkeypatch):
     return computed, generators
 
 
-def set_block_rows(monkeypatch, states_rows, chunk_rows):
-    """Generate in ``states_rows``-row states blocks and draw shots (and write) in ``chunk_rows``-row chunks."""
-    monkeypatch.setattr(experiments, "_STATES_ROWS", states_rows)
-    monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk_rows)
+def set_block_cells(monkeypatch, cells):
+    """Run every blocked stage (states, shot draw, write) in ``cells``-cell blocks, one row at the least."""
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
+
+
+def states_width(family):
+    """Cells of the widest per-row array of ``family``'s states stage: its Pauli words or its uniforms, so a
+    budget of ``rows * states_width(family)`` cells gives ``rows``-row states blocks."""
+    spec = states.FAMILIES[family]
+    return max(len(pauli_words(spec.n_qubits)), spec.uniforms)
 
 
 def csv_writer_bytes(dataset):
@@ -220,8 +226,46 @@ class TestSampleFamilyParams:
     def test_concurrence_without_accepted_pair_fails_loudly(self):
         # Every candidate is the box's corner (asin 0.8, 2 asin 0.8), where C = 0.8^2 < 0.8.
         u = np.zeros((3, states.FAMILIES["concurrence"].uniforms))
-        with pytest.raises(RuntimeError, match="concurrence 0.8"):
+        with pytest.raises(RuntimeError, match="^rejection sampling failed to reach concurrence 0.8$"):
             sample_family_params("concurrence", -1, "low", u)
+        u[0] = 0.5  # one row that passes does not save the others
+        with pytest.raises(RuntimeError, match="^rejection sampling failed to reach concurrence 0.8$"):
+            sample_family_params("concurrence", -1, "low", u)
+
+    @pytest.mark.parametrize("overlap", experiments.OVERLAP_LEVELS)
+    def test_concurrence_scores_later_pairs_only_for_rejected_rows(self, overlap, monkeypatch):
+        """Pair 0 is scored for every row and all 24 pairs only for the rows
+        it fails, and each row keeps the first accepted of its 24 pairs, to
+        the bit, as scoring every pair of every row picks it."""
+        c = states.FAMILIES["concurrence"].concurrence_floor[overlap]
+        u = np.random.default_rng(41).random((2000, states.FAMILIES["concurrence"].uniforms))
+        lo = np.arcsin(c)
+        pairs = lo * np.array([1.0, 2.0]) + (np.pi - 2 * lo) * u.reshape(2000, -1, 2)
+        accepted = labels.concurrence_analytic(pairs[..., 0], pairs[..., 1]) >= c
+        rejected = np.count_nonzero(~accepted[:, 0])
+        assert 0 < rejected < 2000
+        scored, analytic = [], labels.concurrence_analytic
+
+        def counted(theta0, theta1):
+            scored.append(np.size(theta0))
+            return analytic(theta0, theta1)
+
+        monkeypatch.setattr(labels, "concurrence_analytic", counted)
+        _, params = sample_family_params("concurrence", -1, overlap, u)
+        assert sum(scored) == 2000 + 24 * rejected
+        assert params.tobytes() == pairs[np.arange(2000), accepted.argmax(axis=1)].tobytes()
+
+    def test_concurrence_row_keeps_its_first_accepted_later_pair(self):
+        """A row whose pairs 0 and 1 sit at the box corner (C = c^2 < c) keeps
+        pair 2, not the accepted pair 3 after it; the row beside it keeps its
+        accepted pair 0."""
+        u = np.full((2, states.FAMILIES["concurrence"].uniforms), 0.5)
+        u[0, :4] = 0.0
+        u[0, 6:8] = 0.9
+        _, params = sample_family_params("concurrence", -1, "low", u)
+        lo = np.arcsin(0.8)
+        middle = lo * np.array([1.0, 2.0]) + (np.pi - 2 * lo) * np.array([0.5, 0.5])
+        assert params.tobytes() == np.stack([middle, middle]).tobytes()
 
     def test_separable_class_is_product(self):
         for seed, family in enumerate(("concurrence", "pptes-acin", "ppt-alt", "biseparable")):
@@ -293,30 +337,33 @@ class TestGenerateDataset:
 
     def test_chunk_size_does_not_change_output(self, monkeypatch):
         """Exact features show every bit of the feature computation; shot
-        features also check that the shot stream runs on across chunks."""
+        features also check that the shot stream runs on across chunks. A
+        budget of one cell, below any row's width, gives one-row blocks."""
         for family in HEAD_FAMILIES:
             for convention in labels.LABEL_CONVENTIONS:
                 for shots in (0, 32):
                     cfg = ExperimentConfig(family=family, n_samples=30, master_seed=5, shots=shots,
                                            label_convention=convention)
                     reference = generate_dataset(cfg)
-                    for rows in chunk_sizes(cfg.n_samples):
-                        set_block_rows(monkeypatch, rows, rows)
+                    for cells in (1, *(rows * states_width(family) for rows in chunk_sizes(cfg.n_samples))):
+                        set_block_cells(monkeypatch, cells)
                         ds = generate_dataset(cfg)
-                        assert ds.features.tobytes() == reference.features.tobytes(), (family, convention, shots, rows)
-                        assert ds.labels.tobytes() == reference.labels.tobytes(), (family, convention, shots, rows)
+                        assert ds.features.tobytes() == reference.features.tobytes(), (family, convention, shots, cells)
+                        assert ds.labels.tobytes() == reference.labels.tobytes(), (family, convention, shots, cells)
                     monkeypatch.undo()
 
     def test_chunk_size_does_not_change_output_property(self, monkeypatch):
         """Property: for any family, convention, row count, class balance,
-        seed and shot count, a dataset built in states blocks and shot chunks
-        of any sizes has the bytes of the one built in a single block and
-        chunk, so the class boundary may fall at any offset inside a block and
-        the last block may be short."""
+        seed and shot count, a dataset built in blocks of any cell budget
+        (``block`` rows of the states stage, plus ``extra`` cells, so the shot
+        draw's blocks hold a different row count) has the bytes of the one
+        built at the default budget, a single block at these sizes; the class
+        boundary may fall at any offset inside a block and the last block may
+        be short."""
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
 
-        whole = (experiments._STATES_ROWS, experiments._CHUNK_ROWS)
+        whole = experiments._BLOCK_CELLS
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
         @hypothesis.given(
@@ -326,15 +373,15 @@ class TestGenerateDataset:
             balance=st.floats(0.2, 0.8),
             seed=st.integers(0, 2**32 - 1),
             shots=st.sampled_from([0, 16]),
-            block=st.integers(1, 125),
-            rows=st.integers(1, 125),
+            block=st.integers(0, 125),
+            extra=st.integers(0, 254),
         )
-        def invariant(family, convention, n_samples, balance, seed, shots, block, rows):
+        def invariant(family, convention, n_samples, balance, seed, shots, block, extra):
             cfg = ExperimentConfig(family=family, n_samples=n_samples, balance=balance, shots=shots,
                                    label_convention=convention, master_seed=seed)
-            set_block_rows(monkeypatch, *whole)
+            set_block_cells(monkeypatch, whole)
             reference = generate_dataset(cfg)
-            set_block_rows(monkeypatch, block, rows)
+            set_block_cells(monkeypatch, max(1, block * states_width(family) + extra))
             ds = generate_dataset(cfg)
             assert ds.features.tobytes() == reference.features.tobytes()
             assert ds.labels.tobytes() == reference.labels.tobytes()
@@ -358,7 +405,7 @@ class TestGenerateDataset:
 
         monkeypatch.setattr(qops.DensityOperator, "__init__", per_state)
         monkeypatch.setattr(states, "from_family", per_state)
-        set_block_rows(monkeypatch, 10, 3)
+        set_block_cells(monkeypatch, 10 * states_width(family))  # 10-row states blocks
         cfg = ExperimentConfig(family=family, n_samples=24, label_convention=convention, shots=4)
         generate_dataset(cfg)
         oracle = convention == "ppt-oracle" and family in ("concurrence", "ppt-alt", "biseparable")
@@ -406,7 +453,8 @@ class TestGenerateDataset:
     def test_each_chunk_holds_one_class(self, monkeypatch):
         """Every ``sample_family_params`` call samples one class: all the
         entangled blocks come before the separable ones, none exceeds
-        ``_STATES_ROWS`` rows, and the blocks of a class add up to its count.
+        ``_BLOCK_CELLS`` // (Pauli words) rows (``werner2`` has more words than
+        uniforms), and the blocks of a class add up to its count.
         Each block's features are computed in one call on the rows it sampled."""
         calls, (computed, generators) = [], count_computed_rows(monkeypatch)
         sample_rows = experiments.sample_family_params
@@ -416,13 +464,13 @@ class TestGenerateDataset:
             return sample_rows(family, label, overlap, uniforms, convention)
 
         monkeypatch.setattr(experiments, "sample_family_params", recording)
-        monkeypatch.setattr(experiments, "_STATES_ROWS", 100)
+        set_block_cells(monkeypatch, 100 * 15 + 14)  # 100 rows of 15 words; the spare 14 cells hold no row
         cfg = ExperimentConfig(family="werner2", n_samples=601, balance=0.37, shots=4)
         assert (cfg.n_entangled, cfg.n_samples - cfg.n_entangled) == (222, 379)
         ds = generate_dataset(cfg)
         classes = [label for label, _ in calls]
         assert classes == sorted(classes) and set(classes) == {labels.ENTANGLED, labels.SEPARABLE}
-        assert all(0 < rows <= experiments._STATES_ROWS for _, rows in calls) and len(calls) == 3 + 4
+        assert all(0 < rows <= 100 for _, rows in calls) and len(calls) == 3 + 4
         for label, count in ((labels.ENTANGLED, 222), (labels.SEPARABLE, 379)):
             assert sum(rows for cls, rows in calls if cls == label) == count
         assert computed == [("closed", rows) for _, rows in calls]
@@ -461,8 +509,8 @@ class TestGenerateDataset:
             return result
 
         monkeypatch.setattr(experiments, "sample_family_params", recording)
-        set_block_rows(monkeypatch, 16, 16)
         for family in ("werner3", "concurrence", "biseparable"):
+            set_block_cells(monkeypatch, 16 * states_width(family))
             seen.clear()
             cfg = ExperimentConfig(family=family, n_samples=40, master_seed=12, shots=8)
             generate_dataset(cfg)
@@ -500,7 +548,7 @@ class TestGenerateDataset:
             return stack
 
         monkeypatch.setitem(states.FAMILIES, "concurrence", states.Family(**{**vars(spec), "stack": corrupted}))
-        monkeypatch.setattr(experiments, "_STATES_ROWS", 12)
+        set_block_cells(monkeypatch, 12 * states_width("concurrence"))
         with pytest.raises(ValueError, match=message):
             generate_dataset(ExperimentConfig(family="concurrence", n_samples=24, shots=4,
                                               label_convention="ppt-oracle"))
@@ -590,8 +638,9 @@ class TestGenerateDataset:
         assert path.read_bytes() == csv_writer_bytes(ds)
         assert [line.split(",")[2] for line in path.read_text().splitlines()[1:5]] == ["0.0", "-0.0", "0.0", "-0.0"]
 
-    def test_save_matches_csv_writer_property(self, tmp_path):
-        """Property: over 1 to 2 * _CHUNK_ROWS + 1 rows, so that write blocks
+    def test_save_matches_csv_writer_property(self, tmp_path, monkeypatch):
+        """Property: over 1 to 513 rows written in blocks of 1 to 256 rows
+        (the cell budget over the written columns), so that write blocks
         are crossed, with cells from a small pool (0.0, -0.0, subnormals,
         +-1e308 and arbitrary finite doubles) so that values repeat, the
         saved bytes are the csv.writer reference."""
@@ -604,13 +653,15 @@ class TestGenerateDataset:
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @hypothesis.given(
-            n_rows=st.integers(1, 2 * experiments._CHUNK_ROWS + 1),
+            n_rows=st.integers(1, 513),
+            block=st.integers(1, 256),
             n_qubits=st.integers(1, 2),
             pool=st.lists(doubles, max_size=6).map(lambda drawn: edges + drawn),
             seed=st.integers(0, 2**32 - 1),
         )
-        def matches(n_rows, n_qubits, pool, seed):
+        def matches(n_rows, block, n_qubits, pool, seed):
             names = pauli_words(n_qubits)
+            set_block_cells(monkeypatch, block * (len(names) + 1))
             rng = np.random.default_rng(seed)
             features = np.array(pool)[rng.integers(len(pool), size=(n_rows, len(names)))]
             ds = Dataset(features, rng.choice([-1, 1], size=n_rows), names)
@@ -790,7 +841,8 @@ class TestGenerateDataset:
 
 class TestShotDraw:
     """Every shot estimate is drawn at one site: one ``shot_estimates`` call
-    per ``_CHUNK_ROWS`` dataset rows, in row order, over the exact rows."""
+    per ``_BLOCK_CELLS`` // (Pauli words) dataset rows, one row at the least,
+    in row order, over the exact rows."""
 
     @staticmethod
     def record_draws(monkeypatch):
@@ -811,18 +863,33 @@ class TestShotDraw:
 
     @staticmethod
     def assert_blocks_in_row_order(blocks, exact):
-        assert all(0 < len(block) <= experiments._CHUNK_ROWS for block in blocks)
-        assert len(blocks) == -(-len(exact) // experiments._CHUNK_ROWS)
+        rows = max(1, experiments._BLOCK_CELLS // exact.shape[1])
+        assert all(0 < len(block) <= rows for block in blocks)
+        assert len(blocks) == -(-len(exact) // rows)
         assert np.concatenate(blocks).tobytes() == exact.tobytes()
 
     def test_generate_dataset_draws_every_row_in_blocks(self, monkeypatch):
+        """100-row blocks of 63 words, and one-row blocks where the budget is
+        below one row's width."""
         config = ExperimentConfig(family="werner3", overlap="medium", n_samples=600, master_seed=5)
         exact = generate_dataset(dataclasses.replace(config, shots=0))
-        calls = self.record_draws(monkeypatch)
-        dataset = generate_dataset(config)
-        assert {shots for shots, _ in calls} == {2048}
-        self.assert_blocks_in_row_order([block for _, block in calls], exact.features)
-        assert dataset.labels.tobytes() == exact.labels.tobytes()
+        drawn = self.record_draws(monkeypatch)
+        for cells, calls in ((100 * 63 + 62, 6), (62, 600)):
+            drawn.clear()
+            set_block_cells(monkeypatch, cells)
+            dataset = generate_dataset(config)
+            assert {shots for shots, _ in drawn} == {2048} and len(drawn) == calls
+            self.assert_blocks_in_row_order([block for _, block in drawn], exact.features)
+            assert dataset.labels.tobytes() == exact.labels.tobytes()
+
+    @pytest.mark.parametrize("family, calls", [("werner2", 1), ("werner3", 4)])
+    def test_default_budget_draws_a_cell_in_few_calls(self, monkeypatch, family, calls):
+        """At the default budget a ``tables-ci`` shot cell, 4,000 rows at 512
+        shots, takes one call on 15 words a row and four on 63 (fixed
+        256-row blocks took 16 each)."""
+        drawn = self.record_draws(monkeypatch)
+        generate_dataset(ExperimentConfig(family=family, n_samples=4000, shots=512))
+        assert len(drawn) == calls and sum(len(block) for _, block in drawn) == 4000
 
     def test_draw_is_in_place(self):
         """A 4,000-row ``werner4`` dataset at 512 shots peaks within a quarter
@@ -878,7 +945,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(family="concurrence", overlap="medium", n_samples=80, master_seed=21)
         a = run_experiment(cfg)
         for rows in chunk_sizes(cfg.n_samples):
-            set_block_rows(monkeypatch, rows, rows)
+            set_block_cells(monkeypatch, rows * states_width(cfg.family))
             b = run_experiment(cfg)
             assert a == b
         # == is the determinism contract: the wall time is kept on the report but not compared.

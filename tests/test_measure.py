@@ -201,7 +201,7 @@ class TestShotEstimates:
             b = shot_estimates(exact_features(rho), shots, rng, rng)
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 7, experiments._CHUNK_ROWS])
+    @pytest.mark.parametrize("rows", [1, 7, experiments._BLOCK_CELLS // 256])  # 256: a werner4 written block
     def test_blocks_from_one_generator_give_one_call(self, rows):
         """Row blocks drawn in turn from one pair of generators (binomial and
         alias table) have the bits of one call on the whole (n, d) matrix,
@@ -224,6 +224,15 @@ class TestShotEstimates:
         dataset = generate_dataset(config)
         assert dataset.features.tobytes() == drawn.tobytes()
         assert dataset.labels.tobytes() == exact.labels.tobytes()
+
+    @pytest.mark.parametrize("convert", [list, tuple])
+    def test_sequence_input_gives_the_array_bits(self, convert):
+        """A list or a tuple of exact values, zeros among them, draws the bits
+        the same values give as an array."""
+        exact = np.array([0.0, 0.5, -1.0, 0.0, 1.0, -0.25])
+        want = shot_estimates(exact, 16, np.random.default_rng(3), np.random.default_rng(4))
+        got = shot_estimates(convert(exact.tolist()), 16, np.random.default_rng(3), np.random.default_rng(4))
+        assert got.tobytes() == want.tobytes()
 
     def test_refusals(self):
         with pytest.raises(ValueError, match=r"^shots must be >= 1, got 0$"):
